@@ -51,35 +51,30 @@ void BM_KroneckerGenerate(benchmark::State& state) {
 }
 BENCHMARK(BM_KroneckerGenerate)->Arg(10)->Arg(12)->Arg(14);
 
-// Kernel 1 old vs new: the seed's sequential CSR build against the
-// parallel degree-count / prefix-sum / atomic-scatter build, at a given
-// thread count (second arg). The benchmark trajectory records both, so
-// the construction-phase speedup is visible in the JSON output.
-void BM_CsrBuildSerial(benchmark::State& state) {
-  const auto el = bench_graph(static_cast<int>(state.range(0)));
-  for (auto _ : state) {
-    benchmark::DoNotOptimize(CSRGraph::from_edges_serial(el));
-  }
-  state.SetItemsProcessed(state.iterations() *
-                          static_cast<std::int64_t>(el.num_edges()));
-}
-BENCHMARK(BM_CsrBuildSerial)->Arg(10)->Arg(12);
-
+// Kernel 1: the serial counting build, and the counting transpose that
+// gives GAP, Ligra and GraphMat their in-adjacency. Neither reads the
+// thread count (bench/results_kernels.json archives the deleted
+// atomic-scatter build against the serial one).
 void BM_CsrBuild(benchmark::State& state) {
   const auto el = bench_graph(static_cast<int>(state.range(0)));
-  ThreadScope threads(static_cast<int>(state.range(1)));
   for (auto _ : state) {
     benchmark::DoNotOptimize(CSRGraph::from_edges(el));
   }
   state.SetItemsProcessed(state.iterations() *
                           static_cast<std::int64_t>(el.num_edges()));
 }
-BENCHMARK(BM_CsrBuild)
-    ->Args({10, 8})
-    ->Args({12, 1})
-    ->Args({12, 2})
-    ->Args({12, 4})
-    ->Args({12, 8});
+BENCHMARK(BM_CsrBuild)->Arg(10)->Arg(12);
+
+void BM_CsrTranspose(benchmark::State& state) {
+  const auto g =
+      CSRGraph::from_edges(bench_graph(static_cast<int>(state.range(0))));
+  for (auto _ : state) {
+    benchmark::DoNotOptimize(g.transposed());
+  }
+  state.SetItemsProcessed(state.iterations() *
+                          static_cast<std::int64_t>(g.num_edges()));
+}
+BENCHMARK(BM_CsrTranspose)->Arg(10)->Arg(12);
 
 // Frontier merge old vs new, isolated from traversal work: every thread
 // produces a slice of `range(0)` vertex ids and the variants differ only
@@ -192,11 +187,13 @@ BENCHMARK(BM_BitmapCompactParallel)
     ->Args({1 << 22, 1})
     ->Args({1 << 22, 8});
 
+// GraphMat's A^T as its build makes it: out-CSR, counting transpose,
+// then the transpose's arrays moved into the DCSR.
 void BM_DcsrBuild(benchmark::State& state) {
   const auto el = bench_graph(static_cast<int>(state.range(0)));
   for (auto _ : state) {
-    benchmark::DoNotOptimize(
-        systems::graphmat_detail::DCSR::from_edges(el, true));
+    benchmark::DoNotOptimize(systems::graphmat_detail::DCSR::from_csr(
+        CSRGraph::from_edges(el).transposed()));
   }
   state.SetItemsProcessed(state.iterations() *
                           static_cast<std::int64_t>(el.num_edges()));
@@ -325,7 +322,7 @@ BENCHMARK(BM_GraphBigDirectLoop)->Arg(12);
 void BM_LigraEdgeMapDense(benchmark::State& state) {
   const auto el = bench_graph(static_cast<int>(state.range(0)));
   const auto out = CSRGraph::from_edges(el);
-  const auto in = CSRGraph::from_edges(el, true);
+  const auto in = CSRGraph::from_edges(el).transposed();
 
   struct NopF {
     bool cond(vid_t) const { return true; }

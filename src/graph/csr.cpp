@@ -1,151 +1,131 @@
 #include "graph/csr.hpp"
 
 #include <algorithm>
-#include <atomic>
-#include <numeric>
+#include <cstdint>
 #include <utility>
+#include <vector>
 
 #include "core/error.hpp"
-#include "core/frontier.hpp"
 #include "core/parallel.hpp"
 
 namespace epgs {
 
 namespace {
 
-/// Sort every adjacency row by target id, weights permuted alongside.
-/// Rows are independent, so this parallelizes over rows for the weighted
-/// case too (the seed only parallelized the unweighted path).
-void sort_rows(CSRGraph::OffsetVector& offsets,
-               CSRGraph::TargetVector& targets,
-               CSRGraph::WeightVector& weights, vid_t n, bool weighted) {
-  if (weighted) {
-#pragma omp parallel
-    {
-      std::vector<std::pair<vid_t, weight_t>> row;  // per-thread scratch
-#pragma omp for schedule(dynamic, 256)
-      for (std::int64_t u = 0; u < static_cast<std::int64_t>(n); ++u) {
-        const eid_t lo = offsets[static_cast<std::size_t>(u)];
-        const eid_t hi = offsets[static_cast<std::size_t>(u) + 1];
-        row.clear();
-        row.reserve(hi - lo);
-        for (eid_t i = lo; i < hi; ++i) {
-          row.emplace_back(targets[i], weights[i]);
-        }
-        std::sort(row.begin(), row.end());
-        for (eid_t i = lo; i < hi; ++i) {
-          targets[i] = row[i - lo].first;
-          weights[i] = row[i - lo].second;
-        }
+/// Size `v` to `n` zeros in static index order. resize() touches no
+/// pages, and the scatters that fill these arrays do not write in index
+/// order, so this pass is the first touch: each page lands on the thread
+/// that owns its index range in later schedule(static) scans (see
+/// core/numa_alloc.hpp for the rule).
+template <typename T>
+void first_touch_zero(FirstTouchVector<T>& v, std::size_t n) {
+  v.resize(n);
+#pragma omp parallel for schedule(static)
+  for (std::int64_t i = 0; i < static_cast<std::int64_t>(n); ++i) {
+    v[static_cast<std::size_t>(i)] = T{};
+  }
+}
+
+/// Turn row degrees counted into offsets[0, n) (offsets[n] left 0) into
+/// row ends: offsets[u] becomes the end of row u and offsets[n] the edge
+/// count. A scatter that walks its input backwards, decrementing
+/// offsets[row] before each write, is then stable and leaves every
+/// offsets[u] at the start of row u, with no separate cursor array.
+void counts_to_row_ends(CSRGraph::OffsetVector& offsets) {
+  for (std::size_t u = 1; u < offsets.size(); ++u) {
+    offsets[u] += offsets[u - 1];
+  }
+}
+
+/// Sort by (target, weight) each row the scatter did not leave in
+/// order. A row that is already sorted is only scanned, which makes a
+/// sorted, deduplicated edge list cost no sort at all.
+void sort_unsorted_rows(const CSRGraph::OffsetVector& offsets,
+                        CSRGraph::TargetVector& targets,
+                        CSRGraph::WeightVector& weights, bool weighted) {
+  std::vector<std::pair<vid_t, weight_t>> row;
+  for (std::size_t u = 0; u + 1 < offsets.size(); ++u) {
+    const eid_t lo = offsets[u], hi = offsets[u + 1];
+    if (weighted) {
+      bool in_order = true;
+      for (eid_t i = lo + 1; i < hi && in_order; ++i) {
+        in_order = !(std::pair(targets[i], weights[i]) <
+                     std::pair(targets[i - 1], weights[i - 1]));
       }
-    }
-  } else {
-#pragma omp parallel for schedule(dynamic, 1024)
-    for (std::int64_t u = 0; u < static_cast<std::int64_t>(n); ++u) {
-      std::sort(
-          targets.begin() +
-              static_cast<std::ptrdiff_t>(offsets[static_cast<std::size_t>(u)]),
-          targets.begin() + static_cast<std::ptrdiff_t>(
-                                offsets[static_cast<std::size_t>(u) + 1]));
+      if (in_order) continue;
+      row.clear();
+      for (eid_t i = lo; i < hi; ++i) {
+        row.emplace_back(targets[i], weights[i]);
+      }
+      std::sort(row.begin(), row.end());
+      for (eid_t i = lo; i < hi; ++i) {
+        targets[i] = row[i - lo].first;
+        weights[i] = row[i - lo].second;
+      }
+    } else {
+      const auto first = targets.begin() + static_cast<std::ptrdiff_t>(lo);
+      const auto last = targets.begin() + static_cast<std::ptrdiff_t>(hi);
+      if (!std::is_sorted(first, last)) std::sort(first, last);
     }
   }
 }
 
 }  // namespace
 
-// Kernel-1 construction, fully parallel: (1) endpoint validation as a
-// parallel reduction, (2) degree counting into cache-independent
-// per-thread count arrays combined in parallel, (3) a parallel exclusive
-// prefix sum over the degrees, (4) scatter with one atomic fetch-add on
-// the destination row's cursor per edge, (5) a parallel per-row sort.
-CSRGraph CSRGraph::from_edges(const EdgeList& el, bool transpose) {
-  // With no thread team the atomic-cursor scatter and the extra counting
-  // pass are pure overhead (~2x on the CSR-build microbenchmark), so
-  // single-threaded runs keep the seed's serial construction.
-  if (max_threads() == 1) return from_edges_serial(el, transpose);
-
+CSRGraph CSRGraph::from_edges(const EdgeList& el) {
   CSRGraph g;
   g.n_ = el.num_vertices;
   g.m_ = el.num_edges();
-  const std::size_t m = el.edges.size();
 
-  std::size_t bad_endpoints = 0;
-#pragma omp parallel for schedule(static) reduction(+ : bad_endpoints)
-  for (std::int64_t i = 0; i < static_cast<std::int64_t>(m); ++i) {
-    const auto& e = el.edges[static_cast<std::size_t>(i)];
-    if (e.src >= g.n_ || e.dst >= g.n_) ++bad_endpoints;
+  first_touch_zero(g.offsets_, static_cast<std::size_t>(g.n_) + 1);
+  for (const auto& e : el.edges) {
+    EPGS_CHECK(e.src < g.n_ && e.dst < g.n_, "edge endpoint out of range");
+    ++g.offsets_[e.src];
   }
-  EPGS_CHECK(bad_endpoints == 0, "edge endpoint out of range");
+  counts_to_row_ends(g.offsets_);
 
-  // Per-thread degree counts: thread t counts its contiguous edge slice
-  // into its own array (no atomics, no sharing), then the arrays are
-  // summed per vertex in parallel. FirstTouchVector leaves the pages
-  // untouched until the static combine loop below writes every slot.
-  FirstTouchVector<eid_t> counts(g.n_);
-  std::vector<std::vector<eid_t>> local_counts;
-#pragma omp parallel
-  {
-    const int nt = omp_get_num_threads();
-    const int t = omp_get_thread_num();
-#pragma omp single
-    local_counts.resize(static_cast<std::size_t>(nt));
-    auto& mine = local_counts[static_cast<std::size_t>(t)];
-    mine.assign(g.n_, 0);
-    const std::size_t chunk =
-        (m + static_cast<std::size_t>(nt) - 1) / static_cast<std::size_t>(nt);
-    const std::size_t lo = std::min(m, chunk * static_cast<std::size_t>(t));
-    const std::size_t hi = std::min(m, lo + chunk);
-    for (std::size_t i = lo; i < hi; ++i) {
-      const auto& e = el.edges[i];
-      ++mine[transpose ? e.dst : e.src];
-    }
-#pragma omp barrier
-#pragma omp for schedule(static)
-    for (std::int64_t v = 0; v < static_cast<std::int64_t>(g.n_); ++v) {
-      eid_t c = 0;
-      for (const auto& lc : local_counts) {
-        c += lc[static_cast<std::size_t>(v)];
-      }
-      counts[static_cast<std::size_t>(v)] = c;
-    }
-  }
-  parallel_exclusive_prefix_sum(counts, g.offsets_);
-
-  g.targets_.resize(g.m_);
-  if (el.weighted) g.weights_.resize(g.m_);
-  // First-touch placement: resize() above touched no pages, and the
-  // scatter below writes in (random) edge order. Touch the flat
-  // adjacency arrays in static index order first, so each page lands on
-  // the thread that owns that index range in later schedule(static)
-  // scans (see core/numa_alloc.hpp for the rule).
-#pragma omp parallel for schedule(static)
-  for (std::int64_t i = 0; i < static_cast<std::int64_t>(g.m_); ++i) {
-    g.targets_[static_cast<std::size_t>(i)] = 0;
-    if (el.weighted) g.weights_[static_cast<std::size_t>(i)] = 0.0f;
-  }
-  std::vector<std::atomic<eid_t>> cursor(g.n_);
-#pragma omp parallel for schedule(static)
-  for (std::int64_t v = 0; v < static_cast<std::int64_t>(g.n_); ++v) {
-    cursor[static_cast<std::size_t>(v)].store(
-        g.offsets_[static_cast<std::size_t>(v)], std::memory_order_relaxed);
-  }
-#pragma omp parallel for schedule(static)
-  for (std::int64_t i = 0; i < static_cast<std::int64_t>(m); ++i) {
-    const auto& e = el.edges[static_cast<std::size_t>(i)];
-    const vid_t row = transpose ? e.dst : e.src;
-    const vid_t col = transpose ? e.src : e.dst;
-    const eid_t pos = cursor[row].fetch_add(1, std::memory_order_relaxed);
-    g.targets_[pos] = col;
-    if (el.weighted) g.weights_[pos] = e.w;
+  first_touch_zero(g.targets_, g.m_);
+  if (el.weighted) first_touch_zero(g.weights_, g.m_);
+  for (auto e = el.edges.rbegin(); e != el.edges.rend(); ++e) {
+    const eid_t pos = --g.offsets_[e->src];
+    g.targets_[pos] = e->dst;
+    if (el.weighted) g.weights_[pos] = e->w;
   }
 
-  sort_rows(g.offsets_, g.targets_, g.weights_, g.n_, el.weighted);
+  sort_unsorted_rows(g.offsets_, g.targets_, g.weights_, el.weighted);
   return g;
 }
 
+CSRGraph CSRGraph::transposed() const {
+  CSRGraph t;
+  t.n_ = n_;
+  t.m_ = m_;
+
+  first_touch_zero(t.offsets_, static_cast<std::size_t>(n_) + 1);
+  for (const vid_t v : targets_) ++t.offsets_[v];
+  counts_to_row_ends(t.offsets_);
+
+  const bool w = weighted();
+  first_touch_zero(t.targets_, m_);
+  if (w) first_touch_zero(t.weights_, m_);
+  for (vid_t u = n_; u-- > 0;) {
+    for (eid_t i = offsets_[u + 1]; i-- > offsets_[u];) {
+      const eid_t pos = --t.offsets_[targets_[i]];
+      t.targets_[pos] = u;
+      if (w) t.weights_[pos] = weights_[i];
+    }
+  }
+  return t;
+}
+
+CSRGraph::Arrays CSRGraph::release() && {
+  Arrays a{std::move(offsets_), std::move(targets_), std::move(weights_)};
+  *this = CSRGraph{};
+  return a;
+}
+
 // The seed's sequential Kernel 1, kept verbatim as the equivalence
-// oracle for tests and the baseline side of the CSR-build
-// microbenchmark.
+// oracle for tests.
 CSRGraph CSRGraph::from_edges_serial(const EdgeList& el, bool transpose) {
   CSRGraph g;
   g.n_ = el.num_vertices;

@@ -18,7 +18,7 @@ namespace epgs {
 class CSRGraph {
  public:
   // The flat adjacency arrays use the first-touch vector (resize leaves
-  // pages untouched; the parallel build's static passes place them) so
+  // pages untouched; the build's static zeroing pass places them) so
   // traversal kernels scanning with schedule(static) hit local pages.
   using OffsetVector = FirstTouchVector<eid_t>;
   using TargetVector = FirstTouchVector<vid_t>;
@@ -26,17 +26,33 @@ class CSRGraph {
 
   CSRGraph() = default;
 
-  /// Build an out-neighborhood CSR from an edge list (parallel Kernel-1
-  /// semantics: parallel degree count, prefix sum, scatter, row sort).
-  /// If `transpose` is true, builds the in-neighborhood (CSC of the
-  /// original): row u lists vertices with an edge into u.
-  /// Adjacency of every row is sorted by target id.
-  static CSRGraph from_edges(const EdgeList& el, bool transpose = false);
+  /// Kernel 1: build the out-neighborhood CSR of an edge list with one
+  /// serial counting pass (degree count, prefix sum, stable scatter),
+  /// then sort the rows that are not already in order. Adjacency of
+  /// every row is sorted by (target, weight).
+  static CSRGraph from_edges(const EdgeList& el);
 
   /// The seed's sequential build, kept as the equivalence oracle for
-  /// tests and the baseline for the CSR-build microbenchmark.
+  /// tests. If `transpose` is true, builds the in-neighborhood (CSC of
+  /// the original): row u lists vertices with an edge into u.
   static CSRGraph from_edges_serial(const EdgeList& el,
                                     bool transpose = false);
+
+  /// Counting transpose: row v of the result lists the sources of v's
+  /// in-edges. The scatter keeps source order, so every result row
+  /// comes out sorted by source (weights carried along) without a sort;
+  /// for a graph from from_edges(el) the result equals
+  /// from_edges_serial(el, true) bit for bit.
+  [[nodiscard]] CSRGraph transposed() const;
+
+  /// The adjacency arrays, moved out of a graph that is given up
+  /// (GraphMat's DCSR adopts them without a copy).
+  struct Arrays {
+    OffsetVector offsets;
+    TargetVector targets;
+    WeightVector weights;
+  };
+  [[nodiscard]] Arrays release() &&;
 
   [[nodiscard]] vid_t num_vertices() const { return n_; }
   [[nodiscard]] eid_t num_edges() const { return m_; }
@@ -65,6 +81,8 @@ class CSRGraph {
 
   /// True iff (u, v) is an edge; binary search over sorted adjacency.
   [[nodiscard]] bool has_edge(vid_t u, vid_t v) const;
+
+  friend bool operator==(const CSRGraph&, const CSRGraph&) = default;
 
  private:
   vid_t n_ = 0;

@@ -1,5 +1,6 @@
 #include "harness/runner.hpp"
 
+#include <algorithm>
 #include <filesystem>
 #include <memory>
 #include <optional>
@@ -135,6 +136,17 @@ void execute_system_plan(const ExperimentConfig& cfg, const SweepPlan& plan,
     }
   }
 
+  // On the in-RAM path, stage the edges once, untimed, for every build
+  // below: the staged copy persists across builds (as the load unit's
+  // does on the file path) and forked children inherit it. A system
+  // whose units were all replayed is never built, so it is not staged.
+  if (!file_mode && std::any_of(sp.trials.begin(), sp.trials.end(),
+                                [](const PlannedTrial& t) {
+                                  return !t.replayed;
+                                })) {
+    sys->set_edges(el);
+  }
+
   // Build-once systems (Graph500 "only constructs its graph once",
   // fused-build systems when per-trial reconstruction is off) build in
   // the parent — isolated children must inherit the built structure —
@@ -150,7 +162,6 @@ void execute_system_plan(const ExperimentConfig& cfg, const SweepPlan& plan,
           sys->set_cancellation(&token);
           TokenGuard guard{sys.get()};
           const std::size_t mark = sys->log().entries().size();
-          if (!file_mode) sys->set_edges(el);
           sys->build();
           return slice_records(sys->log().slice(mark), "", -1);
         },
@@ -197,12 +208,7 @@ void execute_system_plan(const ExperimentConfig& cfg, const SweepPlan& plan,
       sys->set_checkpoint_session(session ? &*session : nullptr);
       TokenGuard guard{sys.get()};
       const std::size_t mark = sys->log().entries().size();
-      if (sp.rebuild_per_trial) {
-        // On the file path the edges staged by the load unit persist
-        // across builds; re-staging from RAM is the legacy path.
-        if (!file_mode) sys->set_edges(el);
-        sys->build();
-      }
+      if (sp.rebuild_per_trial) sys->build();
       auto check = [&](const ValidationError& err, std::string_view what) {
         if (err) {
           throw ValidationFailedError(sp.system + " " + std::string(what) +

@@ -99,6 +99,7 @@ void System::load_file(const std::filesystem::path& path) {
 void System::build() {
   EPGS_CHECK(has_staged_ || !pending_path_.empty(),
              "System::build: no edges staged and no file pending");
+  built_ = false;  // a build that throws leaves the system unbuilt
   checkpoint();
   crash::note_phase(name(), phase::kBuild);
   fault::on_phase_start(name(), phase::kBuild, cancel_);

@@ -22,12 +22,11 @@ void GapSystem::do_build(const EdgeList& edges) {
     for (auto& e : truncated.edges) {
       e.w = static_cast<weight_t>(static_cast<std::int32_t>(e.w));
     }
-    out_ = CSRGraph::from_edges(truncated, /*transpose=*/false);
-    in_ = CSRGraph::from_edges(truncated, /*transpose=*/true);
+    out_ = CSRGraph::from_edges(truncated);
   } else {
-    out_ = CSRGraph::from_edges(edges, /*transpose=*/false);
-    in_ = CSRGraph::from_edges(edges, /*transpose=*/true);
+    out_ = CSRGraph::from_edges(edges);
   }
+  in_ = out_.transposed();
   work_.bytes_touched = out_.bytes() + in_.bytes();
 }
 

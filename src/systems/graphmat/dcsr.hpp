@@ -12,7 +12,7 @@
 #include <span>
 #include <vector>
 
-#include "graph/edge_list.hpp"
+#include "graph/csr.hpp"
 
 namespace epgs::systems::graphmat_detail {
 
@@ -20,11 +20,11 @@ class DCSR {
  public:
   DCSR() = default;
 
-  /// Build from an edge list. With transpose=false, row u holds the
-  /// column indices of u's out-edges; with transpose=true, row v holds
-  /// v's in-neighbors (the orientation SpMV-style message gathering
-  /// needs). Rows are sorted; empty rows are not stored.
-  static DCSR from_edges(const EdgeList& el, bool transpose);
+  /// Compress a CSR: row u of `g` becomes a stored row with id u unless
+  /// it is empty. Pass the out-CSR for A, its transposed() for A^T (the
+  /// orientation SpMV-style message gathering needs). The columns,
+  /// values and offsets are taken over by move, not copied.
+  static DCSR from_csr(CSRGraph&& g);
 
   [[nodiscard]] vid_t num_vertices() const { return n_; }
   [[nodiscard]] eid_t num_nonzeros() const { return nnz_; }
@@ -52,10 +52,10 @@ class DCSR {
  private:
   vid_t n_ = 0;
   eid_t nnz_ = 0;
-  std::vector<vid_t> row_ids_;      // sorted dense ids of nonempty rows
-  std::vector<eid_t> row_offsets_;  // size row_ids_.size() + 1
-  std::vector<vid_t> cols_;
-  std::vector<weight_t> vals_;      // empty when unweighted
+  std::vector<vid_t> row_ids_;  // sorted dense ids of nonempty rows
+  CSRGraph::OffsetVector row_offsets_;  // size row_ids_.size() + 1
+  CSRGraph::TargetVector cols_;
+  CSRGraph::WeightVector vals_;  // empty when unweighted
 };
 
 }  // namespace epgs::systems::graphmat_detail

@@ -17,10 +17,14 @@ using graphmat_detail::DCSR;
 using graphmat_detail::run_graph_program;
 
 void GraphMatSystem::do_build(const EdgeList& edges) {
-  out_ = DCSR::from_edges(edges, /*transpose=*/false);
-  in_ = DCSR::from_edges(edges, /*transpose=*/true);
-  out_degree_.assign(edges.num_vertices, 0);
-  for (const auto& e : edges.edges) ++out_degree_[e.src];
+  CSRGraph out = CSRGraph::from_edges(edges);
+  CSRGraph in = out.transposed();
+  out_degree_.resize(out.num_vertices());
+  for (vid_t u = 0; u < out.num_vertices(); ++u) {
+    out_degree_[u] = out.degree(u);
+  }
+  out_ = DCSR::from_csr(std::move(out));
+  in_ = DCSR::from_csr(std::move(in));
   work_.bytes_touched = out_.bytes() + in_.bytes();
 }
 

@@ -18,8 +18,8 @@ using ligra_detail::vertex_map;
 using ligra_detail::VertexSubset;
 
 void LigraSystem::do_build(const EdgeList& edges) {
-  out_ = CSRGraph::from_edges(edges, /*transpose=*/false);
-  in_ = CSRGraph::from_edges(edges, /*transpose=*/true);
+  out_ = CSRGraph::from_edges(edges);
+  in_ = out_.transposed();
   work_.bytes_touched = out_.bytes() + in_.bytes();
 }
 

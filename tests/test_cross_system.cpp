@@ -91,7 +91,7 @@ class CrossSystem
     sys_->set_edges(graph_.edges);
     sys_->build();
     out_ = CSRGraph::from_edges(graph_.edges);
-    in_ = CSRGraph::from_edges(graph_.edges, true);
+    in_ = CSRGraph::from_edges(graph_.edges).transposed();
   }
 
   vid_t pick_root() const {
@@ -238,7 +238,7 @@ TEST_P(CrossSystemThreads, BfsSsspPageRankEquivalentAtEveryThreadCount) {
                                      }())),
                                       3, 12);
   const auto out = CSRGraph::from_edges(el);
-  const auto in = CSRGraph::from_edges(el, true);
+  const auto in = CSRGraph::from_edges(el).transposed();
   const vid_t root = 1;
   const auto bfs_truth = ref::bfs_levels(out, root);
   const auto sssp_truth = ref::dijkstra(out, root);

@@ -3,6 +3,9 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <random>
+#include <string>
+#include <vector>
 
 #include "core/error.hpp"
 #include "core/parallel.hpp"
@@ -35,7 +38,7 @@ TEST(Csr, BuildsOutAdjacency) {
 }
 
 TEST(Csr, TransposeBuildsInAdjacency) {
-  const auto g = CSRGraph::from_edges(small_directed(), /*transpose=*/true);
+  const auto g = CSRGraph::from_edges(small_directed()).transposed();
   const auto in3 = g.neighbors(3);
   ASSERT_EQ(in3.size(), 2u);
   EXPECT_EQ(in3[0], 1u);
@@ -106,34 +109,72 @@ TEST(Csr, ParallelEdgesPreserved) {
   EXPECT_EQ(g.degree(0), 2u);
 }
 
-TEST(Csr, ParallelBuildMatchesSerialBuild) {
-  // The parallel Kernel-1 build must be bit-identical to the seed's
-  // sequential build: same offsets, same sorted targets, and weights
-  // permuted identically (row sort is stable on (target, weight) pairs).
+// Inputs the counting build and the transpose must reproduce exactly:
+// a shuffled Kronecker multigraph, the same graph sorted and deduped, a
+// weighted one whose parallel edges tie on target with different
+// weights, and a small graph with self loops, parallel edges and
+// isolated vertices.
+std::vector<EdgeList> build_inputs() {
   gen::KroneckerParams p;
   p.scale = 9;
   p.edgefactor = 8;
-  const auto base = gen::kronecker(p);
-  const auto weighted = with_random_weights(base, 1, 15);
-  // Force a team: from_edges dispatches to the serial build when
-  // max_threads() == 1, which would make this test vacuous on 1-core CI.
-  ThreadScope threads(8);
-  for (const auto* el : {&base, &weighted}) {
-    for (const bool transpose : {false, true}) {
-      const auto par = CSRGraph::from_edges(*el, transpose);
-      const auto ser = CSRGraph::from_edges_serial(*el, transpose);
-      EXPECT_EQ(par.offsets(), ser.offsets()) << transpose;
-      EXPECT_EQ(par.targets(), ser.targets()) << transpose;
-      EXPECT_EQ(par.weights(), ser.weights()) << transpose;
+  EdgeList shuffled = gen::kronecker(p);
+  std::mt19937_64 rng(7);
+  std::shuffle(shuffled.edges.begin(), shuffled.edges.end(), rng);
+  EdgeList corner;
+  corner.num_vertices = 10;  // 2, 7, 8 and 9 have no edges
+  corner.weighted = true;
+  corner.edges = {Edge{3, 1, 5.0f}, Edge{3, 1, 2.0f}, Edge{3, 3, 4.0f},
+                  Edge{0, 1, 7.0f}, Edge{3, 1, 2.0f}, Edge{0, 0, 1.0f},
+                  Edge{3, 0, 9.0f}, Edge{1, 3, 3.0f}, Edge{1, 3, 3.0f},
+                  Edge{5, 6, 8.0f}, Edge{4, 4, 6.0f}, Edge{1, 3, 0.5f}};
+  return {shuffled, dedupe(symmetrize(shuffled)),
+          with_random_weights(shuffled, 1, 15), corner};
+}
+
+void expect_same(const CSRGraph& got, const CSRGraph& want) {
+  EXPECT_EQ(got.num_vertices(), want.num_vertices());
+  EXPECT_EQ(got.offsets(), want.offsets());
+  EXPECT_EQ(got.targets(), want.targets());
+  EXPECT_EQ(got.weights(), want.weights());
+}
+
+TEST(Csr, CountingBuildMatchesSerialBuild) {
+  // The counting build and the counting transpose must be bit-identical
+  // to the seed's sequential build: same offsets, same sorted targets,
+  // and weights ordered identically (rows sort on (target, weight)
+  // pairs). Only the first-touch passes fork a team, so 4 threads must
+  // not change a bit either.
+  const auto inputs = build_inputs();
+  for (const int threads : {1, 4}) {
+    ThreadScope scope(threads);
+    for (std::size_t k = 0; k < inputs.size(); ++k) {
+      SCOPED_TRACE("input " + std::to_string(k) + ", threads " +
+                   std::to_string(threads));
+      const auto out = CSRGraph::from_edges(inputs[k]);
+      expect_same(out, CSRGraph::from_edges_serial(inputs[k], false));
+      expect_same(out.transposed(),
+                  CSRGraph::from_edges_serial(inputs[k], true));
     }
   }
 }
 
-TEST(Csr, SerialBuildRejectsOutOfRange) {
-  EdgeList el;
-  el.num_vertices = 2;
-  el.edges = {Edge{0, 5, 1.0f}};
-  EXPECT_THROW(CSRGraph::from_edges_serial(el), EpgsError);
+TEST(Csr, TransposeTwiceIsIdentity) {
+  for (const auto& el : build_inputs()) {
+    const auto g = CSRGraph::from_edges(el);
+    EXPECT_TRUE(g.transposed().transposed() == g);
+  }
+}
+
+TEST(Csr, BuildsRejectOutOfRange) {
+  for (const Edge bad : {Edge{0, 5, 1.0f}, Edge{5, 0, 1.0f}}) {
+    EdgeList el;
+    el.num_vertices = 2;
+    el.edges = {Edge{0, 1, 1.0f}, bad};
+    EXPECT_THROW(CSRGraph::from_edges(el), EpgsError);
+    EXPECT_THROW(CSRGraph::from_edges_serial(el), EpgsError);
+    EXPECT_THROW(CSRGraph::from_edges_serial(el, true), EpgsError);
+  }
 }
 
 }  // namespace

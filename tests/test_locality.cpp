@@ -21,7 +21,7 @@ namespace epgs {
 namespace {
 
 TEST(NumaAlloc, SmallAndLargeBlocksRoundTrip) {
-  // Below the mmap threshold: aligned operator new.
+  // Below the mmap threshold: operator new.
   void* small = numa_alloc_bytes(4096);
   ASSERT_NE(small, nullptr);
   std::memset(small, 0xab, 4096);

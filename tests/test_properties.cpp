@@ -133,7 +133,7 @@ TEST(Properties, TriangleCountInvariantUnderVertexRelabeling) {
   Xoshiro256 perm_rng(303);
   check_property(304, 30, [&](const EdgeList& el) {
     const CSRGraph out = CSRGraph::from_edges(el);
-    const CSRGraph in = CSRGraph::from_edges(el, /*transpose=*/true);
+    const CSRGraph in = CSRGraph::from_edges(el).transposed();
     const auto want = ref::triangle_count(out, in).triangles;
 
     std::vector<vid_t> perm(el.num_vertices);
@@ -148,7 +148,7 @@ TEST(Properties, TriangleCountInvariantUnderVertexRelabeling) {
       e.dst = perm[e.dst];
     }
     const CSRGraph rout = CSRGraph::from_edges(relabeled);
-    const CSRGraph rin = CSRGraph::from_edges(relabeled, /*transpose=*/true);
+    const CSRGraph rin = CSRGraph::from_edges(relabeled).transposed();
     return ref::triangle_count(rout, rin).triangles == want;
   });
 }

@@ -68,7 +68,7 @@ TEST(RefDijkstra, UnreachableInfinite) {
 TEST(RefPageRank, SumsToOneAndConverges) {
   const auto el = pagerank_graph();
   const auto out = CSRGraph::from_edges(el);
-  const auto in = CSRGraph::from_edges(el, true);
+  const auto in = CSRGraph::from_edges(el).transposed();
   const auto pr = ref::pagerank(out, in, PageRankParams{});
   double sum = 0.0;
   for (const double r : pr.rank) sum += r;
@@ -82,7 +82,7 @@ TEST(RefPageRank, SumsToOneAndConverges) {
 TEST(RefPageRank, SymmetricGraphUniformRank) {
   const auto el = test::cycle_graph(6);
   const auto out = CSRGraph::from_edges(el);
-  const auto in = CSRGraph::from_edges(el, true);
+  const auto in = CSRGraph::from_edges(el).transposed();
   const auto pr = ref::pagerank(out, in, PageRankParams{});
   for (const double r : pr.rank) EXPECT_NEAR(r, 1.0 / 6.0, 1e-7);
 }
@@ -90,7 +90,7 @@ TEST(RefPageRank, SymmetricGraphUniformRank) {
 TEST(RefPageRank, MaxIterationsRespected) {
   const auto el = pagerank_graph();
   const auto out = CSRGraph::from_edges(el);
-  const auto in = CSRGraph::from_edges(el, true);
+  const auto in = CSRGraph::from_edges(el).transposed();
   PageRankParams p;
   p.max_iterations = 3;
   p.epsilon = 0.0;
@@ -100,7 +100,7 @@ TEST(RefPageRank, MaxIterationsRespected) {
 TEST(RefCdlp, TrianglesConvergeToMinLabel) {
   const auto el = two_triangles();
   const auto out = CSRGraph::from_edges(el);
-  const auto in = CSRGraph::from_edges(el, true);
+  const auto in = CSRGraph::from_edges(el).transposed();
   const auto r = ref::cdlp(out, in, 10);
   EXPECT_EQ(r.label[0], r.label[1]);
   EXPECT_EQ(r.label[1], r.label[2]);
@@ -113,7 +113,7 @@ TEST(RefCdlp, TrianglesConvergeToMinLabel) {
 TEST(RefCdlp, IterationCap) {
   const auto el = line_graph(30);
   const auto out = CSRGraph::from_edges(el);
-  const auto in = CSRGraph::from_edges(el, true);
+  const auto in = CSRGraph::from_edges(el).transposed();
   const auto r = ref::cdlp(out, in, 3);
   EXPECT_EQ(r.iterations, 3);
 }
@@ -121,7 +121,7 @@ TEST(RefCdlp, IterationCap) {
 TEST(RefLcc, TriangleIsFullyClustered) {
   const auto el = two_triangles();
   const auto out = CSRGraph::from_edges(el);
-  const auto in = CSRGraph::from_edges(el, true);
+  const auto in = CSRGraph::from_edges(el).transposed();
   const auto r = ref::lcc(out, in);
   for (vid_t v = 0; v < 6; ++v) EXPECT_DOUBLE_EQ(r.coefficient[v], 1.0);
   EXPECT_DOUBLE_EQ(r.coefficient[6], 0.0);
@@ -130,7 +130,7 @@ TEST(RefLcc, TriangleIsFullyClustered) {
 TEST(RefLcc, StarHasZeroClustering) {
   const auto el = star_graph(6);
   const auto out = CSRGraph::from_edges(el);
-  const auto in = CSRGraph::from_edges(el, true);
+  const auto in = CSRGraph::from_edges(el).transposed();
   const auto r = ref::lcc(out, in);
   for (vid_t v = 0; v < 6; ++v) EXPECT_DOUBLE_EQ(r.coefficient[v], 0.0);
 }
@@ -149,7 +149,7 @@ TEST(RefLcc, PartialClustering) {
     el.edges.push_back(Edge{b, a, 1.0f});
   }
   const auto out = CSRGraph::from_edges(el);
-  const auto in = CSRGraph::from_edges(el, true);
+  const auto in = CSRGraph::from_edges(el).transposed();
   const auto r = ref::lcc(out, in);
   EXPECT_DOUBLE_EQ(r.coefficient[1], 1.0);
   EXPECT_DOUBLE_EQ(r.coefficient[3], 1.0);
@@ -175,19 +175,19 @@ TEST(RefTriangleCount, KnownCounts) {
   {
     const auto el = two_triangles();
     const auto out = CSRGraph::from_edges(el);
-    const auto in = CSRGraph::from_edges(el, true);
+    const auto in = CSRGraph::from_edges(el).transposed();
     EXPECT_EQ(ref::triangle_count(out, in).triangles, 2u);
   }
   {
     const auto el = test::complete_graph(5);  // C(5,3) = 10
     const auto out = CSRGraph::from_edges(el);
-    const auto in = CSRGraph::from_edges(el, true);
+    const auto in = CSRGraph::from_edges(el).transposed();
     EXPECT_EQ(ref::triangle_count(out, in).triangles, 10u);
   }
   {
     const auto el = star_graph(8);
     const auto out = CSRGraph::from_edges(el);
-    const auto in = CSRGraph::from_edges(el, true);
+    const auto in = CSRGraph::from_edges(el).transposed();
     EXPECT_EQ(ref::triangle_count(out, in).triangles, 0u);
   }
 }
@@ -198,14 +198,14 @@ TEST(RefTriangleCount, DirectionIgnored) {
   el.num_vertices = 3;
   el.edges = {Edge{0, 1, 1.0f}, Edge{1, 2, 1.0f}, Edge{2, 0, 1.0f}};
   const auto out = CSRGraph::from_edges(el);
-  const auto in = CSRGraph::from_edges(el, true);
+  const auto in = CSRGraph::from_edges(el).transposed();
   EXPECT_EQ(ref::triangle_count(out, in).triangles, 1u);
 }
 
 TEST(RefBrandesBc, LineGraphDependencies) {
   const auto el = line_graph(5);
   const auto out = CSRGraph::from_edges(el);
-  const auto in = CSRGraph::from_edges(el, true);
+  const auto in = CSRGraph::from_edges(el).transposed();
   const auto r = ref::brandes_bc(out, in, 0);
   // sigma = 1 everywhere; delta(v) = #vertices strictly beyond v.
   EXPECT_DOUBLE_EQ(r.dependency[4], 0.0);
@@ -217,7 +217,7 @@ TEST(RefBrandesBc, LineGraphDependencies) {
 TEST(RefBrandesBc, StarFromLeaf) {
   const auto el = star_graph(5);
   const auto out = CSRGraph::from_edges(el);
-  const auto in = CSRGraph::from_edges(el, true);
+  const auto in = CSRGraph::from_edges(el).transposed();
   const auto r = ref::brandes_bc(out, in, 1);
   EXPECT_DOUBLE_EQ(r.dependency[0], 3.0);  // hub covers 3 other leaves
   EXPECT_DOUBLE_EQ(r.dependency[2], 0.0);
@@ -232,7 +232,7 @@ TEST(RefBrandesBc, MultiplePathsSplitCredit) {
   el.edges = {Edge{0, 1, 1.0f}, Edge{0, 2, 1.0f}, Edge{1, 3, 1.0f},
               Edge{2, 3, 1.0f}};
   const auto out = CSRGraph::from_edges(el);
-  const auto in = CSRGraph::from_edges(el, true);
+  const auto in = CSRGraph::from_edges(el).transposed();
   const auto r = ref::brandes_bc(out, in, 0);
   EXPECT_DOUBLE_EQ(r.dependency[1], 0.5);
   EXPECT_DOUBLE_EQ(r.dependency[2], 0.5);
@@ -243,7 +243,7 @@ TEST(RefBrandesBc, MultiplePathsSplitCredit) {
 TEST(RefBrandesBc, UnreachableVerticesZero) {
   const auto el = two_triangles();
   const auto out = CSRGraph::from_edges(el);
-  const auto in = CSRGraph::from_edges(el, true);
+  const auto in = CSRGraph::from_edges(el).transposed();
   const auto r = ref::brandes_bc(out, in, 0);
   EXPECT_DOUBLE_EQ(r.dependency[3], 0.0);
   EXPECT_DOUBLE_EQ(r.dependency[6], 0.0);
@@ -255,7 +255,7 @@ TEST(RefNeighborUnion, MergesAndExcludesSelf) {
   el.edges = {Edge{0, 1, 1.0f}, Edge{2, 0, 1.0f}, Edge{0, 0, 1.0f},
               Edge{0, 1, 1.0f}};
   const auto out = CSRGraph::from_edges(el);
-  const auto in = CSRGraph::from_edges(el, true);
+  const auto in = CSRGraph::from_edges(el).transposed();
   EXPECT_EQ(ref::neighbor_union(out, in, 0), (std::vector<vid_t>{1, 2}));
 }
 

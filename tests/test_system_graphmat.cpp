@@ -4,6 +4,9 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <utility>
+
 #include "graph/csr.hpp"
 #include "systems/common/reference.hpp"
 #include "systems/graphmat/dcsr.hpp"
@@ -14,11 +17,16 @@ namespace {
 
 using graphmat_detail::DCSR;
 
+DCSR dcsr(const EdgeList& el, bool transpose) {
+  CSRGraph out = CSRGraph::from_edges(el);
+  return DCSR::from_csr(transpose ? out.transposed() : std::move(out));
+}
+
 TEST(Dcsr, OnlyNonEmptyRowsStored) {
   EdgeList el;
   el.num_vertices = 100;
   el.edges = {Edge{5, 6, 1.0f}, Edge{5, 7, 1.0f}, Edge{90, 5, 1.0f}};
-  const auto m = DCSR::from_edges(el, /*transpose=*/false);
+  const auto m = dcsr(el, /*transpose=*/false);
   EXPECT_EQ(m.num_vertices(), 100u);
   EXPECT_EQ(m.num_nonzeros(), 3u);
   EXPECT_EQ(m.num_rows(), 2u);  // rows 5 and 90 only
@@ -31,7 +39,7 @@ TEST(Dcsr, FindRow) {
   EdgeList el;
   el.num_vertices = 10;
   el.edges = {Edge{2, 3, 1.0f}, Edge{8, 1, 1.0f}};
-  const auto m = DCSR::from_edges(el, false);
+  const auto m = dcsr(el, false);
   EXPECT_EQ(m.find_row(2), 0u);
   EXPECT_EQ(m.find_row(8), 1u);
   EXPECT_EQ(m.find_row(3), DCSR::npos);
@@ -42,7 +50,7 @@ TEST(Dcsr, TransposeIsInAdjacency) {
   EdgeList el;
   el.num_vertices = 4;
   el.edges = {Edge{0, 3, 1.0f}, Edge{1, 3, 1.0f}, Edge{2, 0, 1.0f}};
-  const auto t = DCSR::from_edges(el, /*transpose=*/true);
+  const auto t = dcsr(el, /*transpose=*/true);
   const auto row3 = t.find_row(3);
   ASSERT_NE(row3, DCSR::npos);
   const auto cols = t.row_cols(row3);
@@ -56,7 +64,7 @@ TEST(Dcsr, WeightsTravelWithColumns) {
   el.num_vertices = 3;
   el.weighted = true;
   el.edges = {Edge{0, 2, 9.0f}, Edge{0, 1, 4.0f}};
-  const auto m = DCSR::from_edges(el, false);
+  const auto m = dcsr(el, false);
   ASSERT_TRUE(m.weighted());
   const auto cols = m.row_cols(0);
   const auto vals = m.row_vals(0);
@@ -69,10 +77,39 @@ TEST(Dcsr, WeightsTravelWithColumns) {
 TEST(Dcsr, EmptyMatrix) {
   EdgeList el;
   el.num_vertices = 5;
-  const auto m = DCSR::from_edges(el, false);
+  const auto m = dcsr(el, false);
   EXPECT_EQ(m.num_rows(), 0u);
   EXPECT_EQ(m.num_nonzeros(), 0u);
   EXPECT_GT(m.bytes(), 0u);  // offsets array exists
+}
+
+TEST(Dcsr, FromCsrKeepsRowsAndDropsEmptyOnes) {
+  EdgeList el;
+  el.num_vertices = 8;
+  el.weighted = true;
+  el.edges = {Edge{1, 4, 2.0f}, Edge{1, 2, 3.0f}, Edge{4, 1, 5.0f},
+              Edge{6, 6, 1.0f}, Edge{6, 0, 4.0f}};
+  const CSRGraph csr = CSRGraph::from_edges(el);
+  CSRGraph moved = csr;
+  const vid_t* cols = moved.targets().data();
+  const auto m = DCSR::from_csr(std::move(moved));
+  EXPECT_EQ(m.num_vertices(), 8u);
+  EXPECT_EQ(m.num_nonzeros(), 5u);
+  ASSERT_EQ(m.num_rows(), 3u);  // rows 1, 4 and 6
+  EXPECT_EQ(m.row_cols(0).data(), cols);  // adopted, not copied
+  std::size_t r = 0;
+  for (vid_t u = 0; u < csr.num_vertices(); ++u) {
+    if (csr.degree(u) == 0) {
+      EXPECT_EQ(m.find_row(u), DCSR::npos) << u;
+      continue;
+    }
+    ASSERT_EQ(m.find_row(u), r) << u;
+    EXPECT_EQ(m.row_id(r), u);
+    EXPECT_EQ(m.row_cols(r).data(), cols + csr.offsets()[u]);
+    EXPECT_TRUE(std::ranges::equal(m.row_cols(r), csr.neighbors(u)));
+    EXPECT_TRUE(std::ranges::equal(m.row_vals(r), csr.edge_weights(u)));
+    ++r;
+  }
 }
 
 TEST(GraphMatSystem, BfsDepthsViaSpmv) {
@@ -111,7 +148,7 @@ TEST(GraphMatSystem, PageRankIteratesAtLeastAsLongAsReference) {
   sys.set_edges(el);
   sys.build();
   const auto out = CSRGraph::from_edges(el);
-  const auto in = CSRGraph::from_edges(el, true);
+  const auto in = CSRGraph::from_edges(el).transposed();
   PageRankParams params;
   const auto truth = ref::pagerank(out, in, params);
   const auto pr = sys.pagerank(params);

@@ -59,7 +59,7 @@ struct CollectF {
 TEST(EdgeMap, SparseModeVisitsOutNeighbors) {
   const auto el = test::star_graph(64);  // sparse frontier from a leaf
   const auto out = CSRGraph::from_edges(el);
-  const auto in = CSRGraph::from_edges(el, true);
+  const auto in = CSRGraph::from_edges(el).transposed();
   std::vector<std::uint8_t> hit(64, 0);
   std::uint64_t examined = 0;
   const auto next = edge_map(out, in, VertexSubset::single(64, 5),
@@ -74,7 +74,7 @@ TEST(EdgeMap, DenseModeMatchesSparseResults) {
   // a hub frontier in a star is dense (degree ~ m), a leaf is sparse.
   const auto el = test::star_graph(32);
   const auto out = CSRGraph::from_edges(el);
-  const auto in = CSRGraph::from_edges(el, true);
+  const auto in = CSRGraph::from_edges(el).transposed();
   std::vector<std::uint8_t> hit(32, 0);
   std::uint64_t examined = 0;
   auto next = edge_map(out, in, VertexSubset::single(32, 0),
@@ -94,7 +94,7 @@ TEST(EdgeMap, CondPrunesDestinations) {
   };
   const auto el = test::star_graph(8);
   const auto out = CSRGraph::from_edges(el);
-  const auto in = CSRGraph::from_edges(el, true);
+  const auto in = CSRGraph::from_edges(el).transposed();
   std::uint64_t examined = 0;
   auto next = edge_map(out, in, VertexSubset::single(8, 0), OnlyOddF{},
                        examined);
