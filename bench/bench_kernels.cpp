@@ -21,7 +21,6 @@
 #include "systems/gap/gap_system.hpp"
 #include "systems/graph500/graph500_system.hpp"
 #include "systems/graphbig/graphbig_system.hpp"
-#include "systems/graphbig/property_graph.hpp"
 #include "systems/graphmat/dcsr.hpp"
 #include "systems/graphmat/graphmat_system.hpp"
 #include "systems/ligra/ligra_primitives.hpp"
@@ -76,34 +75,11 @@ void BM_CsrTranspose(benchmark::State& state) {
 }
 BENCHMARK(BM_CsrTranspose)->Arg(10)->Arg(12);
 
-// Frontier merge old vs new, isolated from traversal work: every thread
-// produces a slice of `range(0)` vertex ids and the variants differ only
-// in how per-thread output reaches the shared next-frontier — the seed's
-// `#pragma omp critical` concatenation vs LocalBuffer flushes into a
-// SlidingQueue (one fetch-add per 1024-element flush).
-void BM_FrontierMergeCritical(benchmark::State& state) {
-  const auto n = static_cast<std::size_t>(state.range(0));
-  ThreadScope threads(static_cast<int>(state.range(1)));
-  for (auto _ : state) {
-    std::vector<vid_t> next;
-#pragma omp parallel
-    {
-      std::vector<vid_t> local;
-#pragma omp for schedule(dynamic, 64) nowait
-      for (std::int64_t i = 0; i < static_cast<std::int64_t>(n); ++i) {
-        local.push_back(static_cast<vid_t>(i));
-      }
-#pragma omp critical
-      next.insert(next.end(), local.begin(), local.end());
-    }
-    benchmark::DoNotOptimize(next);
-  }
-  state.SetItemsProcessed(state.iterations() * static_cast<std::int64_t>(n));
-}
-BENCHMARK(BM_FrontierMergeCritical)
-    ->Args({1 << 20, 1})
-    ->Args({1 << 20, 8});
-
+// Frontier merge isolated from traversal work: every thread produces a
+// slice of `range(0)` vertex ids and flushes it through LocalBuffer into
+// a SlidingQueue (one fetch-add per 1024-element flush).
+// bench/results_kernels.json archives the `#pragma omp critical`
+// concatenation this replaced.
 void BM_FrontierMergeSlidingQueue(benchmark::State& state) {
   const auto n = static_cast<std::size_t>(state.range(0));
   ThreadScope threads(static_cast<int>(state.range(1)));
@@ -277,46 +253,6 @@ void BM_VertexCutPartition(benchmark::State& state) {
 }
 BENCHMARK(BM_VertexCutPartition)->Arg(2)->Arg(4)->Arg(8)->Arg(16);
 
-// Ablation: GraphBIG's virtual dispatch per edge vs a direct loop over
-// the same property store — quantifies the "generic visitor" tax that
-// contributes to GraphBIG's two-orders-of-magnitude BFS gap in the paper.
-void BM_GraphBigVisitorDispatch(benchmark::State& state) {
-  systems::graphbig_detail::PropertyGraph g;
-  g.load(bench_graph(static_cast<int>(state.range(0))));
-
-  struct NopVisitor final : systems::graphbig_detail::EdgeVisitor {
-    std::uint64_t sum = 0;
-    bool examine(systems::graphbig_detail::VertexObj&,
-                 systems::graphbig_detail::EdgeObj& e,
-                 systems::graphbig_detail::VertexObj&) override {
-      sum += e.target;
-      return false;
-    }
-  } visitor;
-
-  for (auto _ : state) {
-    benchmark::DoNotOptimize(g.for_each_edge(visitor));
-  }
-  state.SetItemsProcessed(state.iterations() *
-                          static_cast<std::int64_t>(g.num_edges()));
-}
-BENCHMARK(BM_GraphBigVisitorDispatch)->Arg(12);
-
-void BM_GraphBigDirectLoop(benchmark::State& state) {
-  systems::graphbig_detail::PropertyGraph g;
-  g.load(bench_graph(static_cast<int>(state.range(0))));
-  for (auto _ : state) {
-    std::uint64_t sum = 0;
-    for (vid_t v = 0; v < g.num_vertices(); ++v) {
-      for (const auto& e : g.vertex(v).out_edges) sum += e.target;
-    }
-    benchmark::DoNotOptimize(sum);
-  }
-  state.SetItemsProcessed(state.iterations() *
-                          static_cast<std::int64_t>(g.num_edges()));
-}
-BENCHMARK(BM_GraphBigDirectLoop)->Arg(12);
-
 // Ligra edgeMap: sparse push from a single vertex vs dense pull from a
 // saturating frontier.
 void BM_LigraEdgeMapDense(benchmark::State& state) {
@@ -342,30 +278,24 @@ void BM_LigraEdgeMapDense(benchmark::State& state) {
 BENCHMARK(BM_LigraEdgeMapDense)->Arg(12);
 
 // ---------------------------------------------------------------------
-// PageRank before/after the memory-locality overhaul. Every pair runs
-// from one binary so the comparison holds the toolchain, graph, and
-// thread count fixed: the "legacy" side is the pre-overhaul kernel kept
-// verbatim behind Options::pr_mode, the other sides are the
-// contribution-precomputing pull kernel and the propagation-blocked
-// push kernel. Fixed iteration count (epsilon = 0 never converges
-// early) so both sides do identical algorithmic work.
+// PageRank, one kernel per system: GAP's pull over the in-CSR, GraphMat's
+// SpMV gather over the DCSR, GraphBIG's propagation-blocked push over its
+// AoS store. Fixed iteration count (epsilon = 0 never converges early) so
+// every run does identical algorithmic work. bench/results_kernels.json
+// archives the retired variants (the pre-overhaul kernels and blocked
+// GAP/GraphMat) against these.
 // ---------------------------------------------------------------------
 
-PageRankParams bench_pr_params() {
-  PageRankParams p;
-  p.epsilon = 0.0;  // fixed work: always run max_iterations
-  p.max_iterations = 20;
-  return p;
-}
-
-template <typename System, typename Options>
-void run_pagerank_bench(benchmark::State& state, const Options& opts) {
+template <typename System>
+void run_pagerank_bench(benchmark::State& state) {
   const auto el = bench_graph(static_cast<int>(state.range(0)));
   ThreadScope threads(static_cast<int>(state.range(1)));
-  System sys(opts);
+  System sys;
   sys.set_edges(el);
   sys.build();
-  const PageRankParams params = bench_pr_params();
+  PageRankParams params;
+  params.epsilon = 0.0;  // fixed work: always run max_iterations
+  params.max_iterations = 20;
   for (auto _ : state) {
     benchmark::DoNotOptimize(sys.pagerank(params));
   }
@@ -373,72 +303,23 @@ void run_pagerank_bench(benchmark::State& state, const Options& opts) {
                           static_cast<std::int64_t>(el.num_edges()));
 }
 
-void BM_PageRankGapLegacy(benchmark::State& state) {
-  systems::GapSystem::Options opts;
-  opts.pr_mode = systems::GapSystem::PrMode::kLegacy;
-  run_pagerank_bench<systems::GapSystem>(state, opts);
-}
-BENCHMARK(BM_PageRankGapLegacy)->Args({14, 1})->Args({14, 8});
-
 void BM_PageRankGapPull(benchmark::State& state) {
-  systems::GapSystem::Options opts;
-  opts.pr_mode = systems::GapSystem::PrMode::kPull;
-  run_pagerank_bench<systems::GapSystem>(state, opts);
+  run_pagerank_bench<systems::GapSystem>(state);
 }
 BENCHMARK(BM_PageRankGapPull)->Args({14, 1})->Args({14, 8});
 
-void BM_PageRankGapBlocked(benchmark::State& state) {
-  systems::GapSystem::Options opts;
-  opts.pr_mode = systems::GapSystem::PrMode::kBlocked;
-  run_pagerank_bench<systems::GapSystem>(state, opts);
-}
-BENCHMARK(BM_PageRankGapBlocked)->Args({14, 1})->Args({14, 8});
-
 void BM_PageRankGraphMatPull(benchmark::State& state) {
-  systems::GraphMatSystem::Options opts;
-  opts.pr_mode = systems::GraphMatSystem::PrMode::kPull;
-  run_pagerank_bench<systems::GraphMatSystem>(state, opts);
+  run_pagerank_bench<systems::GraphMatSystem>(state);
 }
 BENCHMARK(BM_PageRankGraphMatPull)->Args({14, 1})->Args({14, 8});
 
-void BM_PageRankGraphMatBlocked(benchmark::State& state) {
-  systems::GraphMatSystem::Options opts;
-  opts.pr_mode = systems::GraphMatSystem::PrMode::kBlocked;
-  run_pagerank_bench<systems::GraphMatSystem>(state, opts);
-}
-BENCHMARK(BM_PageRankGraphMatBlocked)->Args({14, 1})->Args({14, 8});
-
-void BM_PageRankGraphBigLegacy(benchmark::State& state) {
-  systems::GraphBigSystem::Options opts;
-  opts.pr_mode = systems::GraphBigSystem::PrMode::kLegacy;
-  run_pagerank_bench<systems::GraphBigSystem>(state, opts);
-}
-BENCHMARK(BM_PageRankGraphBigLegacy)->Args({14, 1})->Args({14, 8});
-
 void BM_PageRankGraphBigBlocked(benchmark::State& state) {
-  systems::GraphBigSystem::Options opts;
-  opts.pr_mode = systems::GraphBigSystem::PrMode::kBlocked;
-  run_pagerank_bench<systems::GraphBigSystem>(state, opts);
+  run_pagerank_bench<systems::GraphBigSystem>(state);
 }
 BENCHMARK(BM_PageRankGraphBigBlocked)->Args({14, 1})->Args({14, 8});
 
-// Prefetch ablation on GAP's traversal kernels: same kernels, hints off.
-void BM_GapBfsNoPrefetch(benchmark::State& state) {
-  const auto el = bench_graph(static_cast<int>(state.range(0)));
-  ThreadScope threads(static_cast<int>(state.range(1)));
-  systems::GapSystem::Options opts;
-  opts.prefetch = false;
-  systems::GapSystem sys(opts);
-  sys.set_edges(el);
-  sys.build();
-  for (auto _ : state) {
-    benchmark::DoNotOptimize(sys.bfs(1));
-  }
-  state.SetItemsProcessed(state.iterations() *
-                          static_cast<std::int64_t>(el.num_edges()));
-}
-BENCHMARK(BM_GapBfsNoPrefetch)->Args({14, 8});
-
+// GAP BFS with its software prefetch hints (results_kernels.json
+// archives the same kernel with the hints off).
 void BM_GapBfsPrefetch(benchmark::State& state) {
   const auto el = bench_graph(static_cast<int>(state.range(0)));
   ThreadScope threads(static_cast<int>(state.range(1)));

@@ -77,11 +77,14 @@ class LineScanner {
   return field;
 }
 
+/// `line_no` 0 means the caller has no line context (e.g. one CSV row
+/// handed over on its own); the message then omits it.
 [[noreturn]] inline void fail(std::string_view context, std::string_view what,
                               std::string_view tok, std::size_t line_no) {
-  throw ParseError(std::string(context) + ": bad " + std::string(what) +
-                   " '" + std::string(tok) + "' on line " +
-                   std::to_string(line_no));
+  std::string msg = std::string(context) + ": bad " + std::string(what) +
+                    " '" + std::string(tok) + "'";
+  if (line_no != 0) msg += " on line " + std::to_string(line_no);
+  throw ParseError(msg);
 }
 
 /// Strict unsigned parse: the whole token must be a decimal number.
@@ -90,6 +93,21 @@ class LineScanner {
                                              std::string_view what,
                                              std::size_t line_no) {
   std::uint64_t v = 0;
+  const auto [ptr, ec] =
+      std::from_chars(tok.data(), tok.data() + tok.size(), v);
+  if (tok.empty() || ec != std::errc{} || ptr != tok.data() + tok.size()) {
+    fail(context, what, tok, line_no);
+  }
+  return v;
+}
+
+/// Strict signed parse: the whole token must be a decimal number that
+/// fits in an int.
+[[nodiscard]] inline int parse_int(std::string_view tok,
+                                   std::string_view context,
+                                   std::string_view what,
+                                   std::size_t line_no) {
+  int v = 0;
   const auto [ptr, ec] =
       std::from_chars(tok.data(), tok.data() + tok.size(), v);
   if (tok.empty() || ec != std::errc{} || ptr != tok.data() + tok.size()) {

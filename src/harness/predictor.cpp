@@ -1,6 +1,7 @@
 #include "harness/predictor.hpp"
 
 #include <algorithm>
+#include <limits>
 
 #include "core/error.hpp"
 #include "core/timer.hpp"
@@ -71,21 +72,31 @@ ProbeMeasurement probe(const std::string& system_name, Algorithm alg,
   pm.stats = GraphStats::of(el);
   pm.build_bytes = sys->log().find(phase::kBuild)->work.bytes_touched;
 
+  // A probe run lasts microseconds to milliseconds, so a preemption or a
+  // late thread wake-up can multiply its time; interference only ever
+  // adds time, so each root keeps the fastest of kRunsPerRoot runs.
+  constexpr int kRunsPerRoot = 5;
   const auto roots = select_roots(el, 2, seed ^ 0xB00ULL);
-  WallTimer t;
+  double total = 0.0;
   for (const vid_t root : roots) {
-    switch (alg) {
-      case Algorithm::kBfs: (void)sys->bfs(root); break;
-      case Algorithm::kSssp: (void)sys->sssp(root); break;
-      case Algorithm::kPageRank: (void)sys->pagerank(); break;
-      case Algorithm::kCdlp: (void)sys->cdlp(); break;
-      case Algorithm::kLcc: (void)sys->lcc(); break;
-      case Algorithm::kWcc: (void)sys->wcc(); break;
-      case Algorithm::kTc: (void)sys->tc(); break;
-      case Algorithm::kBc: (void)sys->bc(root); break;
+    double best = std::numeric_limits<double>::infinity();
+    for (int run = 0; run < kRunsPerRoot; ++run) {
+      WallTimer t;
+      switch (alg) {
+        case Algorithm::kBfs: (void)sys->bfs(root); break;
+        case Algorithm::kSssp: (void)sys->sssp(root); break;
+        case Algorithm::kPageRank: (void)sys->pagerank(); break;
+        case Algorithm::kCdlp: (void)sys->cdlp(); break;
+        case Algorithm::kLcc: (void)sys->lcc(); break;
+        case Algorithm::kWcc: (void)sys->wcc(); break;
+        case Algorithm::kTc: (void)sys->tc(); break;
+        case Algorithm::kBc: (void)sys->bc(root); break;
+      }
+      best = std::min(best, t.seconds());
     }
+    total += best;
   }
-  pm.seconds = t.seconds() / static_cast<double>(roots.size());
+  pm.seconds = total / static_cast<double>(roots.size());
   return pm;
 }
 

@@ -3,18 +3,17 @@
 #include <cstdio>
 
 #include "core/error.hpp"
+#include "core/text_scan.hpp"
 
 namespace epgs::harness {
 namespace {
 
 constexpr std::size_t kCsvColumns = 14;
-// The pre-checkpoint record format: no attempts / resumed_from columns.
-// Still parsed so archived result files and journals stay replayable.
-constexpr std::size_t kLegacyCsvColumns = 12;
+constexpr std::string_view kCtx = "CSV";
 
 const CsvRow& csv_header() {
-  // attempts / resumed_from trail outcome so every legacy column keeps
-  // its index (scripts address these columns positionally).
+  // attempts / resumed_from trail outcome so the earlier columns keep
+  // their index (scripts address these columns positionally).
   static const CsvRow header{"dataset",  "system", "algorithm", "threads",
                              "trial",    "phase",  "seconds",   "edges",
                              "vupdates", "bytes",  "iterations", "outcome",
@@ -22,34 +21,13 @@ const CsvRow& csv_header() {
   return header;
 }
 
-const CsvRow& legacy_csv_header() {
-  static const CsvRow header(csv_header().begin(),
-                             csv_header().begin() + kLegacyCsvColumns);
-  return header;
-}
-
-double parse_double(const std::string& s, std::string_view col) {
-  try {
-    return s.empty() ? 0.0 : std::stod(s);
-  } catch (const std::exception&) {
-    throw EpgsError("CSV: bad " + std::string(col) + " value: '" + s + "'");
-  }
+// Seconds and the work counters read an empty field as 0.
+double parse_double_field(const std::string& s, std::string_view col) {
+  return s.empty() ? 0.0 : text::parse_double(s, kCtx, col, 0);
 }
 
 std::uint64_t parse_u64_field(const std::string& s, std::string_view col) {
-  try {
-    return s.empty() ? 0 : std::stoull(s);
-  } catch (const std::exception&) {
-    throw EpgsError("CSV: bad " + std::string(col) + " value: '" + s + "'");
-  }
-}
-
-int parse_int_field(const std::string& s, std::string_view col) {
-  try {
-    return std::stoi(s);
-  } catch (const std::exception&) {
-    throw EpgsError("CSV: bad " + std::string(col) + " value: '" + s + "'");
-  }
+  return s.empty() ? 0 : text::parse_u64(s, kCtx, col, 0);
 }
 
 }  // namespace
@@ -103,28 +81,24 @@ CsvRow record_to_csv_row(const RunRecord& r) {
 }
 
 RunRecord record_from_csv_row(const CsvRow& row) {
-  EPGS_CHECK(row.size() == kCsvColumns || row.size() == kLegacyCsvColumns,
+  EPGS_CHECK(row.size() == kCsvColumns,
              "CSV row has " + std::to_string(row.size()) +
-                 " fields, expected " + std::to_string(kCsvColumns) +
-                 " (or the legacy " + std::to_string(kLegacyCsvColumns) +
-                 ")");
+                 " fields, expected " + std::to_string(kCsvColumns));
   RunRecord r;
   r.dataset = row[0];
   r.system = row[1];
   r.algorithm = row[2];
-  r.threads = parse_int_field(row[3], "threads");
-  r.trial = parse_int_field(row[4], "trial");
+  r.threads = text::parse_int(row[3], kCtx, "threads", 0);
+  r.trial = text::parse_int(row[4], kCtx, "trial", 0);
   r.phase = row[5];
-  r.seconds = parse_double(row[6], "seconds");
+  r.seconds = parse_double_field(row[6], "seconds");
   r.work.edges_processed = parse_u64_field(row[7], "edges");
   r.work.vertex_updates = parse_u64_field(row[8], "vupdates");
   r.work.bytes_touched = parse_u64_field(row[9], "bytes");
   if (!row[10].empty()) r.extra["iterations"] = row[10];
   r.outcome = outcome_from_name(row[11]);
-  if (row.size() == kCsvColumns) {
-    if (!row[12].empty()) r.extra["attempts"] = row[12];
-    if (!row[13].empty()) r.extra["resumed_from_iter"] = row[13];
-  }
+  if (!row[12].empty()) r.extra["attempts"] = row[12];
+  if (!row[13].empty()) r.extra["resumed_from_iter"] = row[13];
   return r;
 }
 
@@ -154,7 +128,7 @@ std::string records_to_stripped_csv(const std::vector<RunRecord>& records) {
 std::vector<RunRecord> records_from_csv(const std::string& csv) {
   const auto rows = parse_csv(csv);
   EPGS_CHECK(!rows.empty(), "empty CSV");
-  EPGS_CHECK(rows[0] == csv_header() || rows[0] == legacy_csv_header(),
+  EPGS_CHECK(rows[0] == csv_header(),
              "CSV header does not match the phase-4 record format");
   std::vector<RunRecord> records;
   for (std::size_t i = 1; i < rows.size(); ++i) {

@@ -237,7 +237,7 @@ constexpr std::string_view kPayloadMessage = "message ";
 constexpr std::string_view kPayloadResumed = "resumed ";
 // "tl <record_index> <iter> <seconds> <frontier> <edges> <residual>" —
 // one line per iteration-telemetry row, re-attached to records by index.
-// Optional (absent in pre-telemetry payloads and for empty timelines).
+// A record with an empty timeline emits none.
 constexpr std::string_view kPayloadTimeline = "tl ";
 constexpr std::string_view kPayloadRecords = "records";
 
@@ -313,20 +313,19 @@ TrialReport parse_child_payload(const std::string& payload) {
   r.message = payload.substr(line_start + kPayloadMessage.size(),
                              pos - line_start - kPayloadMessage.size());
 
-  // Optional "resumed <n>" line (absent in pre-checkpoint payloads).
   line_start = pos + 1;
-  if (payload.compare(line_start, kPayloadResumed.size(), kPayloadResumed) ==
-      0) {
-    pos = payload.find('\n', line_start);
-    EPGS_CHECK(pos != std::string::npos,
-               "isolated child payload: torn resumed line");
-    r.resumed_from_iter =
-        std::stoll(payload.substr(line_start + kPayloadResumed.size(),
-                                  pos - line_start - kPayloadResumed.size()));
-    line_start = pos + 1;
-  }
+  pos = payload.find('\n', line_start);
+  EPGS_CHECK(pos != std::string::npos &&
+                 payload.compare(line_start, kPayloadResumed.size(),
+                                 kPayloadResumed) == 0,
+             "isolated child payload: missing resumed line");
+  r.resumed_from_iter =
+      std::stoll(payload.substr(line_start + kPayloadResumed.size(),
+                                pos - line_start - kPayloadResumed.size()));
+  line_start = pos + 1;
 
-  // Optional "tl ..." telemetry lines (absent in pre-telemetry payloads).
+  // Zero or more "tl ..." telemetry lines: a record with an empty
+  // timeline emits none.
   std::vector<std::pair<std::size_t, IterRecord>> timeline_rows;
   while (payload.compare(line_start, kPayloadTimeline.size(),
                          kPayloadTimeline) == 0) {
@@ -763,21 +762,18 @@ std::vector<JournalEntry> replay_journal(const std::string& path,
       }
       if (!std::getline(in, line)) break;  // torn tail
     }
-    if (line.rfind("end ", 0) == 0) {
-      // end <attempts>|<last_failure>|<resumed_from_iter>
-      const std::string tail = line.substr(4);
-      const std::size_t q1 = tail.find('|');
-      const std::size_t q2 =
-          q1 == std::string::npos ? std::string::npos : tail.find('|', q1 + 1);
-      if (q2 == std::string::npos) break;
-      try {
-        e.attempts = std::stoi(tail.substr(0, q1));
-        e.last_failure = outcome_from_name(tail.substr(q1 + 1, q2 - q1 - 1));
-        e.resumed_from_iter = std::stoll(tail.substr(q2 + 1));
-      } catch (const std::exception&) {
-        break;
-      }
-    } else if (line != "end") {  // bare "end": pre-checkpoint grammar
+    // end <attempts>|<last_failure>|<resumed_from_iter>
+    if (line.rfind("end ", 0) != 0) break;
+    const std::string tail = line.substr(4);
+    const std::size_t q1 = tail.find('|');
+    const std::size_t q2 =
+        q1 == std::string::npos ? std::string::npos : tail.find('|', q1 + 1);
+    if (q2 == std::string::npos) break;
+    try {
+      e.attempts = std::stoi(tail.substr(0, q1));
+      e.last_failure = outcome_from_name(tail.substr(q1 + 1, q2 - q1 - 1));
+      e.resumed_from_iter = std::stoll(tail.substr(q2 + 1));
+    } catch (const std::exception&) {
       break;
     }
     entries.push_back(std::move(e));

@@ -127,8 +127,8 @@ void enable_interrupt_watch(bool on) noexcept;
 // Each journal append writes one unit..end group and fsyncs, so a group
 // is either durable or absent; replay ignores a trailing partial group
 // (the unit that was in flight when the process died simply re-runs).
-// A bare "end" (the pre-checkpoint grammar) is still accepted on replay
-// with attempts taken from the unit line. "ckpt" breadcrumb lines record
+// A group closed by anything but a full end line is such a partial
+// group. "ckpt" breadcrumb lines record
 // that a unit left a resumable snapshot behind; replay skips them (torn
 // ckpt tails are tolerated like torn groups). When the same key appears
 // twice (a resumed sweep re-ran a unit), the later group wins.

@@ -181,7 +181,7 @@ BfsResult GapSystem::do_bfs(vid_t root) {
           for (std::size_t e = 0; e < nbrs.size(); ++e) {
             // The CAS target parent[nbrs[e]] is the only random access;
             // prefetching it a few slots ahead hides the miss.
-            if (opts_.prefetch && e + kPrefetchDistance < nbrs.size()) {
+            if (e + kPrefetchDistance < nbrs.size()) {
               prefetch_write(&parent[nbrs[e + kPrefetchDistance]]);
             }
             const vid_t v = nbrs[e];
@@ -330,7 +330,7 @@ SsspResult GapSystem::do_sssp(vid_t root) {
           for (std::size_t e = 0; e < nbrs.size(); ++e) {
             // Bucket relaxation reads dist[nbrs[e]] at random; prefetch
             // the min-target ahead of the compare-exchange.
-            if (opts_.prefetch && e + kPrefetchDistance < nbrs.size()) {
+            if (e + kPrefetchDistance < nbrs.size()) {
               prefetch_write(&dist[nbrs[e + kPrefetchDistance]]);
             }
             const weight_t w = out_.weighted() ? ws[e] : 1.0f;
@@ -365,7 +365,7 @@ SsspResult GapSystem::do_sssp(vid_t root) {
         const auto ws = out_.weighted() ? out_.edge_weights(u)
                                         : std::span<const weight_t>{};
         for (std::size_t e = 0; e < nbrs.size(); ++e) {
-          if (opts_.prefetch && e + kPrefetchDistance < nbrs.size()) {
+          if (e + kPrefetchDistance < nbrs.size()) {
             prefetch_write(&dist[nbrs[e + kPrefetchDistance]]);
           }
           const weight_t w = out_.weighted() ? ws[e] : 1.0f;
@@ -394,48 +394,19 @@ SsspResult GapSystem::do_sssp(vid_t root) {
 }
 
 // ---------------------------------------------------------------------
-// PageRank with the paper's L1 stopping criterion.
-//
-// Memory-locality variants (selected by Options::pr_mode):
-//  * pull: the contribution rank[u]/deg(u) is precomputed once per
-//    iteration into contrib[] — the per-edge work drops from a double
-//    division plus two offsets_ loads (for deg(u)) to one load.
-//  * blocked: propagation-blocked push. Sources are split into fixed
-//    16 Ki chunks; each chunk bins (dst, contrib) pairs by destination
-//    block (32 Ki vertices = 256 KiB of accumulator, L2-resident), then
-//    blocks are reduced independently — the random scatter over next[]
-//    becomes block-local. Because bins are keyed by *chunk* (not
-//    thread) and reduced in ascending chunk order, each vertex
-//    accumulates contributions in ascending source order — exactly the
-//    pull kernel's sorted in-neighbor order — so pull and blocked give
-//    bit-identical ranks at every thread count.
-// Both variants use deterministic_block_sum for the dangling mass and
-// the L1 norm, making the whole kernel a pure function of the graph —
-// independent of thread count and schedule.
+// PageRank with the paper's L1 stopping criterion: GAP's pull kernel
+// over the in-CSR. The contribution rank[u]/deg(u) is precomputed once
+// per iteration into contrib[], so the per-edge work is one load instead
+// of a double division plus two offsets_ loads (for deg(u)). The dangling
+// mass and the L1 norm use deterministic_block_sum and each vertex sums
+// its sorted in-neighbors in order, so the kernel is a pure function of
+// the graph, independent of thread count and schedule.
 // ---------------------------------------------------------------------
 
-namespace {
-
-/// Sources per propagation-blocking chunk (bin granularity).
-constexpr vid_t kPrChunkSize = 1u << 14;
-/// Destination vertices per block: 32 Ki * 8 B = 256 KiB accumulator
-/// strip, sized to sit in a private L2 during the reduce phase.
-constexpr unsigned kPrBlockBits = 15;
-/// kAuto switches pull -> blocked here: past ~4 M vertices the pull
-/// kernel's random contrib[] reads (2 * 8 B * n working set) fall out
-/// of any LLC and blocking wins; below it the extra pass does not pay.
-constexpr vid_t kPrAutoBlockedThreshold = 1u << 22;
-
-}  // namespace
-
 PageRankResult GapSystem::do_pagerank(const PageRankParams& params) {
-  if (opts_.pr_mode == PrMode::kLegacy) return pagerank_legacy(params);
   const vid_t n = out_.num_vertices();
   PageRankResult r;
   if (n == 0) return r;
-  const bool blocked =
-      opts_.pr_mode == PrMode::kBlocked ||
-      (opts_.pr_mode == PrMode::kAuto && n >= kPrAutoBlockedThreshold);
 
   // First-touch: every O(n) array is written by a schedule(static) loop
   // before any kernel reads it, so page placement matches the static
@@ -447,22 +418,10 @@ PageRankResult GapSystem::do_pagerank(const PageRankParams& params) {
     rank[static_cast<std::size_t>(v)] = init;
   }
 
-  // Propagation-blocking state, reused across iterations (clear() keeps
-  // capacity, so steady-state iterations allocate nothing). Blocking
-  // stages every edge's (dst, contrib) pair once per iteration — the
-  // classic space-for-locality trade of Beamer's propagation blocking.
-  const std::size_t num_chunks =
-      blocked ? (n + kPrChunkSize - 1) / kPrChunkSize : 0;
-  const std::size_t num_blocks =
-      blocked ? ((n + (vid_t{1} << kPrBlockBits) - 1) >> kPrBlockBits) : 0;
-  std::vector<std::vector<std::vector<std::pair<vid_t, double>>>> bins(
-      num_chunks);
-  for (auto& chunk_bins : bins) chunk_bins.resize(num_blocks);
-
   std::uint64_t edge_work = 0;
   // Snapshot state: the rank vector after `it` completed iterations plus
-  // the two counters the result reports. contrib/next/bins are rebuilt
-  // every iteration, so restoring ranks alone reproduces the remaining
+  // the two counters the result reports. contrib/next are rebuilt every
+  // iteration, so restoring ranks alone reproduces the remaining
   // iterations bit-identically (the kernel is a pure function of rank).
   // Accessor form because rank/next swap buffers every iteration — a
   // pointer captured here would go stale after the first swap.
@@ -473,6 +432,8 @@ PageRankResult GapSystem::do_pagerank(const PageRankParams& params) {
   KernelRun run(*this, "pagerank", &ckpt_state);
   run.watch_edges(&edge_work);
   const auto start_it = static_cast<int>(run.resumed());
+  const auto& cols = in_.targets();
+  const auto& offs = in_.offsets();
 
   for (int it = start_it; it < params.max_iterations; ++it) {
     run.iteration(static_cast<std::uint64_t>(it), n);  // snapshot point
@@ -491,70 +452,21 @@ PageRankResult GapSystem::do_pagerank(const PageRankParams& params) {
     const double base =
         (1.0 - params.damping) / n + params.damping * dangling / n;
 
-    if (!blocked) {
-      const auto& cols = in_.targets();
-      const auto& offs = in_.offsets();
-      // Edge-bound power-law loop: dynamic balances the skewed rows; the
-      // 1024-vertex chunk spans whole pages so first-touch placement of
-      // next[] still mostly holds (see core/numa_alloc.hpp).
+    // Edge-bound power-law loop: dynamic balances the skewed rows; the
+    // 1024-vertex chunk spans whole pages so first-touch placement of
+    // next[] still mostly holds (see core/numa_alloc.hpp).
 #pragma omp parallel for schedule(dynamic, 1024)
-      for (std::int64_t v = 0; v < static_cast<std::int64_t>(n); ++v) {
-        const eid_t lo = offs[static_cast<std::size_t>(v)];
-        const eid_t hi = offs[static_cast<std::size_t>(v) + 1];
-        double sum = 0.0;
-        if (opts_.prefetch) {
-          for (eid_t i = lo; i < hi; ++i) {
-            if (i + kPrefetchDistance < hi) {
-              prefetch_read(&contrib[cols[i + kPrefetchDistance]]);
-            }
-            sum += contrib[cols[i]];
-          }
-        } else {
-          for (eid_t i = lo; i < hi; ++i) sum += contrib[cols[i]];
+    for (std::int64_t v = 0; v < static_cast<std::int64_t>(n); ++v) {
+      const eid_t lo = offs[static_cast<std::size_t>(v)];
+      const eid_t hi = offs[static_cast<std::size_t>(v) + 1];
+      double sum = 0.0;
+      for (eid_t i = lo; i < hi; ++i) {
+        if (i + kPrefetchDistance < hi) {
+          prefetch_read(&contrib[cols[i + kPrefetchDistance]]);
         }
-        next[static_cast<std::size_t>(v)] = base + params.damping * sum;
+        sum += contrib[cols[i]];
       }
-    } else {
-      // Bin phase: chunk c stages its out-edges' contributions, keyed
-      // by destination block. Bin contents depend only on c, never on
-      // which thread ran it.
-#pragma omp parallel for schedule(dynamic, 1)
-      for (std::int64_t c = 0; c < static_cast<std::int64_t>(num_chunks);
-           ++c) {
-        auto& my_bins = bins[static_cast<std::size_t>(c)];
-        for (auto& b : my_bins) b.clear();
-        const vid_t ulo = static_cast<vid_t>(c) * kPrChunkSize;
-        const vid_t uhi =
-            std::min<vid_t>(n, ulo + kPrChunkSize);
-        for (vid_t u = ulo; u < uhi; ++u) {
-          const double cu = contrib[u];
-          if (cu == 0.0) continue;
-          for (const vid_t v : out_.neighbors(u)) {
-            my_bins[v >> kPrBlockBits].emplace_back(v, cu);
-          }
-        }
-      }
-      // Reduce phase: block b owns next[] rows [b << kPrBlockBits, ...)
-      // exclusively — no atomics — and walks chunks in ascending order,
-      // so each dst sees contributions in ascending source order.
-#pragma omp parallel for schedule(static)
-      for (std::int64_t b = 0; b < static_cast<std::int64_t>(num_blocks);
-           ++b) {
-        const vid_t vlo = static_cast<vid_t>(b) << kPrBlockBits;
-        const vid_t vhi =
-            std::min<vid_t>(n, vlo + (vid_t{1} << kPrBlockBits));
-        for (vid_t v = vlo; v < vhi; ++v) {
-          next[v] = 0.0;
-        }
-        for (std::size_t c = 0; c < num_chunks; ++c) {
-          for (const auto& [v, x] : bins[c][static_cast<std::size_t>(b)]) {
-            next[v] += x;
-          }
-        }
-        for (vid_t v = vlo; v < vhi; ++v) {
-          next[v] = base + params.damping * next[v];
-        }
-      }
+      next[static_cast<std::size_t>(v)] = base + params.damping * sum;
     }
 
     const double l1 = deterministic_block_sum<double>(
@@ -568,59 +480,6 @@ PageRankResult GapSystem::do_pagerank(const PageRankParams& params) {
   run.finish();
 
   r.rank.assign(rank.begin(), rank.end());
-  work_.edges_processed = edge_work;
-  work_.vertex_updates = static_cast<std::uint64_t>(n) * r.iterations;
-  work_.bytes_touched = edge_work * (sizeof(vid_t) + sizeof(double));
-  return r;
-}
-
-// The seed's pull kernel, verbatim: per-edge division, OpenMP
-// reduction(+) for dangling mass and L1 (combine order unspecified, so
-// results drift in the last bits across thread counts). Baseline side
-// of the BM_PageRank microbenchmark.
-PageRankResult GapSystem::pagerank_legacy(const PageRankParams& params) {
-  const vid_t n = out_.num_vertices();
-  PageRankResult r;
-  r.rank.assign(n, n > 0 ? 1.0 / n : 0.0);
-  std::vector<double> next(n);
-  std::uint64_t edge_work = 0;
-
-  // Accessor form: r.rank swaps with the scratch buffer each iteration.
-  FnCheckpointable ckpt_state = ckpt_scalar_field<double, int>(
-      static_cast<std::size_t>(n), [&](std::size_t v) { return r.rank[v]; },
-      [&](std::size_t v, double x) { r.rank[v] = x; }, &r.iterations,
-      &edge_work, "PageRank");
-  KernelRun run(*this, "pagerank", &ckpt_state);
-  run.watch_edges(&edge_work);
-  const auto start_it = static_cast<int>(run.resumed());
-
-  for (int it = start_it; it < params.max_iterations; ++it) {
-    run.iteration(static_cast<std::uint64_t>(it), n);  // snapshot point
-    double dangling = 0.0;
-#pragma omp parallel for reduction(+ : dangling) schedule(static)
-    for (std::int64_t v = 0; v < static_cast<std::int64_t>(n); ++v) {
-      if (out_.degree(static_cast<vid_t>(v)) == 0) dangling += r.rank[v];
-    }
-    const double base =
-        (1.0 - params.damping) / n + params.damping * dangling / n;
-
-    double l1 = 0.0;
-#pragma omp parallel for reduction(+ : l1) schedule(dynamic, 1024)
-    for (std::int64_t v = 0; v < static_cast<std::int64_t>(n); ++v) {
-      double sum = 0.0;
-      for (const vid_t u : in_.neighbors(static_cast<vid_t>(v))) {
-        sum += r.rank[u] / static_cast<double>(out_.degree(u));
-      }
-      next[v] = base + params.damping * sum;
-      l1 += std::abs(next[v] - r.rank[v]);
-    }
-    r.rank.swap(next);
-    ++r.iterations;
-    edge_work += in_.num_edges();
-    run.residual(l1);
-    if (l1 < params.epsilon) break;
-  }
-  run.finish();
   work_.edges_processed = edge_work;
   work_.vertex_updates = static_cast<std::uint64_t>(n) * r.iterations;
   work_.bytes_touched = edge_work * (sizeof(vid_t) + sizeof(double));

@@ -20,24 +20,6 @@ namespace epgs::systems {
 
 class GapSystem final : public System {
  public:
-  /// PageRank kernel variant.
-  ///  kPull    — pull over in-CSR with a precomputed contribution array
-  ///             (one load per edge instead of a division plus two
-  ///             offset loads).
-  ///  kBlocked — propagation-blocked push (Beamer): bin (dst, contrib)
-  ///             pairs by destination cache block, then reduce block-by
-  ///             block. Bins are keyed by fixed source chunk and reduced
-  ///             in ascending chunk order, so the per-vertex add order
-  ///             equals the pull kernel's sorted in-neighbor order —
-  ///             kPull and kBlocked produce bit-identical ranks at any
-  ///             thread count.
-  ///  kAuto    — kBlocked once the rank+contrib working set outgrows the
-  ///             last-level cache, kPull below that.
-  ///  kLegacy  — the pre-locality-overhaul kernel (per-edge division,
-  ///             nondeterministic OpenMP reductions), kept as the
-  ///             baseline side of the PageRank microbenchmark.
-  enum class PrMode { kAuto, kPull, kBlocked, kLegacy };
-
   struct Options {
     double alpha = 15.0;  ///< top-down -> bottom-up switch threshold
     double beta = 18.0;   ///< bottom-up -> top-down switch threshold
@@ -48,11 +30,6 @@ class GapSystem final : public System {
     /// cast to 0." (paper, Section IV-A). True truncates every weight to
     /// an integer at build time, faithfully reproducing that hazard.
     bool integer_weights = false;
-    PrMode pr_mode = PrMode::kAuto;  ///< PageRank variant selection
-    /// Software prefetch in the traversal kernels (BFS top-down, SSSP
-    /// relaxation, PageRank pull). Off reproduces the pre-overhaul
-    /// memory behavior for A/B benchmarking; results are identical.
-    bool prefetch = true;
   };
 
   GapSystem() = default;
@@ -88,8 +65,6 @@ class GapSystem final : public System {
   BcResult do_bc(vid_t source) override;
 
  private:
-  PageRankResult pagerank_legacy(const PageRankParams& params);
-
   Options opts_;
   CSRGraph out_;
   CSRGraph in_;

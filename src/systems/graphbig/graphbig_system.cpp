@@ -211,25 +211,14 @@ SsspResult GraphBigSystem::do_sssp(vid_t root) {
 
 // ---------------------------------------------------------------------
 // Push-style PageRank: every vertex scatters rank/outdeg along its
-// out-edges with atomic accumulation — the vertex-centric formulation
-// GraphBIG ships, heavier on memory traffic than GAP's pull, and like
-// every openG kernel each edge goes through the generic visitor (one
-// virtual dispatch per edge per iteration).
+// out-edges — the vertex-centric formulation GraphBIG ships, heavier on
+// memory traffic than GAP's pull. Contributions are propagation-blocked:
+// binned by destination cache block and reduced without atomics, in a
+// fixed (chunk, source, edge) order, so ranks are identical at every
+// thread count. The scatter still walks the AoS per-vertex EdgeObj
+// containers (GraphBIG's signature memory layout) directly, without the
+// per-edge virtual visitor call of the traversal kernels.
 // ---------------------------------------------------------------------
-
-namespace {
-
-class PageRankScatterVisitor final : public EdgeVisitor {
- public:
-  bool examine(VertexObj& src, EdgeObj&, VertexObj& dst) override {
-    // vprop[2] caches rank/outdeg for the iteration.
-    std::atomic_ref<double> acc(dst.vprop[1]);
-    acc.fetch_add(src.vprop[2], std::memory_order_relaxed);
-    return false;
-  }
-};
-
-}  // namespace
 
 namespace {
 
@@ -243,7 +232,6 @@ constexpr unsigned kPrBlockBits = 13;
 }  // namespace
 
 PageRankResult GraphBigSystem::do_pagerank(const PageRankParams& params) {
-  if (opts_.pr_mode == PrMode::kLegacy) return pagerank_legacy(params);
   const vid_t n = g_.num_vertices();
   PageRankResult r;
   if (n == 0) return r;
@@ -299,9 +287,8 @@ PageRankResult GraphBigSystem::do_pagerank(const PageRankParams& params) {
     const double base =
         (1.0 - params.damping) / n + params.damping * dangling / n;
 
-    // Bin phase: still chases the per-vertex EdgeObj containers (the
-    // AoS cost the paper measures) but stages contributions instead of
-    // doing a virtual call + atomic fetch-add per edge.
+    // Bin phase: chases the per-vertex EdgeObj containers (the AoS
+    // cost the paper measures) and stages contributions per block.
 #pragma omp parallel for schedule(dynamic, 1)
     for (std::int64_t c = 0; c < static_cast<std::int64_t>(num_chunks);
          ++c) {
@@ -341,79 +328,6 @@ PageRankResult GraphBigSystem::do_pagerank(const PageRankParams& params) {
     for (std::int64_t v = 0; v < static_cast<std::int64_t>(n); ++v) {
       auto& obj = g_.vertex(static_cast<vid_t>(v));
       obj.vprop[0] = base + params.damping * obj.vprop[1];
-      obj.vprop[1] = 0.0;
-    }
-    ++r.iterations;
-    run.residual(l1);
-    if (l1 < params.epsilon) break;
-  }
-  run.finish();
-
-  r.rank.resize(n);
-  for (vid_t v = 0; v < n; ++v) r.rank[v] = g_.vertex(v).vprop[0];
-  work_.edges_processed = edge_work;
-  work_.vertex_updates = static_cast<std::uint64_t>(n) * r.iterations;
-  work_.bytes_touched = edge_work * sizeof(EdgeObj);
-  return r;
-}
-
-// The seed's openG-style kernel, kept verbatim as the baseline side of
-// the PageRank microbenchmark: one virtual dispatch and one atomic
-// fetch-add per edge, nondeterministic accumulation order.
-PageRankResult GraphBigSystem::pagerank_legacy(
-    const PageRankParams& params) {
-  const vid_t n = g_.num_vertices();
-  PageRankResult r;
-  r.iterations = 0;
-  const double init = n > 0 ? 1.0 / n : 0.0;
-  for (vid_t v = 0; v < n; ++v) {
-    auto& obj = g_.vertex(v);
-    obj.vprop[0] = init;  // current rank
-    obj.vprop[1] = 0.0;   // incoming accumulator
-  }
-  std::uint64_t edge_work = 0;
-
-  FnCheckpointable ckpt_state = ckpt_scalar_field<double, int>(
-      n, [&](std::size_t v) { return g_.vertex(static_cast<vid_t>(v)).vprop[0]; },
-      [&](std::size_t v, double x) {
-        auto& obj = g_.vertex(static_cast<vid_t>(v));
-        obj.vprop[0] = x;
-        obj.vprop[1] = 0.0;
-      },
-      &r.iterations, &edge_work, "PageRank");
-  KernelRun run(*this, "pagerank", &ckpt_state);
-  run.watch_edges(&edge_work);
-  const int start_it = static_cast<int>(run.resumed());
-
-  for (int it = start_it; it < params.max_iterations; ++it) {
-    run.iteration(static_cast<std::uint64_t>(it), n);  // iteration boundary
-    double dangling = 0.0;
-#pragma omp parallel for reduction(+ : dangling) schedule(static)
-    for (std::int64_t v = 0; v < static_cast<std::int64_t>(n); ++v) {
-      const auto& obj = g_.vertex(static_cast<vid_t>(v));
-      if (obj.out_edges.empty()) dangling += obj.vprop[0];
-    }
-    const double base =
-        (1.0 - params.damping) / n + params.damping * dangling / n;
-
-#pragma omp parallel for schedule(static)
-    for (std::int64_t v = 0; v < static_cast<std::int64_t>(n); ++v) {
-      auto& src = g_.vertex(static_cast<vid_t>(v));
-      src.vprop[2] =
-          src.out_edges.empty()
-              ? 0.0
-              : src.vprop[0] / static_cast<double>(src.out_edges.size());
-    }
-    PageRankScatterVisitor scatter;
-    edge_work += g_.for_each_edge(scatter);
-
-    double l1 = 0.0;
-#pragma omp parallel for reduction(+ : l1) schedule(static)
-    for (std::int64_t v = 0; v < static_cast<std::int64_t>(n); ++v) {
-      auto& obj = g_.vertex(static_cast<vid_t>(v));
-      const double next = base + params.damping * obj.vprop[1];
-      l1 += std::abs(next - obj.vprop[0]);
-      obj.vprop[0] = next;
       obj.vprop[1] = 0.0;
     }
     ++r.iterations;

@@ -13,26 +13,6 @@ namespace epgs::systems {
 
 class GraphBigSystem final : public System {
  public:
-  /// PageRank variant.
-  ///  kBlocked (default) — propagation-blocked push: contributions are
-  ///    binned by destination cache block and reduced without atomics,
-  ///    in a fixed (chunk, source, edge) order, so ranks are identical
-  ///    at every thread count. The scatter still walks the AoS
-  ///    per-vertex EdgeObj containers (GraphBIG's signature memory
-  ///    layout); only the virtual dispatch and the atomic accumulation
-  ///    are gone.
-  ///  kLegacy — the original openG-style kernel: one virtual visitor
-  ///    call and one atomic fetch-add per edge (nondeterministic
-  ///    rounding). Baseline side of the PageRank microbenchmark.
-  enum class PrMode { kBlocked, kLegacy };
-
-  struct Options {
-    PrMode pr_mode = PrMode::kBlocked;
-  };
-
-  GraphBigSystem() = default;
-  explicit GraphBigSystem(const Options& opts) : opts_(opts) {}
-
   [[nodiscard]] std::string_view name() const override { return "GraphBIG"; }
   [[nodiscard]] Capabilities capabilities() const override {
     return Capabilities{.bfs = true,
@@ -65,9 +45,6 @@ class GraphBigSystem final : public System {
   BcResult do_bc(vid_t source) override;
 
  private:
-  PageRankResult pagerank_legacy(const PageRankParams& params);
-
-  Options opts_;
   graphbig_detail::PropertyGraph g_;
 };
 

@@ -66,20 +66,6 @@ std::vector<vid_t> PropertyGraph::expand(const std::vector<vid_t>& frontier,
   return queue.take_appended();
 }
 
-std::uint64_t PropertyGraph::for_each_edge(EdgeVisitor& visitor) {
-  std::uint64_t examined = 0;
-#pragma omp parallel for schedule(dynamic, 256) reduction(+ : examined)
-  for (std::int64_t v = 0; v < static_cast<std::int64_t>(vertices_.size());
-       ++v) {
-    VertexObj& src = vertices_[static_cast<std::size_t>(v)];
-    for (EdgeObj& e : src.out_edges) {
-      ++examined;
-      (void)visitor.examine(src, e, vertices_[e.target]);
-    }
-  }
-  return examined;
-}
-
 std::size_t PropertyGraph::bytes() const {
   std::size_t b = vertices_.size() * sizeof(VertexObj);
   for (const auto& v : vertices_) {

@@ -75,11 +75,6 @@ class PropertyGraph {
                             EdgeVisitor& visitor,
                             std::uint64_t& edges_examined);
 
-  /// Dispatch every edge of the graph through `visitor` (one virtual
-  /// call per edge — openG's generic whole-graph traversal); the
-  /// visitor's return value is ignored. Returns edges examined.
-  std::uint64_t for_each_edge(EdgeVisitor& visitor);
-
   [[nodiscard]] std::size_t bytes() const;
 
  private:

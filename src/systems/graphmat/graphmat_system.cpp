@@ -217,18 +217,6 @@ SsspResult GraphMatSystem::do_sssp(vid_t root) {
 // paper calls out). params.epsilon is deliberately unused.
 // ---------------------------------------------------------------------
 
-namespace {
-
-/// Propagation-blocking geometry (see GapSystem::do_pagerank for the
-/// determinism argument: bins are keyed by fixed row chunk and reduced
-/// in ascending chunk order, so per-destination float adds happen in
-/// ascending source order — exactly the pull kernel's column order).
-constexpr std::size_t kPrChunkRows = std::size_t{1} << 14;
-constexpr unsigned kPrBlockBits = 15;  // 32 Ki floats = 128 KiB strip
-constexpr vid_t kPrAutoBlockedThreshold = 1u << 22;
-
-}  // namespace
-
 PageRankResult GraphMatSystem::do_pagerank(const PageRankParams& params) {
   const vid_t n = in_.num_vertices();
   PageRankResult r;
@@ -244,22 +232,11 @@ PageRankResult GraphMatSystem::do_pagerank(const PageRankParams& params) {
     rank[static_cast<std::size_t>(v)] = init;
     contrib[static_cast<std::size_t>(v)] = 0.0f;
   }
-  const bool blocked =
-      opts_.pr_mode == PrMode::kBlocked ||
-      (opts_.pr_mode == PrMode::kAuto && n >= kPrAutoBlockedThreshold);
-  const std::size_t num_chunks =
-      blocked ? (out_.num_rows() + kPrChunkRows - 1) / kPrChunkRows : 0;
-  const std::size_t num_blocks =
-      blocked ? ((n + (vid_t{1} << kPrBlockBits) - 1) >> kPrBlockBits) : 0;
-  // Bins persist across iterations; clear() keeps capacity.
-  std::vector<std::vector<std::vector<std::pair<vid_t, float>>>> bins(
-      num_chunks);
-  for (auto& chunk_bins : bins) chunk_bins.resize(num_blocks);
   log().add(std::string(phase::kEngineInit), init_timer.seconds());
   std::uint64_t edge_work = 0;
 
   // Snapshot state: the single-precision rank vector plus the
-  // result/work counters. contrib/next/bins are per-iteration scratch.
+  // result/work counters. contrib/next are per-iteration scratch.
   // Accessor form because rank/next swap buffers every iteration — a
   // pointer captured here would go stale after the first swap.
   FnCheckpointable ckpt_state = ckpt_scalar_field<float, int>(
@@ -285,65 +262,23 @@ PageRankResult GraphMatSystem::do_pagerank(const PageRankParams& params) {
         (1.0 - params.damping) / n + params.damping * dangling / n);
     const auto d = static_cast<float>(params.damping);
 
-    if (!blocked) {
-      std::fill(next.begin(), next.end(), base);
-      // Row-skewed gather: dynamic with a page-spanning chunk (see the
-      // schedule rule in core/numa_alloc.hpp).
+    std::fill(next.begin(), next.end(), base);
+    // Row-skewed gather: dynamic with a page-spanning chunk (see the
+    // schedule rule in core/numa_alloc.hpp).
 #pragma omp parallel for schedule(dynamic, 256)
-      for (std::int64_t rr = 0;
-           rr < static_cast<std::int64_t>(in_.num_rows()); ++rr) {
-        const auto row = static_cast<std::size_t>(rr);
-        const vid_t v = in_.row_id(row);
-        const auto cols = in_.row_cols(row);
-        float sum = 0.0f;
-        if (opts_.prefetch) {
-          for (std::size_t i = 0; i < cols.size(); ++i) {
-            if (i + kPrefetchDistance < cols.size()) {
-              prefetch_read(&contrib[cols[i + kPrefetchDistance]]);
-            }
-            sum += contrib[cols[i]];
-          }
-        } else {
-          for (const vid_t u : cols) sum += contrib[u];
+    for (std::int64_t rr = 0;
+         rr < static_cast<std::int64_t>(in_.num_rows()); ++rr) {
+      const auto row = static_cast<std::size_t>(rr);
+      const vid_t v = in_.row_id(row);
+      const auto cols = in_.row_cols(row);
+      float sum = 0.0f;
+      for (std::size_t i = 0; i < cols.size(); ++i) {
+        if (i + kPrefetchDistance < cols.size()) {
+          prefetch_read(&contrib[cols[i + kPrefetchDistance]]);
         }
-        next[v] = base + d * sum;
+        sum += contrib[cols[i]];
       }
-    } else {
-      // Bin phase: fixed chunks of out-rows scatter (dst, contrib)
-      // pairs into destination-block bins. Bin contents depend only on
-      // the chunk index, never the executing thread.
-#pragma omp parallel for schedule(dynamic, 1)
-      for (std::int64_t c = 0; c < static_cast<std::int64_t>(num_chunks);
-           ++c) {
-        auto& my_bins = bins[static_cast<std::size_t>(c)];
-        for (auto& b : my_bins) b.clear();
-        const std::size_t rlo = static_cast<std::size_t>(c) * kPrChunkRows;
-        const std::size_t rhi =
-            std::min(out_.num_rows(), rlo + kPrChunkRows);
-        for (std::size_t row = rlo; row < rhi; ++row) {
-          const float cu = contrib[out_.row_id(row)];
-          if (cu == 0.0f) continue;
-          for (const vid_t v : out_.row_cols(row)) {
-            my_bins[v >> kPrBlockBits].emplace_back(v, cu);
-          }
-        }
-      }
-      // Reduce phase: each destination block is exclusive to one
-      // iteration of the static loop — no atomics, L2-resident strip.
-#pragma omp parallel for schedule(static)
-      for (std::int64_t b = 0; b < static_cast<std::int64_t>(num_blocks);
-           ++b) {
-        const vid_t vlo = static_cast<vid_t>(b) << kPrBlockBits;
-        const vid_t vhi =
-            std::min<vid_t>(n, vlo + (vid_t{1} << kPrBlockBits));
-        for (vid_t v = vlo; v < vhi; ++v) next[v] = 0.0f;
-        for (std::size_t c = 0; c < num_chunks; ++c) {
-          for (const auto& [v, x] : bins[c][static_cast<std::size_t>(b)]) {
-            next[v] += x;
-          }
-        }
-        for (vid_t v = vlo; v < vhi; ++v) next[v] = base + d * next[v];
-      }
+      next[v] = base + d * sum;
     }
     edge_work += in_.num_nonzeros();
 

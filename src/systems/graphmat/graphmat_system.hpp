@@ -18,23 +18,6 @@ namespace epgs::systems {
 
 class GraphMatSystem final : public System {
  public:
-  /// PageRank SpMV variant. kPull is the original row-gather kernel
-  /// (also the baseline side of the microbenchmark); kBlocked is
-  /// propagation-blocked push over the out-DCSR, binned by destination
-  /// cache block and reduced in ascending source order — bit-identical
-  /// to kPull at every thread count (single-precision adds happen in
-  /// the same order). kAuto picks kBlocked once the rank working set
-  /// outgrows the LLC.
-  enum class PrMode { kAuto, kPull, kBlocked };
-
-  struct Options {
-    PrMode pr_mode = PrMode::kAuto;
-    bool prefetch = true;  ///< software prefetch in row gathers
-  };
-
-  GraphMatSystem() = default;
-  explicit GraphMatSystem(const Options& opts) : opts_(opts) {}
-
   [[nodiscard]] std::string_view name() const override { return "GraphMat"; }
   [[nodiscard]] Capabilities capabilities() const override {
     return Capabilities{.bfs = true,
@@ -66,7 +49,6 @@ class GraphMatSystem final : public System {
   BcResult do_bc(vid_t source) override;
 
  private:
-  Options opts_;
   graphmat_detail::DCSR out_;  // A
   graphmat_detail::DCSR in_;   // A^T
   std::vector<eid_t> out_degree_;

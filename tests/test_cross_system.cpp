@@ -283,10 +283,10 @@ TEST_P(CrossSystemThreads, BfsSsspPageRankEquivalentAtEveryThreadCount) {
   }
 }
 
-// The locality-overhaul PageRank kernels (GAP, GraphBIG, GraphMat,
-// Ligra) are pure functions of the graph: contributions are
-// precomputed, push bins reduce in a fixed chunk order, and the global
-// sums use the deterministic block reduction. So the ranks must be
+// The PageRank kernels of GAP, GraphBIG, GraphMat and Ligra are pure
+// functions of the graph: contributions are precomputed, GraphBIG's
+// push bins reduce in a fixed chunk order, and the global sums use the
+// deterministic block reduction. So the ranks must be
 // *bit-identical* across thread counts, not merely within tolerance —
 // the single-threaded run of the same kernel is the baseline.
 // (PowerGraph sizes its vertex cut from the worker count by design, so
@@ -335,68 +335,6 @@ INSTANTIATE_TEST_SUITE_P(ThreadSweep, CrossSystemThreads,
                          [](const auto& info) {
                            return "threads_" + std::to_string(info.param);
                          });
-
-// GAP's propagation-blocked push kernel bins contributions by fixed
-// source chunk and reduces chunks in ascending order, which equals the
-// pull kernel's sorted in-neighbor order — the two variants must agree
-// bit-for-bit (the header documents this contract).
-TEST(PrVariants, GapPullAndBlockedBitIdentical) {
-  const auto el = dedupe(symmetrize([] {
-    gen::KroneckerParams p;
-    p.scale = 9;
-    p.edgefactor = 8;
-    return gen::kronecker(p);
-  }()));
-  PageRankParams pr_params;
-  ThreadScope scope(4);
-
-  const auto run = [&](systems::GapSystem::PrMode mode) {
-    systems::GapSystem::Options opts;
-    opts.pr_mode = mode;
-    systems::GapSystem sys(opts);
-    sys.set_edges(el);
-    sys.build();
-    return sys.pagerank(pr_params).rank;
-  };
-  const auto pull = run(systems::GapSystem::PrMode::kPull);
-  const auto blocked = run(systems::GapSystem::PrMode::kBlocked);
-  const auto legacy = run(systems::GapSystem::PrMode::kLegacy);
-  ASSERT_EQ(pull.size(), blocked.size());
-  for (std::size_t v = 0; v < pull.size(); ++v) {
-    ASSERT_EQ(pull[v], blocked[v]) << "vertex " << v;
-  }
-  // Legacy reorders the sums, so only tolerance equality holds there.
-  for (std::size_t v = 0; v < pull.size(); ++v) {
-    ASSERT_NEAR(pull[v], legacy[v], 1e-12 + 1e-9 * legacy[v])
-        << "vertex " << v;
-  }
-}
-
-TEST(PrVariants, GraphMatPullAndBlockedBitIdentical) {
-  const auto el = dedupe(symmetrize([] {
-    gen::KroneckerParams p;
-    p.scale = 9;
-    p.edgefactor = 8;
-    return gen::kronecker(p);
-  }()));
-  PageRankParams pr_params;
-  ThreadScope scope(4);
-
-  const auto run = [&](systems::GraphMatSystem::PrMode mode) {
-    systems::GraphMatSystem::Options opts;
-    opts.pr_mode = mode;
-    systems::GraphMatSystem sys(opts);
-    sys.set_edges(el);
-    sys.build();
-    return sys.pagerank(pr_params).rank;
-  };
-  const auto pull = run(systems::GraphMatSystem::PrMode::kPull);
-  const auto blocked = run(systems::GraphMatSystem::PrMode::kBlocked);
-  ASSERT_EQ(pull.size(), blocked.size());
-  for (std::size_t v = 0; v < pull.size(); ++v) {
-    ASSERT_EQ(pull[v], blocked[v]) << "vertex " << v;
-  }
-}
 
 // With the partition count held fixed, PowerGraph's GAS PageRank is
 // deterministic too: per-vertex gather order is local edge order,

@@ -202,23 +202,50 @@ TEST(RunnerCsv, WrongColumnCountRejected) {
   // 11 fields (the pre-outcome format) must be rejected, not half-parsed.
   EXPECT_THROW(records_from_csv(csv + "d,s,a,1,0,p,0.5,0,0,0,3\n"),
                EpgsError);
-  // So must 13.
+  // So must 12 (the pre-checkpoint format) and 13.
+  EXPECT_THROW(records_from_csv(csv + "d,s,a,1,0,p,0.5,0,0,0,3,success\n"),
+               EpgsError);
   EXPECT_THROW(
       records_from_csv(csv + "d,s,a,1,0,p,0.5,0,0,0,3,success,junk\n"),
       EpgsError);
 }
 
 TEST(RunnerCsv, MalformedFieldsRejectedWithEpgsError) {
+  // 14 fields each, so every row fails on its bad field and not on the
+  // column count. Numerics are strict: no trailing text, no sign on the
+  // unsigned work counters.
   const auto header = records_to_csv({});
-  EXPECT_THROW(
-      records_from_csv(header + "d,s,a,NaNthreads,0,p,0.5,0,0,0,,success\n"),
-      EpgsError);
-  EXPECT_THROW(
-      records_from_csv(header + "d,s,a,1,0,p,notasecond,0,0,0,,success\n"),
-      EpgsError);
-  EXPECT_THROW(
-      records_from_csv(header + "d,s,a,1,0,p,0.5,0,0,0,,exploded\n"),
-      EpgsError);
+  for (const char* row : {
+           "d,s,a,NaNthreads,0,p,0.5,0,0,0,,success,,\n",
+           "d,s,a,1,0,p,notasecond,0,0,0,,success,,\n",
+           "d,s,a,1,0,p,0.5,0,0,0,,exploded,,\n",
+           "d,s,a,1x,0,p,0.5,0,0,0,,success,,\n",
+           "d,s,a,1,0,p,0.5s,0,0,0,,success,,\n",
+           "d,s,a,1,0,p,0.5,-1,0,0,,success,,\n",
+       }) {
+    EXPECT_THROW(records_from_csv(header + row), EpgsError) << row;
+  }
+}
+
+TEST(RunnerCsv, BuildOnceTrialRoundTrips) {
+  // Build-once rows carry trial -1, which the signed parser must keep.
+  RunRecord build;
+  build.system = "GAP";
+  build.threads = 2;
+  build.phase = std::string(phase::kBuild);
+  ASSERT_EQ(build.trial, -1);
+  const auto csv = records_to_csv({build});
+  const auto back = records_from_csv(csv);
+  ASSERT_EQ(back.size(), 1u);
+  EXPECT_EQ(back[0].trial, -1);
+  EXPECT_EQ(back[0].threads, 2);
+  EXPECT_EQ(records_to_csv(back), csv);
+  // Empty work columns still read as 0.
+  const auto empty_work = records_from_csv(
+      records_to_csv({}) + "d,GAP,,2,-1,build graph,0.25,,,,,success,,\n");
+  ASSERT_EQ(empty_work.size(), 1u);
+  EXPECT_EQ(empty_work[0].work.edges_processed, 0u);
+  EXPECT_EQ(empty_work[0].work.bytes_touched, 0u);
 }
 
 TEST(RunnerCsv, ForeignHeaderRejected) {

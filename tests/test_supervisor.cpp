@@ -401,17 +401,18 @@ TEST_F(SupervisorDir, JournalEndLineCarriesRetryAndResumeDetail) {
   EXPECT_EQ(entries[0].resumed_from_iter, 17);
 }
 
-TEST_F(SupervisorDir, ReplayAcceptsBareEndFromLegacyJournals) {
-  // Journals written before the checkpoint layer closed groups with a
-  // bare "end"; replay must keep accepting them.
+TEST_F(SupervisorDir, ReplayDropsBareEndGroupAsTornTail) {
+  // Every group closes with "end <attempts>|<last_failure>|<resumed>".
+  // A bare "end" is not a complete group: replay keeps the groups before
+  // it and drops it and everything after, so those units re-run.
   std::ofstream(journal_path())
       << "epgs-journal-v1\nconfig fp\n"
-      << "unit GAP|BFS|0|success|2|0\nend\n";
+      << "unit GAP|BFS|0|success|1|0\nend 1|success|-1\n"
+      << "unit GAP|BFS|1|success|2|0\nend\n"
+      << "unit GAP|BFS|2|success|1|0\nend 1|success|-1\n";
   const auto entries = replay_journal(journal_path(), "fp");
   ASSERT_EQ(entries.size(), 1u);
-  EXPECT_EQ(entries[0].attempts, 2);
-  EXPECT_EQ(entries[0].last_failure, Outcome::kSuccess);
-  EXPECT_EQ(entries[0].resumed_from_iter, -1);
+  EXPECT_EQ(entries[0].key, "GAP|BFS|0");
 }
 
 TEST_F(SupervisorDir, ReplaySkipsCheckpointBreadcrumbs) {

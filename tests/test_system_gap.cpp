@@ -32,10 +32,17 @@ TEST(GapSystem, BuildsBothDirections) {
   EXPECT_EQ(sys.out_csr().num_edges(), sys.in_csr().num_edges());
 }
 
-class GapBfsRegime : public ::testing::TestWithParam<GapSystem::Options> {};
+// One direction-switch setting and what it forces.
+struct BfsRegime {
+  GapSystem::Options opts;
+  const char* forces;
+};
+
+class GapBfsRegime : public ::testing::TestWithParam<BfsRegime> {};
 
 TEST_P(GapBfsRegime, ValidTreeUnderAnyHeuristic) {
-  GapSystem sys(GetParam());
+  const auto& opts = GetParam().opts;
+  GapSystem sys(opts);
   const auto el = kron_graph();
   sys.set_edges(el);
   sys.build();
@@ -44,19 +51,20 @@ TEST_P(GapBfsRegime, ValidTreeUnderAnyHeuristic) {
     const auto r = sys.bfs(root);
     const auto err = validate_bfs(csr, r);
     EXPECT_FALSE(err.has_value())
-        << "alpha=" << GetParam().alpha << " beta=" << GetParam().beta
-        << " root=" << root << ": " << err.value_or("");
+        << GetParam().forces << " (alpha=" << opts.alpha
+        << " beta=" << opts.beta << ") root=" << root << ": "
+        << err.value_or("");
   }
 }
 
 INSTANTIATE_TEST_SUITE_P(
     Heuristics, GapBfsRegime,
     ::testing::Values(
-        GapSystem::Options{},                                // defaults
-        GapSystem::Options{.alpha = 1e9, .beta = 18.0},      // never bottom-up
-        GapSystem::Options{.alpha = 1e-9, .beta = 18.0},     // instant switch
-        GapSystem::Options{.alpha = 1e-9, .beta = 1e9},      // stay bottom-up
-        GapSystem::Options{.alpha = 15.0, .beta = 2.0}),     // eager return
+        BfsRegime{GapSystem::Options{}, "defaults"},
+        BfsRegime{{.alpha = 1e9, .beta = 18.0}, "never bottom-up"},
+        BfsRegime{{.alpha = 1e-9, .beta = 18.0}, "instant switch"},
+        BfsRegime{{.alpha = 1e-9, .beta = 1e9}, "stay bottom-up"},
+        BfsRegime{{.alpha = 15.0, .beta = 2.0}, "eager return"}),
     [](const auto& info) { return "case" + std::to_string(info.index); });
 
 class GapDeltaSweep : public ::testing::TestWithParam<float> {};
