@@ -15,6 +15,7 @@
 #include "harness/dataset_pipeline.hpp"
 #include "harness/supervisor.hpp"
 #include "harness/sweep_plan.hpp"
+#include "systems/common/reference.hpp"
 #include "systems/common/registry.hpp"
 #include "systems/common/validation.hpp"
 
@@ -58,13 +59,42 @@ RunRecord failure_record(const SweepPlan& plan,
   return rec;
 }
 
+/// What --validate checks results against, built once per sweep: every
+/// system runs from the same roots, so each root's reference answer is
+/// computed once and every system's result is checked against it. Built
+/// eagerly in the parent so fork-isolated children inherit it; the
+/// answers take roots x n x 4 bytes per validated algorithm.
+struct SweepOracle {
+  std::optional<CSRGraph> csr;  ///< BFS and SSSP validate against it
+  std::vector<std::vector<vid_t>> bfs_levels;  ///< indexed by trial
+  std::vector<std::vector<weight_t>> sssp_dist;  ///< indexed by trial
+
+  /// Only what a configured, validated algorithm reads: PageRank and
+  /// WCC validation need nothing here (WCC checks the edge list).
+  SweepOracle(const ExperimentConfig& cfg, const EdgeList& el,
+              const std::vector<vid_t>& roots) {
+    const auto validated = [&](Algorithm a) {
+      return cfg.validate &&
+             std::ranges::find(cfg.algorithms, a) != cfg.algorithms.end();
+    };
+    const bool bfs = validated(Algorithm::kBfs);
+    const bool sssp = validated(Algorithm::kSssp);
+    if (!bfs && !sssp) return;
+    csr = CSRGraph::from_edges(el);
+    for (const vid_t root : roots) {
+      if (bfs) bfs_levels.push_back(ref::bfs_levels(*csr, root));
+      if (sssp) sssp_dist.push_back(ref::dijkstra(*csr, root));
+    }
+  }
+};
+
 /// Execute one system's slice of the plan. Everything decided up front
 /// lives in `sp`; this function only drives the adapter through the
 /// supervisor and hands records to the collector.
 void execute_system_plan(const ExperimentConfig& cfg, const SweepPlan& plan,
                          const SystemPlan& sp, const EdgeList& el,
                          const std::vector<vid_t>& roots,
-                         const std::optional<CSRGraph>& oracle_csr,
+                         const SweepOracle& oracle,
                          RecordCollector& collector, Xoshiro256& backoff_rng,
                          std::map<std::string, std::string>& raw_logs) {
   const SupervisorOptions& sup = cfg.supervisor;
@@ -202,7 +232,8 @@ void execute_system_plan(const ExperimentConfig& cfg, const SweepPlan& plan,
       session.emplace(cc);
     }
 
-    const vid_t root = roots[static_cast<std::size_t>(t.trial)];
+    const auto trial = static_cast<std::size_t>(t.trial);
+    const vid_t root = roots[trial];
     const UnitFn unit = [&](CancellationToken& token) {
       sys->set_cancellation(&token);
       sys->set_checkpoint_session(session ? &*session : nullptr);
@@ -218,13 +249,17 @@ void execute_system_plan(const ExperimentConfig& cfg, const SweepPlan& plan,
       switch (t.alg) {
         case Algorithm::kBfs: {
           auto res = sys->bfs(root);
-          if (cfg.validate) check(validate_bfs(*oracle_csr, res), "BFS");
+          if (cfg.validate) {
+            check(validate_bfs(*oracle.csr, res, oracle.bfs_levels[trial]),
+                  "BFS");
+          }
           break;
         }
         case Algorithm::kSssp: {
           auto res = sys->sssp(root);
           if (cfg.validate) {
-            check(validate_sssp(*oracle_csr, res), "SSSP");
+            check(validate_sssp(*oracle.csr, res, oracle.sssp_dist[trial]),
+                  "SSSP");
           }
           break;
         }
@@ -373,9 +408,7 @@ ExperimentResult run_experiment(const ExperimentConfig& cfg,
 
   result.roots = select_roots(el, cfg.num_roots, cfg.root_seed);
 
-  // Oracles for optional validation.
-  std::optional<CSRGraph> oracle_csr;
-  if (cfg.validate) oracle_csr = CSRGraph::from_edges(el);
+  const SweepOracle oracle(cfg, el, result.roots);
 
   // Crash-forensics reports land here; a failure to create the directory
   // silently disables arming (crash::arm tolerates an unopenable path —
@@ -410,7 +443,7 @@ ExperimentResult run_experiment(const ExperimentConfig& cfg,
   Xoshiro256 backoff_rng(sup.backoff_seed);
   for (const SystemPlan& sp : plan.systems) {
     if (interrupt_requested()) break;  // flush what finished, stop cleanly
-    execute_system_plan(cfg, plan, sp, el, result.roots, oracle_csr,
+    execute_system_plan(cfg, plan, sp, el, result.roots, oracle,
                         collector, backoff_rng, result.raw_logs);
   }
 

@@ -4,9 +4,17 @@
 // them (against the *input* graph, not any system's internal state) and add
 // analogous validators for SSSP and PageRank. Every system's result in the
 // test suite passes through these.
+//
+// BFS and SSSP compare against a reference answer for the result's root.
+// Each has two forms: the three-argument form takes that answer
+// precomputed, so a sweep that checks several systems from the same root
+// computes it once (harness/runner.cpp); the two-argument form computes
+// it with ref::bfs_levels / ref::dijkstra and forwards. Both run exactly
+// the same checks and return the same messages.
 #pragma once
 
 #include <optional>
+#include <span>
 #include <string>
 
 #include "graph/csr.hpp"
@@ -26,10 +34,24 @@ using ValidationError = std::optional<std::string>;
 ///  5. tree levels equal true hop distances (BFS trees are shortest).
 ValidationError validate_bfs(const CSRGraph& g, const BfsResult& result);
 
+/// The same checks against `true_level`, the hop distances from
+/// `result.root` in `g` as ref::bfs_levels returns them. The size and
+/// root checks run before `true_level` is read; a `true_level` whose size
+/// is not n is reported as an error.
+ValidationError validate_bfs(const CSRGraph& g, const BfsResult& result,
+                             std::span<const vid_t> true_level);
+
 /// SSSP checks: dist[root] == 0; every edge is relaxed
 /// (dist[v] <= dist[u] + w); every non-root finite vertex has a witness
 /// in-edge achieving its distance; unreachable vertices are infinite.
+/// Distances must equal Dijkstra's exactly.
 ValidationError validate_sssp(const CSRGraph& g, const SsspResult& result);
+
+/// The same checks against `truth`, the distances from `result.root` in
+/// `g` as ref::dijkstra returns them. The size and root checks run before
+/// `truth` is read; a `truth` whose size is not n is reported as an error.
+ValidationError validate_sssp(const CSRGraph& g, const SsspResult& result,
+                              std::span<const weight_t> truth);
 
 /// PageRank sanity: all ranks positive, sum within `tol` of 1.
 ValidationError validate_pagerank(const PageRankResult& result,

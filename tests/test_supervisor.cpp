@@ -337,6 +337,66 @@ TEST(SupervisedRun, WrongOutputCaughtByValidation) {
   EXPECT_EQ(result.seconds_of("GAP", phase::kAlgorithm, "BFS").size(), 1u);
 }
 
+// Every system's result for a root is checked against the same
+// per-sweep reference answer. A wrong output in the last system's last
+// trial must be the only rejection: a reference indexed by the wrong
+// root, or not shared correctly across systems, would reject correct
+// units too.
+void expect_only_failure_at(const ExperimentResult& result,
+                            const std::vector<std::string>& systems,
+                            const std::string& alg,
+                            const std::string& bad_system, int bad_trial) {
+  const auto bad = records_with(result, Outcome::kValidationFailed);
+  ASSERT_EQ(bad.size(), 1u);
+  EXPECT_EQ(bad[0].system, bad_system);
+  EXPECT_EQ(bad[0].algorithm, alg);
+  EXPECT_EQ(bad[0].trial, bad_trial);
+  EXPECT_NE(bad[0].extra.at("error").find(alg + " invalid"),
+            std::string::npos);
+  for (const auto& r : result.records) {
+    if (r.outcome == Outcome::kValidationFailed) continue;
+    EXPECT_EQ(r.outcome, Outcome::kSuccess)
+        << r.system << " " << r.algorithm << " trial " << r.trial;
+  }
+  for (const auto& sys : systems) {
+    EXPECT_EQ(result.seconds_of(sys, phase::kAlgorithm, alg).size(),
+              sys == bad_system ? 2u : 3u)
+        << sys;
+  }
+}
+
+TEST(SupervisedRun, WrongOutputRejectedOnlyAtItsRootAcrossSystems) {
+  auto cfg = tiny_config();
+  cfg.systems = {"GAP", "Graph500", "GraphBIG", "GraphMat", "Ligra"};
+  cfg.num_roots = 3;
+  cfg.validate = true;
+  fault::Scoped fault({.system = "Ligra",
+                       .kind = fault::Kind::kWrongOutput,
+                       .at_phase = 2,
+                       .phase = "bfs"});
+
+  const auto result = run_experiment(cfg);
+
+  expect_only_failure_at(result, cfg.systems, "BFS", "Ligra", 2);
+}
+
+TEST(SupervisedRun, WrongSsspOutputRejectedOnlyAtItsRootAcrossSystems) {
+  auto cfg = tiny_config();
+  cfg.graph.add_weights = true;
+  cfg.systems = {"GAP", "GraphBIG", "GraphMat", "PowerGraph", "Ligra"};
+  cfg.algorithms = {Algorithm::kSssp};
+  cfg.num_roots = 3;
+  cfg.validate = true;
+  fault::Scoped fault({.system = "Ligra",
+                       .kind = fault::Kind::kWrongOutput,
+                       .at_phase = 2,
+                       .phase = "sssp"});
+
+  const auto result = run_experiment(cfg);
+
+  expect_only_failure_at(result, cfg.systems, "SSSP", "Ligra", 2);
+}
+
 TEST(SupervisedRun, UnknownSystemIsConfigOutcomeNotAbort) {
   auto cfg = tiny_config();
   cfg.systems = {"NoSuchSystem", "GAP"};
