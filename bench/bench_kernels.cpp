@@ -7,6 +7,7 @@
 #include <benchmark/benchmark.h>
 
 #include <numeric>
+#include <ostream>
 #include <sstream>
 
 #include "core/cancellation.hpp"
@@ -74,6 +75,52 @@ void BM_CsrTranspose(benchmark::State& state) {
                           static_cast<std::int64_t>(g.num_edges()));
 }
 BENCHMARK(BM_CsrTranspose)->Arg(10)->Arg(12);
+
+// Set-up: the radix-sort dedupe of a symmetrized Kronecker edge list
+// (each iteration includes one copy of the input, since dedupe takes its
+// argument by value), and the chunked to_chars edge-line writer every
+// text format shares, into a sink that only counts bytes.
+void BM_Dedupe(benchmark::State& state) {
+  gen::KroneckerParams p;
+  p.scale = static_cast<int>(state.range(0));
+  p.edgefactor = 8;
+  const auto el = symmetrize(gen::kronecker(p));
+  for (auto _ : state) {
+    benchmark::DoNotOptimize(dedupe(el));
+  }
+  state.SetItemsProcessed(state.iterations() *
+                          static_cast<std::int64_t>(el.num_edges()));
+}
+BENCHMARK(BM_Dedupe)->Arg(10)->Arg(12);
+
+class CountingBuf : public std::streambuf {
+ public:
+  std::int64_t bytes = 0;
+
+ protected:
+  std::streamsize xsputn(const char*, std::streamsize n) override {
+    bytes += n;
+    return n;
+  }
+  int overflow(int ch) override {
+    ++bytes;
+    return traits_type::not_eof(ch);
+  }
+};
+
+void BM_WriteEdgeLines(benchmark::State& state) {
+  const auto el = with_random_weights(
+      bench_graph(static_cast<int>(state.range(0))), 1);
+  CountingBuf sink;
+  std::ostream os(&sink);
+  for (auto _ : state) {
+    write_edge_lines(os, el.edges, '\t', /*weighted=*/true);
+  }
+  state.SetItemsProcessed(state.iterations() *
+                          static_cast<std::int64_t>(el.num_edges()));
+  state.SetBytesProcessed(sink.bytes);
+}
+BENCHMARK(BM_WriteEdgeLines)->Arg(10)->Arg(12);
 
 // Frontier merge isolated from traversal work: every thread produces a
 // slice of `range(0)` vertex ids and flushes it through LocalBuffer into

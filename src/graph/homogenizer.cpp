@@ -1,6 +1,5 @@
 #include "graph/homogenizer.hpp"
 
-#include <cstdio>
 #include <cstring>
 
 #include "core/error.hpp"
@@ -132,11 +131,16 @@ void write_graph500_bin(const std::filesystem::path& p, const EdgeList& el) {
   write_pod<std::uint64_t>(out, el.num_vertices);
   write_pod<std::uint64_t>(out, el.num_edges());
   write_pod<std::uint8_t>(out, el.weighted ? 1 : 0);
-  for (const auto& e : el.edges) {
-    write_pod<std::uint64_t>(out, e.src);
-    write_pod<std::uint64_t>(out, e.dst);
-    if (el.weighted) write_pod<float>(out, e.w);
-  }
+  const std::size_t stride = el.weighted ? 20 : 16;
+  write_chunked(out, el.edges.size(), [&](char* q, std::size_t i) {
+    const Edge& e = el.edges[i];
+    const std::uint64_t src = e.src;
+    const std::uint64_t dst = e.dst;
+    std::memcpy(q, &src, 8);
+    std::memcpy(q + 8, &dst, 8);
+    if (el.weighted) std::memcpy(q + 16, &e.w, 4);
+    return q + stride;
+  });
   out.close();
 }
 
@@ -221,17 +225,7 @@ void write_graphmat_mtx(const std::filesystem::path& p, const EdgeList& el) {
       << (el.weighted ? "real" : "pattern") << " general\n";
   out << el.num_vertices << ' ' << el.num_vertices << ' ' << el.num_edges()
       << '\n';
-  char buf[96];
-  for (const auto& e : el.edges) {
-    int len;
-    if (el.weighted) {
-      len = std::snprintf(buf, sizeof buf, "%u %u %g\n", e.src + 1,
-                          e.dst + 1, static_cast<double>(e.w));
-    } else {
-      len = std::snprintf(buf, sizeof buf, "%u %u\n", e.src + 1, e.dst + 1);
-    }
-    out.write(buf, len);
-  }
+  write_edge_lines(out, el.edges, ' ', el.weighted, /*base=*/1);
   out.close();
 }
 
@@ -293,23 +287,14 @@ void write_graphbig_csv(const std::filesystem::path& dir, const EdgeList& el) {
   {
     auto out = open_out(dir / "vertex.csv");
     out << "id\n";
-    for (vid_t v = 0; v < el.num_vertices; ++v) out << v << '\n';
+    write_number_lines(out, el.num_vertices,
+                       [](std::size_t v) { return static_cast<vid_t>(v); });
     out.close();
   }
   {
     auto out = open_out(dir / "edge.csv");
     out << (el.weighted ? "src,dst,weight\n" : "src,dst\n");
-    char buf[96];
-    for (const auto& e : el.edges) {
-      int len;
-      if (el.weighted) {
-        len = std::snprintf(buf, sizeof buf, "%u,%u,%g\n", e.src, e.dst,
-                            static_cast<double>(e.w));
-      } else {
-        len = std::snprintf(buf, sizeof buf, "%u,%u\n", e.src, e.dst);
-      }
-      out.write(buf, len);
-    }
+    write_edge_lines(out, el.edges, ',', el.weighted);
     out.close();
   }
 }
@@ -362,17 +347,7 @@ EdgeList read_graphbig_csv(const std::filesystem::path& dir) {
 void write_powergraph_tsv(const std::filesystem::path& p,
                           const EdgeList& el) {
   auto out = open_out(p);
-  char buf[96];
-  for (const auto& e : el.edges) {
-    int len;
-    if (el.weighted) {
-      len = std::snprintf(buf, sizeof buf, "%u\t%u\t%g\n", e.src, e.dst,
-                          static_cast<double>(e.w));
-    } else {
-      len = std::snprintf(buf, sizeof buf, "%u\t%u\n", e.src, e.dst);
-    }
-    out.write(buf, len);
-  }
+  write_edge_lines(out, el.edges, '\t', el.weighted);
   // PowerGraph infers the vertex set from edge endpoints; isolated trailing
   // vertices need a marker so the count round-trips.
   out << "#nv\t" << el.num_vertices << '\n';
@@ -427,12 +402,16 @@ void write_ligra_adj(const std::filesystem::path& p, const EdgeList& el) {
   out << (el.weighted ? "WeightedAdjacencyGraph" : "AdjacencyGraph")
       << '\n';
   out << g.num_vertices() << '\n' << g.num_edges() << '\n';
-  for (vid_t v = 0; v < g.num_vertices(); ++v) {
-    out << g.offsets()[v] << '\n';
-  }
-  for (const vid_t t : g.targets()) out << t << '\n';
+  const auto& offsets = g.offsets();
+  const auto& targets = g.targets();
+  write_number_lines(out, g.num_vertices(),
+                     [&](std::size_t v) { return offsets[v]; });
+  write_number_lines(out, targets.size(),
+                     [&](std::size_t e) { return targets[e]; });
   if (el.weighted) {
-    for (const weight_t w : g.weights()) out << w << '\n';
+    const auto& weights = g.weights();
+    write_number_lines(out, weights.size(),
+                       [&](std::size_t e) { return weights[e]; });
   }
   out.close();
 }

@@ -1,7 +1,6 @@
 #include "graph/snap_io.hpp"
 
 #include <charconv>
-#include <cstdio>
 #include <ostream>
 
 #include "core/error.hpp"
@@ -85,17 +84,23 @@ void write_snap(std::ostream& os, const EdgeList& el) {
   os << "# easy-parallel-graph SNAP export\n";
   os << "# Nodes: " << el.num_vertices << " Edges: " << el.num_edges()
      << '\n';
-  char buf[96];
-  for (const auto& e : el.edges) {
-    int len;
-    if (el.weighted) {
-      len = std::snprintf(buf, sizeof buf, "%u\t%u\t%g\n", e.src, e.dst,
-                          static_cast<double>(e.w));
-    } else {
-      len = std::snprintf(buf, sizeof buf, "%u\t%u\n", e.src, e.dst);
+  write_edge_lines(os, el.edges, '\t', el.weighted);
+}
+
+void write_edge_lines(std::ostream& os, std::span<const Edge> edges,
+                      char sep, bool weighted, vid_t base) {
+  write_chunked(os, edges.size(), [&](char* p, std::size_t i) {
+    const Edge& e = edges[i];
+    p = put_number(p, static_cast<vid_t>(e.src + base));
+    *p++ = sep;
+    p = put_number(p, static_cast<vid_t>(e.dst + base));
+    if (weighted) {
+      *p++ = sep;
+      p = put_number(p, e.w);
     }
-    os.write(buf, len);
-  }
+    *p++ = '\n';
+    return p;
+  });
 }
 
 void write_snap_file(const std::filesystem::path& path, const EdgeList& el) {

@@ -17,8 +17,10 @@ namespace epgs {
 EdgeList symmetrize(const EdgeList& el);
 
 /// Remove duplicate edges (same src/dst; keeps the minimum weight) and,
-/// optionally, self loops. Edge order is normalised (sorted).
-EdgeList dedupe(const EdgeList& el, bool drop_self_loops = true);
+/// optionally, self loops. Edge order is normalised (sorted by src, then
+/// dst). A linear-time radix sort over the ids present: pass an rvalue to
+/// sort in place, an lvalue is copied first.
+EdgeList dedupe(EdgeList el, bool drop_self_loops = true);
 
 /// Assign uniform-random integer-valued weights in [1, max_weight] (stored
 /// as float so all systems agree exactly), deterministically per seed.

@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <sstream>
+#include <utility>
 
 #include "core/error.hpp"
 #include "core/rng.hpp"
@@ -89,7 +90,7 @@ EdgeList materialize(const GraphSpec& spec) {
       break;
   }
   if (spec.symmetrize && el.directed) el = symmetrize(el);
-  if (spec.deduplicate) el = dedupe(el);
+  if (spec.deduplicate) el = dedupe(std::move(el));
   if (spec.add_weights && !el.weighted) {
     el = with_random_weights(el, spec.seed ^ 0x77EEDull, spec.max_weight);
   }

@@ -1,12 +1,25 @@
 #include "graph/homogenizer.hpp"
 
 #include <gtest/gtest.h>
+#include <unistd.h>
 
 #include <algorithm>
+#include <cerrno>
+#include <cstdio>
 #include <filesystem>
 #include <fstream>
+#include <functional>
+#include <limits>
+#include <map>
+#include <sstream>
+#include <string>
+#include <tuple>
+#include <vector>
 
 #include "core/error.hpp"
+#include "core/fs_shim.hpp"
+#include "core/rng.hpp"
+#include "graph/csr.hpp"
 #include "graph/snap_io.hpp"
 #include "test_util.hpp"
 
@@ -14,6 +27,21 @@ namespace epgs {
 namespace {
 
 namespace fs = std::filesystem;
+
+/// A scratch path private to this process: ctest -j runs the test
+/// processes side by side, and a shared name lets one test's clean-up
+/// delete another's files.
+fs::path temp_path(const std::string& name) {
+  return fs::temp_directory_path() /
+         (name + "_" + std::to_string(::getpid()));
+}
+
+std::string slurp(const fs::path& p) {
+  std::ifstream in(p, std::ios::binary);
+  std::ostringstream buf;
+  buf << in.rdbuf();
+  return buf.str();
+}
 
 /// Sort edges for order-insensitive comparison.
 std::vector<Edge> canonical(std::vector<Edge> edges) {
@@ -25,8 +53,23 @@ std::vector<Edge> canonical(std::vector<Edge> edges) {
   return edges;
 }
 
-class HomogenizerRoundTrip
-    : public ::testing::TestWithParam<std::tuple<GraphFormat, bool>> {
+using FormatCase = std::tuple<GraphFormat, bool>;
+
+const auto kAllFormatCases = ::testing::Combine(
+    ::testing::Values(GraphFormat::kSnapText, GraphFormat::kGraph500Bin,
+                      GraphFormat::kGapSg, GraphFormat::kGraphMatMtx,
+                      GraphFormat::kGraphBigCsv, GraphFormat::kPowerGraphTsv,
+                      GraphFormat::kLigraAdj),
+    ::testing::Bool());
+
+std::string format_case_name(
+    const ::testing::TestParamInfo<FormatCase>& info) {
+  std::string name(format_name(std::get<0>(info.param)));
+  std::replace(name.begin(), name.end(), '-', '_');
+  return name + "_" + (std::get<1>(info.param) ? "weighted" : "unweighted");
+}
+
+class HomogenizerRoundTrip : public ::testing::TestWithParam<FormatCase> {
  protected:
   static EdgeList input(bool weighted) {
     auto el = test::line_graph(9, weighted);
@@ -55,9 +98,8 @@ class HomogenizerRoundTrip
 
 TEST_P(HomogenizerRoundTrip, EdgesSurviveAsMultiset) {
   const auto [fmt, weighted] = GetParam();
-  const auto dir = fs::temp_directory_path() /
-                   ("epgs_homog_" + std::string(format_name(fmt)) +
-                    (weighted ? "_w" : "_u"));
+  const auto dir = temp_path("epgs_homog_" + std::string(format_name(fmt)) +
+                             (weighted ? "_w" : "_u"));
   const auto el = input(weighted);
   const auto back = round_trip(fmt, el, dir);
 
@@ -68,24 +110,11 @@ TEST_P(HomogenizerRoundTrip, EdgesSurviveAsMultiset) {
   fs::remove_all(dir);
 }
 
-INSTANTIATE_TEST_SUITE_P(
-    AllFormats, HomogenizerRoundTrip,
-    ::testing::Combine(
-        ::testing::Values(GraphFormat::kSnapText, GraphFormat::kGraph500Bin,
-                          GraphFormat::kGapSg, GraphFormat::kGraphMatMtx,
-                          GraphFormat::kGraphBigCsv,
-                          GraphFormat::kPowerGraphTsv,
-                          GraphFormat::kLigraAdj),
-        ::testing::Bool()),
-    [](const auto& info) {
-      std::string name(format_name(std::get<0>(info.param)));
-      std::replace(name.begin(), name.end(), '-', '_');
-      return name + "_" +
-             (std::get<1>(info.param) ? "weighted" : "unweighted");
-    });
+INSTANTIATE_TEST_SUITE_P(AllFormats, HomogenizerRoundTrip, kAllFormatCases,
+                         format_case_name);
 
 TEST(Homogenizer, ProducesAllSevenFormats) {
-  const auto dir = fs::temp_directory_path() / "epgs_homog_all";
+  const auto dir = temp_path("epgs_homog_all");
   const auto ds = homogenize(test::two_triangles(), "tri", dir);
   EXPECT_EQ(ds.files.size(), 7u);
   for (const auto& [fmt, path] : ds.files) {
@@ -119,7 +148,7 @@ TEST(Homogenizer, GapSgNormalisesToSortedCsrOrder) {
   EdgeList el;
   el.num_vertices = 3;
   el.edges = {Edge{2, 0, 1.0f}, Edge{0, 2, 1.0f}, Edge{0, 1, 1.0f}};
-  const auto dir = fs::temp_directory_path() / "epgs_homog_sg";
+  const auto dir = temp_path("epgs_homog_sg");
   fs::create_directories(dir);
   write_gap_sg(dir / "g.sg", el);
   const auto back = read_gap_sg(dir / "g.sg");
@@ -136,7 +165,7 @@ TEST(Homogenizer, GraphMatMtxIsOneIndexed) {
   EdgeList el;
   el.num_vertices = 2;
   el.edges = {Edge{0, 1, 1.0f}};
-  const auto dir = fs::temp_directory_path() / "epgs_homog_mtx";
+  const auto dir = temp_path("epgs_homog_mtx");
   fs::create_directories(dir);
   write_graphmat_mtx(dir / "g.mtx", el);
 
@@ -151,12 +180,202 @@ TEST(Homogenizer, GraphMatMtxIsOneIndexed) {
   fs::remove_all(dir);
 }
 
+// --- Byte-for-byte pins of every writer ---------------------------------
+//
+// The reference writers below are the per-edge snprintf / ostream code the
+// chunked writers replaced. Every format must keep producing exactly their
+// bytes, so homogenized cache entries stay valid across the change.
+
+template <typename T>
+void put_pod(std::string& out, const T& v) {
+  out.append(reinterpret_cast<const char*>(&v), sizeof v);
+}
+
+template <typename T, typename A>
+void put_vec(std::string& out, const std::vector<T, A>& v) {
+  put_pod<std::uint64_t>(out, v.size());
+  out.append(reinterpret_cast<const char*>(v.data()), v.size() * sizeof(T));
+}
+
+/// printf("%u<sep>%u[<sep>%g]\n") per edge, ids shifted by `base`.
+void printf_edge_lines(std::string& out, const EdgeList& el, char sep,
+                       vid_t base) {
+  char buf[96];
+  for (const auto& e : el.edges) {
+    const int len =
+        el.weighted
+            ? std::snprintf(buf, sizeof buf, "%u%c%u%c%g\n", e.src + base,
+                            sep, e.dst + base, sep, static_cast<double>(e.w))
+            : std::snprintf(buf, sizeof buf, "%u%c%u\n", e.src + base, sep,
+                            e.dst + base);
+    out.append(buf, static_cast<std::size_t>(len));
+  }
+}
+
+/// Reference bytes of `fmt`, keyed by file name relative to the format's
+/// path (empty for a single-file format).
+std::map<std::string, std::string> reference_files(GraphFormat fmt,
+                                                   const EdgeList& el) {
+  std::string out;
+  switch (fmt) {
+    case GraphFormat::kSnapText: {
+      std::ostringstream os;
+      os << "# easy-parallel-graph SNAP export\n";
+      os << "# Nodes: " << el.num_vertices << " Edges: " << el.num_edges()
+         << '\n';
+      out = os.str();
+      printf_edge_lines(out, el, '\t', 0);
+      return {{"", out}};
+    }
+    case GraphFormat::kGraph500Bin: {
+      put_pod<std::uint64_t>(out, 0x4735303045504753ULL);
+      put_pod<std::uint64_t>(out, el.num_vertices);
+      put_pod<std::uint64_t>(out, el.num_edges());
+      put_pod<std::uint8_t>(out, el.weighted ? 1 : 0);
+      for (const auto& e : el.edges) {
+        put_pod<std::uint64_t>(out, e.src);
+        put_pod<std::uint64_t>(out, e.dst);
+        if (el.weighted) put_pod<float>(out, e.w);
+      }
+      return {{"", out}};
+    }
+    case GraphFormat::kGapSg: {
+      const CSRGraph g = CSRGraph::from_edges(el);
+      put_pod<std::uint64_t>(out, 0x5347455047530001ULL);
+      put_pod<std::uint64_t>(out, g.num_vertices());
+      put_pod<std::uint8_t>(out, el.weighted ? 1 : 0);
+      put_vec(out, g.offsets());
+      put_vec(out, g.targets());
+      if (el.weighted) put_vec(out, g.weights());
+      return {{"", out}};
+    }
+    case GraphFormat::kGraphMatMtx: {
+      std::ostringstream os;
+      os << "%%MatrixMarket matrix coordinate "
+         << (el.weighted ? "real" : "pattern") << " general\n";
+      os << el.num_vertices << ' ' << el.num_vertices << ' '
+         << el.num_edges() << '\n';
+      out = os.str();
+      printf_edge_lines(out, el, ' ', 1);
+      return {{"", out}};
+    }
+    case GraphFormat::kGraphBigCsv: {
+      std::ostringstream vertices;
+      vertices << "id\n";
+      for (vid_t v = 0; v < el.num_vertices; ++v) vertices << v << '\n';
+      out = el.weighted ? "src,dst,weight\n" : "src,dst\n";
+      printf_edge_lines(out, el, ',', 0);
+      return {{"vertex.csv", vertices.str()}, {"edge.csv", out}};
+    }
+    case GraphFormat::kPowerGraphTsv: {
+      printf_edge_lines(out, el, '\t', 0);
+      out += "#nv\t" + std::to_string(el.num_vertices) + "\n";
+      return {{"", out}};
+    }
+    case GraphFormat::kLigraAdj: {
+      const CSRGraph g = CSRGraph::from_edges(el);
+      std::ostringstream os;
+      os << (el.weighted ? "WeightedAdjacencyGraph" : "AdjacencyGraph")
+         << '\n';
+      os << g.num_vertices() << '\n' << g.num_edges() << '\n';
+      for (vid_t v = 0; v < g.num_vertices(); ++v) {
+        os << g.offsets()[v] << '\n';
+      }
+      for (const vid_t t : g.targets()) os << t << '\n';
+      if (el.weighted) {
+        for (const weight_t w : g.weights()) os << w << '\n';
+      }
+      return {{"", os.str()}};
+    }
+  }
+  throw std::logic_error("unreachable");
+}
+
+/// Several write chunks' worth of edges whose weights stress "%g": short
+/// and long mantissas, exponents both ways, the float extremes, signed
+/// zeros, integers either side of 10^6, and infinity.
+EdgeList stress_graph(bool weighted) {
+  constexpr float kWeights[] = {
+      0.1f,   1e-7f,   123456.7f, 1e6f,    16777216.f, 3.4e38f,
+      0.f,    -0.f,    255.f,     999999.f, -3.f,       -999999.f,
+      -1e6f,  0.5f,    std::numeric_limits<float>::infinity()};
+  Xoshiro256 rng(2024);
+  EdgeList el;
+  el.num_vertices = 3001;  // vertex 3000 is isolated
+  el.weighted = weighted;
+  for (std::size_t i = 0; i < 30000; ++i) {
+    Edge e;
+    e.src = static_cast<vid_t>(rng.uniform_u64(3000));
+    e.dst = static_cast<vid_t>(rng.uniform_u64(3000));
+    e.w = i % 3 == 0 ? static_cast<float>(rng.uniform_u64(1u << 24)) / 7.0f
+                     : kWeights[i % std::size(kWeights)];
+    if (!weighted) e.w = 1.0f;
+    el.edges.push_back(e);
+  }
+  return el;
+}
+
+class HomogenizerBytes : public ::testing::TestWithParam<FormatCase> {};
+
+TEST_P(HomogenizerBytes, MatchTheReferenceWriter) {
+  const auto [fmt, weighted] = GetParam();
+  const auto dir = temp_path("epgs_homog_bytes");
+  const auto el = stress_graph(weighted);
+  const auto ds = homogenize(el, "b", dir);
+  for (const auto& [rel, want] : reference_files(fmt, el)) {
+    const auto p = rel.empty() ? ds.path(fmt) : ds.path(fmt) / rel;
+    const std::string got = slurp(p);
+    EXPECT_EQ(got.size(), want.size()) << p;
+    EXPECT_TRUE(got == want) << p << " differs from the reference writer";
+  }
+  fs::remove_all(dir);
+}
+
+INSTANTIATE_TEST_SUITE_P(AllFormats, HomogenizerBytes, kAllFormatCases,
+                         format_case_name);
+
+TEST(Homogenizer, EnospcInsideEveryTextWriterThrowsTyped) {
+  // The chunked writers still reach the disk through fsx::OutStream: a
+  // full disk at the second or a later write call, mid-file, must raise
+  // the typed error rather than leave a silently truncated file.
+  const auto dir = temp_path("epgs_homog_enospc");
+  fs::create_directories(dir);
+  const auto el = stress_graph(/*weighted=*/true);
+  struct Writer {
+    std::string file;  ///< the path substring the fault is armed on
+    std::function<void()> write;
+  };
+  const std::vector<Writer> writers = {
+      {"w.snap", [&] { write_snap_file(dir / "w.snap", el); }},
+      {"w.mtx", [&] { write_graphmat_mtx(dir / "w.mtx", el); }},
+      {"edge.csv", [&] { write_graphbig_csv(dir / "w.graphbig", el); }},
+      {"w.tsv", [&] { write_powergraph_tsv(dir / "w.tsv", el); }},
+      {"w.adj", [&] { write_ligra_adj(dir / "w.adj", el); }},
+  };
+  for (const auto& w : writers) {
+    for (const int at : {2, 3}) {
+      fsx::Plan plan;
+      plan.op = fsx::Op::kWrite;
+      plan.error_code = ENOSPC;
+      plan.at_call = at;
+      plan.path_substr = w.file;
+      fsx::Scoped armed(plan);
+      EXPECT_THROW(w.write(), ResourceExhaustedError)
+          << w.file << " at write call " << at;
+      EXPECT_GE(fsx::fire_count(), 1) << w.file << " at write call " << at;
+    }
+    // Disarmed, the same writer succeeds.
+    EXPECT_NO_THROW(w.write()) << w.file;
+  }
+  fs::remove_all(dir);
+}
+
 /// Malformed numerics must raise a typed ParseError, not silently default
 /// the field (the old sscanf/istringstream readers did the latter).
 class ReaderRejection : public ::testing::Test {
  protected:
   void SetUp() override {
-    dir_ = fs::temp_directory_path() / "epgs_homog_reject";
+    dir_ = temp_path("epgs_homog_reject");
     fs::create_directories(dir_);
   }
   void TearDown() override { fs::remove_all(dir_); }

@@ -1,10 +1,14 @@
 #include "graph/snap_io.hpp"
 
 #include <gtest/gtest.h>
+#include <unistd.h>
 
 #include <cstdio>
 #include <filesystem>
+#include <limits>
 #include <sstream>
+#include <string>
+#include <vector>
 
 #include "core/error.hpp"
 #include "test_util.hpp"
@@ -65,7 +69,8 @@ TEST(SnapIo, WriteIncludesHeaderComment) {
 
 TEST(SnapIo, FileRoundTripUnweighted) {
   const auto path =
-      std::filesystem::temp_directory_path() / "epgs_snap_rt.snap";
+      std::filesystem::temp_directory_path() /
+      ("epgs_snap_rt_" + std::to_string(::getpid()) + ".snap");
   const auto original = test::two_triangles();
   write_snap_file(path, original);
   const auto back = read_snap_file(path);
@@ -76,13 +81,52 @@ TEST(SnapIo, FileRoundTripUnweighted) {
 
 TEST(SnapIo, FileRoundTripWeighted) {
   const auto path =
-      std::filesystem::temp_directory_path() / "epgs_snap_w.snap";
+      std::filesystem::temp_directory_path() /
+      ("epgs_snap_w_" + std::to_string(::getpid()) + ".snap");
   const auto original = test::line_graph(5, /*weighted=*/true);
   write_snap_file(path, original);
   const auto back = read_snap_file(path);
   ASSERT_TRUE(back.weighted);
   EXPECT_EQ(back.edges, original.edges);
   std::filesystem::remove(path);
+}
+
+TEST(SnapIo, EdgeLinesMatchPrintfAtTheExtremes) {
+  // The edge-line writer replaced one snprintf("%u<sep>%u[<sep>%g]\n")
+  // per edge; it must print the same bytes, including the 1-based id of
+  // 0xFFFFFFFF wrapping to 0 and the non-finite weights.
+  constexpr vid_t kMax = std::numeric_limits<vid_t>::max();
+  constexpr float kInf = std::numeric_limits<float>::infinity();
+  const std::vector<Edge> edges = {
+      {kMax, 0, 0.1f},        {0, kMax, 1e-7f},
+      {kMax - 1, 1, 3.4e38f}, {123456789, 42, -kInf},
+      {7, 7, kInf},           {1, 2, std::numeric_limits<float>::quiet_NaN()},
+      {3, 4, -0.0f},          {5, 6, std::numeric_limits<float>::denorm_min()},
+      {8, 9, 999999.f},       {9, 8, -999999.f},
+      {10, 11, 1e6f},         {11, 10, -2.5f},
+  };
+  for (const char sep : {'\t', ' ', ','}) {
+    for (const vid_t base : {0u, 1u}) {
+      for (const bool weighted : {false, true}) {
+        std::string want;
+        char line[96];
+        for (const auto& e : edges) {
+          const int len =
+              weighted ? std::snprintf(line, sizeof line, "%u%c%u%c%g\n",
+                                       e.src + base, sep, e.dst + base, sep,
+                                       static_cast<double>(e.w))
+                       : std::snprintf(line, sizeof line, "%u%c%u\n",
+                                       e.src + base, sep, e.dst + base);
+          want.append(line, static_cast<std::size_t>(len));
+        }
+        std::ostringstream os;
+        write_edge_lines(os, edges, sep, weighted, base);
+        EXPECT_EQ(os.str(), want)
+            << "sep " << int(sep) << " base " << base << " weighted "
+            << weighted;
+      }
+    }
+  }
 }
 
 TEST(SnapIo, MissingFileThrows) {

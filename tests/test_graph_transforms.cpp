@@ -3,7 +3,11 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <cstring>
+#include <limits>
+#include <string>
 
+#include "core/rng.hpp"
 #include "test_util.hpp"
 
 namespace epgs {
@@ -51,6 +55,112 @@ TEST(Transforms, DedupeMayKeepSelfLoops) {
   const auto d = dedupe(el, /*drop_self_loops=*/false);
   EXPECT_EQ(d.num_edges(), 1u);
   EXPECT_EQ(d.edges[0].src, d.edges[0].dst);
+}
+
+/// The comparison-sort dedupe the radix sort replaced: sort by
+/// (src, dst, w), then keep the first edge of every (src, dst) run.
+EdgeList reference_dedupe(const EdgeList& el, bool drop_self_loops) {
+  EdgeList out = el;
+  if (drop_self_loops) {
+    std::erase_if(out.edges, [](const Edge& e) { return e.src == e.dst; });
+  }
+  std::sort(out.edges.begin(), out.edges.end(),
+            [](const Edge& a, const Edge& b) {
+              if (a.src != b.src) return a.src < b.src;
+              if (a.dst != b.dst) return a.dst < b.dst;
+              return a.w < b.w;
+            });
+  out.edges.erase(
+      std::unique(out.edges.begin(), out.edges.end(),
+                  [](const Edge& a, const Edge& b) {
+                    return a.src == b.src && a.dst == b.dst;
+                  }),
+      out.edges.end());
+  return out;
+}
+
+/// Random edges with ids in [0, id_bound), each pair repeated up to three
+/// times with random weights, plus the odd self loop.
+EdgeList random_multigraph(std::uint64_t seed, std::uint64_t id_bound,
+                           std::size_t m, vid_t num_vertices) {
+  Xoshiro256 rng(seed);
+  EdgeList el;
+  el.num_vertices = num_vertices;
+  el.weighted = true;
+  for (std::size_t i = 0; i < m; ++i) {
+    const auto u = static_cast<vid_t>(rng.uniform_u64(id_bound));
+    const auto v = static_cast<vid_t>(rng.uniform_u64(id_bound));
+    const auto copies = 1 + rng.uniform_u64(3);
+    for (std::uint64_t c = 0; c < copies; ++c) {
+      el.edges.push_back(
+          Edge{u, v, static_cast<weight_t>(rng.uniform_u64(1000)) / 8.0f});
+    }
+    if (rng.uniform_u64(8) == 0) el.edges.push_back(Edge{u, u, 2.0f});
+  }
+  return el;
+}
+
+void expect_same_bytes(const EdgeList& got, const EdgeList& want,
+                       const std::string& what) {
+  EXPECT_EQ(got.num_vertices, want.num_vertices) << what;
+  EXPECT_EQ(got.directed, want.directed) << what;
+  EXPECT_EQ(got.weighted, want.weighted) << what;
+  ASSERT_EQ(got.edges.size(), want.edges.size()) << what;
+  if (got.edges.empty()) return;  // memcmp must not see null pointers
+  EXPECT_EQ(std::memcmp(got.edges.data(), want.edges.data(),
+                        got.edges.size() * sizeof(Edge)),
+            0)
+      << what;
+}
+
+TEST(Transforms, DedupeMatchesComparisonSortReference) {
+  struct Case {
+    std::string name;
+    EdgeList el;
+  };
+  std::vector<Case> cases;
+  // One 16-bit digit per key, then two.
+  cases.push_back({"ids<2^16", random_multigraph(1, 1u << 16, 4000, 1u << 16)});
+  cases.push_back({"ids<2^22", random_multigraph(2, 1u << 22, 4000, 1u << 22)});
+  // Few distinct ids: long duplicate runs with distinct weights.
+  cases.push_back({"dense", random_multigraph(3, 7, 500, 7)});
+  // num_vertices of 0, or below the largest id: dedupe must read the ids
+  // actually present, not trust the declared size.
+  cases.push_back({"n=0", random_multigraph(4, 300, 200, 0)});
+  cases.push_back({"n<max id", random_multigraph(5, 1u << 20, 300, 17)});
+  {
+    constexpr vid_t kMax = std::numeric_limits<vid_t>::max();
+    EdgeList el = random_multigraph(6, 1u << 18, 300, kMax);
+    el.edges.push_back(Edge{kMax, 3, 9.0f});
+    el.edges.push_back(Edge{kMax, 3, 4.0f});
+    el.edges.push_back(Edge{3, kMax, 1.5f});
+    el.edges.push_back(Edge{kMax, kMax, 1.0f});
+    el.edges.push_back(Edge{0, kMax, 7.0f});
+    cases.push_back({"id 0xFFFFFFFF", el});
+  }
+  {
+    // Small dst ids, large src ids: an odd number of passes leaves the
+    // sorted edges in the scratch array.
+    EdgeList el = random_multigraph(8, 1u << 20, 2000, 1u << 20);
+    for (auto& e : el.edges) e.dst &= 0xFF;
+    cases.push_back({"odd pass count", el});
+  }
+  cases.push_back({"empty", EdgeList{}});
+  {
+    EdgeList el;
+    el.num_vertices = 1;
+    el.edges = {Edge{0, 0, 3.0f}, Edge{0, 0, 1.0f}};
+    cases.push_back({"only id 0", el});
+  }
+
+  for (const auto& c : cases) {
+    for (const bool drop : {true, false}) {
+      const std::string what =
+          c.name + (drop ? " dropping loops" : " keeping loops");
+      expect_same_bytes(dedupe(c.el, drop), reference_dedupe(c.el, drop),
+                        what);
+    }
+  }
 }
 
 TEST(Transforms, RandomWeightsDeterministicAndInRange) {
