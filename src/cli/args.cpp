@@ -3,6 +3,7 @@
 #include <algorithm>
 
 #include "core/error.hpp"
+#include "core/text_scan.hpp"
 
 namespace epgs::cli {
 
@@ -52,47 +53,27 @@ std::string Args::get(const std::string& key,
   return it == options_.end() ? fallback : it->second;
 }
 
-int Args::get_int(const std::string& key, int fallback) const {
+template <class T>
+T Args::get_number(const std::string& key, T fallback,
+                   const char* expects) const {
   const auto it = options_.find(key);
   if (it == options_.end()) return fallback;
-  try {
-    std::size_t pos = 0;
-    const int v = std::stoi(it->second, &pos);
-    EPGS_CHECK(pos == it->second.size(), "trailing junk");
-    return v;
-  } catch (const std::exception&) {
-    throw EpgsError("--" + key + " expects an integer, got '" +
-                    it->second + "'");
-  }
+  if (const std::optional<T> v = text::try_parse<T>(it->second)) return *v;
+  throw ParseError("--" + key + " expects " + expects + ", got '" +
+                   it->second + "'");
+}
+
+int Args::get_int(const std::string& key, int fallback) const {
+  return get_number(key, fallback, "an integer");
 }
 
 double Args::get_double(const std::string& key, double fallback) const {
-  const auto it = options_.find(key);
-  if (it == options_.end()) return fallback;
-  try {
-    std::size_t pos = 0;
-    const double v = std::stod(it->second, &pos);
-    EPGS_CHECK(pos == it->second.size(), "trailing junk");
-    return v;
-  } catch (const std::exception&) {
-    throw EpgsError("--" + key + " expects a number, got '" + it->second +
-                    "'");
-  }
+  return get_number(key, fallback, "a number");
 }
 
 std::uint64_t Args::get_u64(const std::string& key,
                             std::uint64_t fallback) const {
-  const auto it = options_.find(key);
-  if (it == options_.end()) return fallback;
-  try {
-    std::size_t pos = 0;
-    const std::uint64_t v = std::stoull(it->second, &pos);
-    EPGS_CHECK(pos == it->second.size(), "trailing junk");
-    return v;
-  } catch (const std::exception&) {
-    throw EpgsError("--" + key + " expects an unsigned integer, got '" +
-                    it->second + "'");
-  }
+  return get_number(key, fallback, "an unsigned integer");
 }
 
 std::vector<std::string> Args::get_list(const std::string& key) const {

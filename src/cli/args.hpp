@@ -31,7 +31,8 @@ class Args {
   [[nodiscard]] std::string get(const std::string& key,
                                 const std::string& fallback = "") const;
 
-  /// Typed getters; throw EpgsError on unparseable values.
+  /// Typed getters; throw ParseError (an EpgsError) on a value that is
+  /// not wholly a number of the type (text::try_parse grammar).
   [[nodiscard]] int get_int(const std::string& key, int fallback) const;
   [[nodiscard]] double get_double(const std::string& key,
                                   double fallback) const;
@@ -50,6 +51,10 @@ class Args {
   void expect_known(const std::vector<std::string>& known) const;
 
  private:
+  template <class T>
+  [[nodiscard]] T get_number(const std::string& key, T fallback,
+                             const char* expects) const;
+
   std::map<std::string, std::string> options_;  // "" for bare flags
   std::vector<std::string> positional_;
 };

@@ -18,6 +18,8 @@
 #define EPGS_HAVE_BACKTRACE 0
 #endif
 
+#include "core/text_scan.hpp"
+
 namespace epgs::crash {
 namespace {
 
@@ -275,21 +277,25 @@ std::optional<CrashReport> read_report(const std::filesystem::path& path) {
     const std::string key = line.substr(0, sp);
     const std::string val =
         sp == std::string::npos ? std::string() : line.substr(sp + 1);
+    // A malformed number leaves its field at the default: the report is
+    // read best-effort and never fails the caller.
     if (key == "signal") {
+      // "signal 11 SIGSEGV": the number is the first token only.
       const std::size_t sp2 = val.find(' ');
-      r.signal = std::atoi(val.c_str());
+      r.signal = text::try_parse<int>(std::string_view(val).substr(0, sp2))
+                     .value_or(r.signal);
       r.signal_name = sp2 == std::string::npos ? std::string(signal_name(r.signal))
                                                : val.substr(sp2 + 1);
     } else if (key == "code") {
-      r.si_code = std::atoi(val.c_str());
+      r.si_code = text::try_parse<int>(val).value_or(r.si_code);
     } else if (key == "addr") {
       r.fault_addr = val;
     } else if (key == "errno") {
-      r.saved_errno = std::atoi(val.c_str());
+      r.saved_errno = text::try_parse<int>(val).value_or(r.saved_errno);
     } else if (key == "phase") {
       r.phase = val;
     } else if (key == "iteration") {
-      r.iteration = std::atoll(val.c_str());
+      r.iteration = text::try_parse<std::int64_t>(val).value_or(r.iteration);
     } else if (key == "fault") {
       r.faults.push_back(val);
     } else if (key == "backtrace:") {

@@ -1,12 +1,15 @@
 #include "core/phase_log.hpp"
 
-#include <charconv>
 #include <ostream>
 #include <sstream>
 #include <stdexcept>
 
+#include "core/text_scan.hpp"
+
 namespace epgs {
 namespace {
+
+constexpr std::string_view kCtx = "PhaseLog";
 
 // Log line grammar (one phase per line):
 //   * <name>: <seconds> sec [edges=N] [vupdates=N] [bytes=N] [k=v]...
@@ -23,25 +26,6 @@ std::string_view trim(std::string_view s) {
     s.remove_suffix(1);
   }
   return s;
-}
-
-std::uint64_t parse_u64(std::string_view s, std::string_view what) {
-  std::uint64_t v = 0;
-  auto [ptr, ec] = std::from_chars(s.data(), s.data() + s.size(), v);
-  if (ec != std::errc{} || ptr != s.data() + s.size()) {
-    throw std::runtime_error("PhaseLog: bad integer for " + std::string(what) +
-                             ": '" + std::string(s) + "'");
-  }
-  return v;
-}
-
-double parse_f64(std::string_view s, std::string_view what) {
-  try {
-    return std::stod(std::string(s));
-  } catch (const std::exception&) {
-    throw std::runtime_error("PhaseLog: bad number for " + std::string(what) +
-                             ": '" + std::string(s) + "'");
-  }
 }
 
 }  // namespace
@@ -170,15 +154,15 @@ PhaseLog PhaseLog::parse_log_text(std::string_view text) {
         const std::string_view key = tok.substr(0, eq);
         const std::string_view val = tok.substr(eq + 1);
         if (key == "iter") {
-          rec.iter = parse_u64(val, key);
+          rec.iter = text::parse<std::uint64_t>(val, kCtx, key, 0);
         } else if (key == "sec") {
-          rec.seconds = parse_f64(val, key);
+          rec.seconds = text::parse<double>(val, kCtx, key, 0);
         } else if (key == "front") {
-          rec.frontier = parse_u64(val, key);
+          rec.frontier = text::parse<std::uint64_t>(val, kCtx, key, 0);
         } else if (key == "edges") {
-          rec.edges = parse_u64(val, key);
+          rec.edges = text::parse<std::uint64_t>(val, kCtx, key, 0);
         } else if (key == "resid") {
-          rec.residual = parse_f64(val, key);
+          rec.residual = text::parse<double>(val, kCtx, key, 0);
         } else {
           throw std::runtime_error("PhaseLog: unknown timeline key: '" +
                                    std::string(key) + "'");
@@ -207,7 +191,7 @@ PhaseLog PhaseLog::parse_log_text(std::string_view text) {
     if (sp == std::string_view::npos) {
       throw std::runtime_error("PhaseLog: phase line missing duration");
     }
-    e.seconds = std::stod(std::string(rest.substr(0, sp)));
+    e.seconds = text::parse<double>(rest.substr(0, sp), kCtx, "seconds", 0);
     rest = trim(rest.substr(sp));
     if (rest.substr(0, 3) != "sec") {
       throw std::runtime_error("PhaseLog: expected 'sec' unit");
@@ -228,11 +212,11 @@ PhaseLog PhaseLog::parse_log_text(std::string_view text) {
       const std::string_view key = tok.substr(0, eq);
       const std::string_view val = tok.substr(eq + 1);
       if (key == "edges") {
-        e.work.edges_processed = parse_u64(val, key);
+        e.work.edges_processed = text::parse<std::uint64_t>(val, kCtx, key, 0);
       } else if (key == "vupdates") {
-        e.work.vertex_updates = parse_u64(val, key);
+        e.work.vertex_updates = text::parse<std::uint64_t>(val, kCtx, key, 0);
       } else if (key == "bytes") {
-        e.work.bytes_touched = parse_u64(val, key);
+        e.work.bytes_touched = text::parse<std::uint64_t>(val, kCtx, key, 0);
       } else {
         e.extra[std::string(key)] = std::string(val);
       }

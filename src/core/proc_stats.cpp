@@ -3,7 +3,7 @@
 #include <fcntl.h>
 #include <unistd.h>
 
-#include <cstdio>
+#include "core/text_scan.hpp"
 
 namespace epgs {
 
@@ -12,15 +12,16 @@ std::uint64_t resident_set_bytes() noexcept {
   // governor or the residency metrics.
   const int fd = ::open("/proc/self/statm", O_RDONLY | O_CLOEXEC);
   if (fd < 0) return 0;
-  char buf[128] = {};
-  const ssize_t n = ::pread(fd, buf, sizeof buf - 1, 0);
+  char buf[128];
+  const ssize_t n = ::pread(fd, buf, sizeof buf, 0);
   ::close(fd);
   if (n <= 0) return 0;
-  unsigned long size = 0;
-  unsigned long resident = 0;
-  if (std::sscanf(buf, "%lu %lu", &size, &resident) != 2) return 0;
-  return static_cast<std::uint64_t>(resident) *
-         static_cast<std::uint64_t>(::sysconf(_SC_PAGESIZE));
+  // "<size> <resident> <shared> ...\n", in pages.
+  std::string_view line(buf, static_cast<std::size_t>(n));
+  (void)text::next_token(line);
+  const auto resident = text::try_parse<std::uint64_t>(text::next_token(line));
+  if (!resident) return 0;
+  return *resident * static_cast<std::uint64_t>(::sysconf(_SC_PAGESIZE));
 }
 
 }  // namespace epgs

@@ -1,18 +1,23 @@
-// Shared zero-allocation text scanning for the graph file readers.
+// Shared zero-allocation text scanning, and the program's one numeric
+// parser.
 //
 // Every text format in the pipeline (SNAP, MatrixMarket-like mtx,
 // GraphBIG csv, PowerGraph tsv, Ligra adj) is line-oriented with
 // whitespace- or single-character-delimited numeric fields. This header
-// gives them one tokenizer built on std::from_chars, replacing the
-// per-line istringstream/sscanf readers: no locale, no allocation per
-// token, and malformed numerics raise a typed ParseError instead of
-// silently defaulting the field.
+// gives them one tokenizer built on std::from_chars: no locale, no
+// allocation per token, and malformed numerics raise a typed ParseError
+// instead of silently defaulting the field. try_parse<T>/parse<T> are
+// also the only text-to-number conversion anywhere else in src/: PhaseLog
+// lines, CSV records, the journal, the isolation payload, CLI flags,
+// fault specs, serve requests and the /proc and sysfs readers.
 #pragma once
 
 #include <charconv>
 #include <cstdint>
+#include <optional>
 #include <string>
 #include <string_view>
+#include <type_traits>
 
 #include "core/error.hpp"
 #include "core/types.hpp"
@@ -78,63 +83,53 @@ class LineScanner {
 }
 
 /// `line_no` 0 means the caller has no line context (e.g. one CSV row
-/// handed over on its own); the message then omits it.
-[[noreturn]] inline void fail(std::string_view context, std::string_view what,
-                              std::string_view tok, std::size_t line_no) {
+/// handed over on its own); the message then omits it. Kept out of line
+/// so parse<T>'s success path stays a compare and a branch.
+[[noreturn, gnu::cold, gnu::noinline]] inline void fail(
+    std::string_view context, std::string_view what, std::string_view tok,
+    std::size_t line_no) {
   std::string msg = std::string(context) + ": bad " + std::string(what) +
                     " '" + std::string(tok) + "'";
   if (line_no != 0) msg += " on line " + std::to_string(line_no);
   throw ParseError(msg);
 }
 
-/// Strict unsigned parse: the whole token must be a decimal number.
-[[nodiscard]] inline std::uint64_t parse_u64(std::string_view tok,
-                                             std::string_view context,
-                                             std::string_view what,
-                                             std::size_t line_no) {
-  std::uint64_t v = 0;
-  const auto [ptr, ec] =
-      std::from_chars(tok.data(), tok.data() + tok.size(), v);
-  if (tok.empty() || ec != std::errc{} || ptr != tok.data() + tok.size()) {
-    fail(context, what, tok, line_no);
+/// The one text-to-number conversion in the program. Strict: `tok` must
+/// be non-empty and std::from_chars must consume all of it, so leading
+/// whitespace, '+', "0x" and trailing junk are rejected, a '-' on an
+/// unsigned type is rejected, and an out-of-range value is nullopt.
+/// Floating-point types take from_chars' general grammar (decimal or
+/// exponent form, "nan", "-nan", "inf"); `base` applies to integers only.
+template <class T>
+[[nodiscard]] std::optional<T> try_parse(std::string_view tok,
+                                         int base = 10) noexcept {
+  if (tok.empty()) return std::nullopt;
+  T v{};
+  const char* const end = tok.data() + tok.size();
+  std::from_chars_result r{};
+  if constexpr (std::is_floating_point_v<T>) {
+    r = std::from_chars(tok.data(), end, v);
+  } else {
+    r = std::from_chars(tok.data(), end, v, base);
   }
+  if (r.ec != std::errc{} || r.ptr != end) return std::nullopt;
   return v;
 }
 
-/// Strict signed parse: the whole token must be a decimal number that
-/// fits in an int.
-[[nodiscard]] inline int parse_int(std::string_view tok,
-                                   std::string_view context,
-                                   std::string_view what,
-                                   std::size_t line_no) {
-  int v = 0;
-  const auto [ptr, ec] =
-      std::from_chars(tok.data(), tok.data() + tok.size(), v);
-  if (tok.empty() || ec != std::errc{} || ptr != tok.data() + tok.size()) {
-    fail(context, what, tok, line_no);
-  }
-  return v;
-}
-
-/// Strict floating-point parse (accepts the %g forms our writers emit).
-[[nodiscard]] inline double parse_double(std::string_view tok,
-                                         std::string_view context,
-                                         std::string_view what,
-                                         std::size_t line_no) {
-  double v = 0.0;
-  const auto [ptr, ec] =
-      std::from_chars(tok.data(), tok.data() + tok.size(), v);
-  if (tok.empty() || ec != std::errc{} || ptr != tok.data() + tok.size()) {
-    fail(context, what, tok, line_no);
-  }
-  return v;
+/// try_parse<T> for callers whose bad input is an error: throws
+/// ParseError naming `context`, the field `what`, the token and the line.
+template <class T>
+[[nodiscard]] T parse(std::string_view tok, std::string_view context,
+                      std::string_view what, std::size_t line_no) {
+  if (const std::optional<T> v = try_parse<T>(tok)) [[likely]] return *v;
+  fail(context, what, tok, line_no);
 }
 
 /// Vertex-id parse with the 32-bit range check shared by every reader.
 [[nodiscard]] inline vid_t parse_vid(std::string_view tok,
                                      std::string_view context,
                                      std::size_t line_no) {
-  const std::uint64_t v = parse_u64(tok, context, "vertex id", line_no);
+  const auto v = parse<std::uint64_t>(tok, context, "vertex id", line_no);
   EPGS_CHECK(v <= 0xFFFFFFFEULL, "vertex id exceeds 32-bit range");
   return static_cast<vid_t>(v);
 }

@@ -3,7 +3,6 @@
 #include <cerrno>
 #include <chrono>
 #include <cstdio>
-#include <cstdlib>
 #include <cstring>
 #include <thread>
 
@@ -13,6 +12,7 @@
 #include <unistd.h>
 
 #include "core/error.hpp"
+#include "core/text_scan.hpp"
 
 namespace epgs {
 namespace {
@@ -81,11 +81,14 @@ void CacheLock::release() noexcept {
 pid_t CacheLock::holder_pid(const std::filesystem::path& path) {
   const int fd = ::open(path.c_str(), O_RDONLY | O_CLOEXEC);
   if (fd < 0) return 0;
-  char buf[32] = {};
-  const ssize_t n = ::read(fd, buf, sizeof buf - 1);
+  char buf[32];
+  const ssize_t n = ::read(fd, buf, sizeof buf);
   ::close(fd);
   if (n <= 0) return 0;
-  return static_cast<pid_t>(std::atol(buf));
+  // "<pid>\n"; anything else (a torn or foreign write) reads as 0.
+  const std::string_view content(buf, static_cast<std::size_t>(n));
+  return text::try_parse<pid_t>(content.substr(0, content.find('\n')))
+      .value_or(0);
 }
 
 bool CacheLock::holder_alive(const std::filesystem::path& path) {

@@ -76,9 +76,11 @@ std::optional<Meta> parse_meta(const std::filesystem::path& p) {
       } else if (key == "name") {
         m.name = std::string(rest);
       } else if (key == "nv") {
-        m.nv = text::parse_u64(rest, "cache meta", "nv", lines.line_no());
+        m.nv = text::parse<std::uint64_t>(rest, "cache meta", "nv",
+                                          lines.line_no());
       } else if (key == "ne") {
-        m.ne = text::parse_u64(rest, "cache meta", "ne", lines.line_no());
+        m.ne = text::parse<std::uint64_t>(rest, "cache meta", "ne",
+                                          lines.line_no());
       } else if (key == "weighted") {
         m.weighted = rest == "1";
       } else if (key == "directed") {

@@ -249,25 +249,25 @@ EdgeList read_graphmat_mtx(const std::filesystem::path& p) {
       continue;
     }
     if (!header_seen) {
-      const auto rows = text::parse_u64(first, kCtx, "row count",
-                                        lines.line_no());
-      const auto cols = text::parse_u64(text::next_token(rest), kCtx,
-                                        "column count", lines.line_no());
-      declared_edges = text::parse_u64(text::next_token(rest), kCtx,
-                                       "edge count", lines.line_no());
+      const auto rows = text::parse<std::uint64_t>(first, kCtx, "row count",
+                                                   lines.line_no());
+      const auto cols = text::parse<std::uint64_t>(
+          text::next_token(rest), kCtx, "column count", lines.line_no());
+      declared_edges = text::parse<std::uint64_t>(
+          text::next_token(rest), kCtx, "edge count", lines.line_no());
       EPGS_CHECK(rows == cols, "GraphMat mtx: non-square matrix");
       el.num_vertices = static_cast<vid_t>(rows);
       header_seen = true;
       continue;
     }
-    const std::uint64_t r = text::parse_u64(first, kCtx, "row index",
-                                            lines.line_no());
-    const std::uint64_t c = text::parse_u64(text::next_token(rest), kCtx,
-                                            "column index", lines.line_no());
+    const auto r = text::parse<std::uint64_t>(first, kCtx, "row index",
+                                              lines.line_no());
+    const auto c = text::parse<std::uint64_t>(
+        text::next_token(rest), kCtx, "column index", lines.line_no());
     double w = 1.0;
     if (weighted) {
-      w = text::parse_double(text::next_token(rest), kCtx, "weight",
-                             lines.line_no());
+      w = text::parse<double>(text::next_token(rest), kCtx, "weight",
+                              lines.line_no());
     }
     EPGS_CHECK(r >= 1 && c >= 1, "GraphMat mtx: ids are 1-indexed");
     el.edges.push_back(Edge{static_cast<vid_t>(r - 1),
@@ -328,7 +328,7 @@ EdgeList read_graphbig_csv(const std::filesystem::path& dir) {
       e.dst = text::parse_vid(text::next_field(rest, ','), kCtx,
                               lines.line_no());
       if (el.weighted) {
-        e.w = static_cast<weight_t>(text::parse_double(
+        e.w = static_cast<weight_t>(text::parse<double>(
             text::next_field(rest, ','), kCtx, "weight", lines.line_no()));
       } else {
         e.w = 1.0f;
@@ -367,7 +367,7 @@ EdgeList read_powergraph_tsv(const std::filesystem::path& p) {
     if (line.front() == '#') {
       std::string_view rest = line;
       if (text::next_field(rest, '\t') == "#nv") {
-        el.num_vertices = static_cast<vid_t>(text::parse_u64(
+        el.num_vertices = static_cast<vid_t>(text::parse<std::uint64_t>(
             text::next_field(rest, '\t'), kCtx, "vertex count",
             lines.line_no()));
       }
@@ -380,7 +380,7 @@ EdgeList read_powergraph_tsv(const std::filesystem::path& p) {
     e.dst = text::parse_vid(text::next_field(rest, '\t'), kCtx,
                             lines.line_no());
     if (!rest.empty()) {
-      e.w = static_cast<weight_t>(text::parse_double(
+      e.w = static_cast<weight_t>(text::parse<double>(
           text::next_field(rest, '\t'), kCtx, "weight", lines.line_no()));
       saw_weight = true;
     } else {
@@ -425,14 +425,15 @@ EdgeList read_ligra_adj(const std::filesystem::path& p) {
   const bool weighted = header == "WeightedAdjacencyGraph";
   EPGS_CHECK(weighted || header == "AdjacencyGraph",
              "Ligra adj: bad header in " + p.string());
-  const std::uint64_t n =
-      text::parse_u64(toks.next(), kCtx, "vertex count", toks.line_no());
-  const std::uint64_t m =
-      text::parse_u64(toks.next(), kCtx, "edge count", toks.line_no());
+  const auto n = text::parse<std::uint64_t>(toks.next(), kCtx,
+                                            "vertex count", toks.line_no());
+  const auto m = text::parse<std::uint64_t>(toks.next(), kCtx, "edge count",
+                                            toks.line_no());
 
   std::vector<eid_t> offsets(n + 1, m);
   for (std::uint64_t v = 0; v < n; ++v) {
-    offsets[v] = text::parse_u64(toks.next(), kCtx, "offset", toks.line_no());
+    offsets[v] = text::parse<std::uint64_t>(toks.next(), kCtx, "offset",
+                                            toks.line_no());
   }
   std::vector<vid_t> targets(m);
   for (std::uint64_t e = 0; e < m; ++e) {
@@ -443,7 +444,7 @@ EdgeList read_ligra_adj(const std::filesystem::path& p) {
     weights.resize(m);
     for (std::uint64_t e = 0; e < m; ++e) {
       weights[e] = static_cast<weight_t>(
-          text::parse_double(toks.next(), kCtx, "weight", toks.line_no()));
+          text::parse<double>(toks.next(), kCtx, "weight", toks.line_no()));
     }
   }
 

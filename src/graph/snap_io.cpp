@@ -1,6 +1,5 @@
 #include "graph/snap_io.hpp"
 
-#include <charconv>
 #include <ostream>
 
 #include "core/error.hpp"
@@ -26,18 +25,14 @@ EdgeList parse_snap(std::string_view text) {
     }
     if (peek.empty() || peek.front() == '#') {
       // Honour the conventional "# Nodes: N ..." header so isolated
-      // trailing vertices survive a round trip.
+      // trailing vertices survive a round trip. It is a hint: a malformed
+      // count is ignored.
       const auto pos = peek.find("Nodes:");
       if (pos != std::string_view::npos) {
         std::string_view rest = peek.substr(pos + 6);
-        while (!rest.empty() && text::is_space(rest.front())) {
-          rest.remove_prefix(1);
-        }
-        std::uint64_t n = 0;
-        auto [p, ec] =
-            std::from_chars(rest.data(), rest.data() + rest.size(), n);
-        if (ec == std::errc{} && n > 0 && n <= 0xFFFFFFFFULL) {
-          el.ensure_vertex(static_cast<vid_t>(n - 1));
+        const auto n = text::try_parse<std::uint64_t>(text::next_token(rest));
+        if (n && *n > 0 && *n <= 0xFFFFFFFFULL) {
+          el.ensure_vertex(static_cast<vid_t>(*n - 1));
         }
       }
       continue;
@@ -56,7 +51,7 @@ EdgeList parse_snap(std::string_view text) {
     const std::string_view t3 = text::next_token(line);
     if (!t3.empty()) {
       e.w = static_cast<weight_t>(
-          text::parse_double(t3, "SNAP parse", "weight", lines.line_no()));
+          text::parse<double>(t3, "SNAP parse", "weight", lines.line_no()));
       saw_weight = true;
     } else {
       e.w = 1.0f;

@@ -1,14 +1,16 @@
 #include "harness/chaos/schedule.hpp"
 
 #include <algorithm>
-#include <charconv>
 #include <sstream>
 
 #include "core/error.hpp"
 #include "core/rng.hpp"
+#include "core/text_scan.hpp"
 
 namespace epgs::harness::chaos {
 namespace {
+
+constexpr std::string_view kCtx = "chaos spec";
 
 struct KindName {
   EventKind kind;
@@ -31,19 +33,6 @@ constexpr KindName kKindNames[] = {
 /// The plan families the injector can hold simultaneously; a round arms
 /// at most one event per family.
 enum class Family { kPhase, kKillCkpt, kKillPublish, kFs };
-
-/// Strict whole-string integer parse; a chaos spec is user input, so
-/// "3x" must be a typed error, not atoi's silent 3.
-template <typename T>
-T parse_num(std::string_view field, std::string_view text) {
-  T value{};
-  const auto [ptr, ec] =
-      std::from_chars(text.data(), text.data() + text.size(), value);
-  EPGS_CHECK(ec == std::errc() && ptr == text.data() + text.size(),
-             "chaos spec: bad " + std::string(field) + " value '" +
-                 std::string(text) + "'");
-  return value;
-}
 
 /// Split on '|' keeping empty fields (system/phase/path may be empty).
 std::vector<std::string> split_fields(std::string_view line) {
@@ -207,10 +196,10 @@ ChaosSchedule parse_spec(const std::string& text) {
   while (std::getline(is, line)) {
     if (line.empty()) continue;
     if (line.rfind("seed ", 0) == 0) {
-      s.seed = parse_num<std::uint64_t>("seed", line.substr(5));
+      s.seed = text::parse<std::uint64_t>(line.substr(5), kCtx, "seed", 0);
       saw_seed = true;
     } else if (line.rfind("rounds ", 0) == 0) {
-      s.rounds = parse_num<int>("rounds", line.substr(7));
+      s.rounds = text::parse<int>(line.substr(7), kCtx, "rounds", 0);
       saw_rounds = true;
     } else if (line.rfind("event ", 0) == 0) {
       const auto f = split_fields(line.substr(6));
@@ -218,16 +207,16 @@ ChaosSchedule parse_spec(const std::string& text) {
                                      std::to_string(f.size()) +
                                      " fields, expected 10");
       ChaosEvent e;
-      e.round = parse_num<int>("round", f[0]);
+      e.round = text::parse<int>(f[0], kCtx, "round", 0);
       e.kind = event_kind_from_name(f[1]);
       e.system = f[2];
       e.phase = f[3];
-      e.at = parse_num<int>("at", f[4]);
-      e.fires = parse_num<int>("fires", f[5]);
+      e.at = text::parse<int>(f[4], kCtx, "at", 0);
+      e.fires = text::parse<int>(f[5], kCtx, "fires", 0);
       e.fs_op = fsx::op_from_name(f[6]);
-      e.fs_errno = parse_num<int>("errno", f[7]);
+      e.fs_errno = text::parse<int>(f[7], kCtx, "errno", 0);
       e.path_substr = f[8];
-      const int once = parse_num<int>("once", f[9]);
+      const int once = text::parse<int>(f[9], kCtx, "once", 0);
       EPGS_CHECK(once == 0 || once == 1,
                  "chaos spec: once must be 0 or 1, got '" + f[9] + "'");
       e.once = once == 1;

@@ -22,12 +22,9 @@ const CsvRow& csv_header() {
 }
 
 // Seconds and the work counters read an empty field as 0.
-double parse_double_field(const std::string& s, std::string_view col) {
-  return s.empty() ? 0.0 : text::parse_double(s, kCtx, col, 0);
-}
-
-std::uint64_t parse_u64_field(const std::string& s, std::string_view col) {
-  return s.empty() ? 0 : text::parse_u64(s, kCtx, col, 0);
+template <class T>
+T parse_or_zero(const std::string& s, std::string_view col) {
+  return s.empty() ? T{} : text::parse<T>(s, kCtx, col, 0);
 }
 
 }  // namespace
@@ -52,7 +49,10 @@ std::vector<double> ExperimentResult::iterations_of(
     if (r.outcome != Outcome::kSuccess) continue;
     if (r.system != system || r.algorithm != algorithm) continue;
     const auto it = r.extra.find("iterations");
-    if (it != r.extra.end()) out.push_back(std::stod(it->second));
+    if (it != r.extra.end()) {
+      out.push_back(
+          text::parse<double>(it->second, "RunRecord", "iterations", 0));
+    }
   }
   return out;
 }
@@ -88,13 +88,13 @@ RunRecord record_from_csv_row(const CsvRow& row) {
   r.dataset = row[0];
   r.system = row[1];
   r.algorithm = row[2];
-  r.threads = text::parse_int(row[3], kCtx, "threads", 0);
-  r.trial = text::parse_int(row[4], kCtx, "trial", 0);
+  r.threads = text::parse<int>(row[3], kCtx, "threads", 0);
+  r.trial = text::parse<int>(row[4], kCtx, "trial", 0);
   r.phase = row[5];
-  r.seconds = parse_double_field(row[6], "seconds");
-  r.work.edges_processed = parse_u64_field(row[7], "edges");
-  r.work.vertex_updates = parse_u64_field(row[8], "vupdates");
-  r.work.bytes_touched = parse_u64_field(row[9], "bytes");
+  r.seconds = parse_or_zero<double>(row[6], "seconds");
+  r.work.edges_processed = parse_or_zero<std::uint64_t>(row[7], "edges");
+  r.work.vertex_updates = parse_or_zero<std::uint64_t>(row[8], "vupdates");
+  r.work.bytes_touched = parse_or_zero<std::uint64_t>(row[9], "bytes");
   if (!row[10].empty()) r.extra["iterations"] = row[10];
   r.outcome = outcome_from_name(row[11]);
   if (!row[12].empty()) r.extra["attempts"] = row[12];

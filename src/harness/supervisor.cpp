@@ -13,7 +13,6 @@
 #include <condition_variable>
 #include <csignal>
 #include <cstdio>
-#include <cstdlib>
 #include <fstream>
 #include <mutex>
 #include <optional>
@@ -24,6 +23,7 @@
 #include "core/csv.hpp"
 #include "core/parallel.hpp"
 #include "core/proc_stats.hpp"
+#include "core/text_scan.hpp"
 #include "core/timer.hpp"
 
 namespace epgs::harness {
@@ -240,6 +240,7 @@ constexpr std::string_view kPayloadResumed = "resumed ";
 // A record with an empty timeline emits none.
 constexpr std::string_view kPayloadTimeline = "tl ";
 constexpr std::string_view kPayloadRecords = "records";
+constexpr std::string_view kPayloadCtx = "isolated child payload";
 
 void write_all(int fd, std::string_view data) {
   while (!data.empty()) {
@@ -319,9 +320,11 @@ TrialReport parse_child_payload(const std::string& payload) {
                  payload.compare(line_start, kPayloadResumed.size(),
                                  kPayloadResumed) == 0,
              "isolated child payload: missing resumed line");
-  r.resumed_from_iter =
-      std::stoll(payload.substr(line_start + kPayloadResumed.size(),
-                                pos - line_start - kPayloadResumed.size()));
+  const std::string_view view = payload;
+  r.resumed_from_iter = text::parse<std::int64_t>(
+      view.substr(line_start + kPayloadResumed.size(),
+                  pos - line_start - kPayloadResumed.size()),
+      kPayloadCtx, "resumed", 0);
   line_start = pos + 1;
 
   // Zero or more "tl ..." telemetry lines: a record with an empty
@@ -332,22 +335,23 @@ TrialReport parse_child_payload(const std::string& payload) {
     pos = payload.find('\n', line_start);
     EPGS_CHECK(pos != std::string::npos,
                "isolated child payload: torn timeline line");
-    std::istringstream is(payload.substr(
+    // A kernel without a residual writes it as "nan" or "-nan".
+    std::string_view tl = view.substr(
         line_start + kPayloadTimeline.size(),
-        pos - line_start - kPayloadTimeline.size()));
-    std::size_t idx = 0;
+        pos - line_start - kPayloadTimeline.size());
+    const auto idx = text::parse<std::size_t>(text::next_token(tl),
+                                              kPayloadCtx, "tl record", 0);
     IterRecord row;
-    std::string residual_tok;
-    is >> idx >> row.iter >> row.seconds >> row.frontier >> row.edges >>
-        residual_tok;
-    EPGS_CHECK(!is.fail(), "isolated child payload: bad timeline line");
-    // istream's num_get grammar rejects "nan" (the no-residual marker);
-    // strtod accepts it alongside ordinary doubles.
-    char* tok_end = nullptr;
-    row.residual = std::strtod(residual_tok.c_str(), &tok_end);
-    EPGS_CHECK(!residual_tok.empty() &&
-                   tok_end == residual_tok.c_str() + residual_tok.size(),
-               "isolated child payload: bad timeline residual");
+    row.iter = text::parse<std::uint64_t>(text::next_token(tl), kPayloadCtx,
+                                          "tl iter", 0);
+    row.seconds = text::parse<double>(text::next_token(tl), kPayloadCtx,
+                                      "tl seconds", 0);
+    row.frontier = text::parse<std::uint64_t>(text::next_token(tl),
+                                              kPayloadCtx, "tl frontier", 0);
+    row.edges = text::parse<std::uint64_t>(text::next_token(tl), kPayloadCtx,
+                                           "tl edges", 0);
+    row.residual = text::parse<double>(text::next_token(tl), kPayloadCtx,
+                                       "tl residual", 0);
     timeline_rows.emplace_back(idx, row);
     line_start = pos + 1;
   }
@@ -609,6 +613,7 @@ TrialReport supervise_unit(const UnitFn& fn, const SupervisorOptions& opts,
 
 namespace {
 constexpr std::string_view kJournalMagic = "epgs-journal-v1";
+constexpr std::string_view kJournalCtx = "journal";
 }  // namespace
 
 Journal::~Journal() { close(); }
@@ -714,7 +719,7 @@ std::vector<JournalEntry> replay_journal(const std::string& path,
     if (line.rfind("unit ", 0) != 0) break;  // torn or foreign: stop here
     // unit <key>|<outcome>|<attempts>|<nrec> — key may itself contain '|',
     // so split from the right.
-    const std::string body = line.substr(5);
+    const std::string_view body = std::string_view(line).substr(5);
     const std::size_t p3 = body.rfind('|');
     if (p3 == std::string::npos) break;
     const std::size_t p2 = body.rfind('|', p3 - 1);
@@ -725,10 +730,12 @@ std::vector<JournalEntry> replay_journal(const std::string& path,
     JournalEntry e;
     std::size_t nrec = 0;
     try {
-      e.key = body.substr(0, p1);
+      e.key = std::string(body.substr(0, p1));
       e.outcome = outcome_from_name(body.substr(p1 + 1, p2 - p1 - 1));
-      e.attempts = std::stoi(body.substr(p2 + 1, p3 - p2 - 1));
-      nrec = std::stoul(body.substr(p3 + 1));
+      e.attempts = text::parse<int>(body.substr(p2 + 1, p3 - p2 - 1),
+                                    kJournalCtx, "attempts", 0);
+      nrec = text::parse<std::size_t>(body.substr(p3 + 1), kJournalCtx,
+                                      "record count", 0);
     } catch (const std::exception&) {
       break;
     }
@@ -764,15 +771,17 @@ std::vector<JournalEntry> replay_journal(const std::string& path,
     }
     // end <attempts>|<last_failure>|<resumed_from_iter>
     if (line.rfind("end ", 0) != 0) break;
-    const std::string tail = line.substr(4);
+    const std::string_view tail = std::string_view(line).substr(4);
     const std::size_t q1 = tail.find('|');
     const std::size_t q2 =
         q1 == std::string::npos ? std::string::npos : tail.find('|', q1 + 1);
     if (q2 == std::string::npos) break;
     try {
-      e.attempts = std::stoi(tail.substr(0, q1));
+      e.attempts = text::parse<int>(tail.substr(0, q1), kJournalCtx,
+                                    "attempts", 0);
       e.last_failure = outcome_from_name(tail.substr(q1 + 1, q2 - q1 - 1));
-      e.resumed_from_iter = std::stoll(tail.substr(q2 + 1));
+      e.resumed_from_iter = text::parse<std::int64_t>(
+          tail.substr(q2 + 1), kJournalCtx, "resumed_from_iter", 0);
     } catch (const std::exception&) {
       break;
     }

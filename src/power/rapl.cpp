@@ -6,6 +6,7 @@
 #include <fstream>
 
 #include "core/error.hpp"
+#include "core/text_scan.hpp"
 
 namespace epgs::power {
 namespace {
@@ -20,11 +21,10 @@ double now_seconds() {
 /// failure.
 double read_energy_uj(const std::string& path) {
   std::ifstream in(path);
-  if (!in.good()) return -1.0;
-  long long uj = -1;
-  in >> uj;
-  if (!in.good() || uj < 0) return -1.0;
-  return static_cast<double>(uj) * 1e-6;
+  std::string line;
+  if (!std::getline(in, line)) return -1.0;
+  const auto uj = text::try_parse<std::uint64_t>(line);
+  return uj ? static_cast<double>(*uj) * 1e-6 : -1.0;
 }
 
 struct RaplZones {

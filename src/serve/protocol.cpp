@@ -5,11 +5,12 @@
 #include <unistd.h>
 
 #include <cerrno>
-#include <charconv>
 #include <cstring>
 #include <map>
 #include <sstream>
 #include <vector>
+
+#include "core/text_scan.hpp"
 
 namespace epgs::serve {
 namespace {
@@ -19,7 +20,7 @@ constexpr std::size_t kLenDigits = 8;
 constexpr std::size_t kHeaderBytes = 4 + kLenDigits;
 
 /// Strict hex parse of exactly `s.size()` digits. Canonical lowercase
-/// only (from_chars would accept "0000000A", but a sender emitting
+/// only (try_parse would accept "0000000A", but a sender emitting
 /// uppercase framed the request with different code than ours — reject
 /// rather than guess at the rest of its dialect).
 std::optional<std::uint64_t> parse_hex(std::string_view s) {
@@ -27,32 +28,7 @@ std::optional<std::uint64_t> parse_hex(std::string_view s) {
     const bool lower_hex = (c >= '0' && c <= '9') || (c >= 'a' && c <= 'f');
     if (!lower_hex) return std::nullopt;
   }
-  std::uint64_t v = 0;
-  const auto [ptr, ec] =
-      std::from_chars(s.data(), s.data() + s.size(), v, 16);
-  if (ec != std::errc{} || ptr != s.data() + s.size()) return std::nullopt;
-  return v;
-}
-
-template <typename T>
-T parse_num(std::string_view key, std::string_view s) {
-  T v{};
-  const auto [ptr, ec] = std::from_chars(s.data(), s.data() + s.size(), v);
-  if (ec != std::errc{} || ptr != s.data() + s.size()) {
-    throw ProtocolError("bad value for '" + std::string(key) + "': '" +
-                        std::string(s) + "'");
-  }
-  return v;
-}
-
-double parse_double_field(std::string_view key, std::string_view s) {
-  double v = 0.0;
-  const auto [ptr, ec] = std::from_chars(s.data(), s.data() + s.size(), v);
-  if (ec != std::errc{} || ptr != s.data() + s.size()) {
-    throw ProtocolError("bad value for '" + std::string(key) + "': '" +
-                        std::string(s) + "'");
-  }
-  return v;
+  return text::try_parse<std::uint64_t>(s, 16);
 }
 
 bool parse_bool_field(std::string_view key, std::string_view s) {
@@ -153,9 +129,8 @@ Request parse_request(std::string_view payload) {
   if (payload.find('\n') != std::string_view::npos) {
     throw ProtocolError("request payload must be a single line");
   }
-  std::istringstream in{std::string(payload)};
-  std::string verb;
-  in >> verb;
+  std::string_view rest = payload;
+  const std::string verb(text::next_token(rest));
   Request req;
   if (verb == "ping") {
     req.verb = Verb::kPing;
@@ -170,13 +145,14 @@ Request parse_request(std::string_view payload) {
   }
 
   std::map<std::string, std::string> kv;
-  std::string tok;
-  while (in >> tok) {
+  for (std::string_view tok = text::next_token(rest); !tok.empty();
+       tok = text::next_token(rest)) {
     const auto eq = tok.find('=');
-    if (eq == std::string::npos || eq == 0) {
-      throw ProtocolError("expected key=value, got '" + tok + "'");
+    if (eq == std::string_view::npos || eq == 0) {
+      throw ProtocolError("expected key=value, got '" + std::string(tok) +
+                          "'");
     }
-    const std::string key = tok.substr(0, eq);
+    const std::string key(tok.substr(0, eq));
     if (!kv.emplace(key, tok.substr(eq + 1)).second) {
       throw ProtocolError("duplicate key '" + key + "'");
     }
@@ -190,57 +166,63 @@ Request parse_request(std::string_view payload) {
 
   bool have_system = false;
   bool have_algorithm = false;
-  for (const auto& [key, val] : kv) {
-    if (key == "system") {
-      req.system = val;
-      have_system = true;
-    } else if (key == "algorithm") {
-      try {
+  // A bad algorithm name or number is a request-level error: rethrown as
+  // ProtocolError, the server replies and keeps the connection (a plain
+  // EpgsError would drop it).
+  try {
+    for (const auto& [key, val] : kv) {
+      if (key == "system") {
+        req.system = val;
+        have_system = true;
+      } else if (key == "algorithm") {
         req.algorithm = harness::algorithm_from_name(val);
-      } catch (const EpgsError& e) {
-        throw ProtocolError(e.what());
-      }
-      have_algorithm = true;
-    } else if (key == "roots") {
-      req.roots = parse_num<int>(key, val);
-    } else if (key == "threads") {
-      req.threads = parse_num<int>(key, val);
-    } else if (key == "deadline_ms") {
-      req.deadline_ms = parse_num<std::int64_t>(key, val);
-    } else if (key == "kind") {
-      using Kind = harness::GraphSpec::Kind;
-      if (val == "kron") {
-        req.graph.kind = Kind::kKronecker;
-      } else if (val == "patents") {
-        req.graph.kind = Kind::kPatentsLike;
-      } else if (val == "dota") {
-        req.graph.kind = Kind::kDotaLike;
-      } else if (val == "snap") {
-        req.graph.kind = Kind::kSnapFile;
+        have_algorithm = true;
+      } else if (key == "roots") {
+        req.roots = text::parse<int>(val, "request", key, 0);
+      } else if (key == "threads") {
+        req.threads = text::parse<int>(val, "request", key, 0);
+      } else if (key == "deadline_ms") {
+        req.deadline_ms = text::parse<std::int64_t>(val, "request", key, 0);
+      } else if (key == "kind") {
+        using Kind = harness::GraphSpec::Kind;
+        if (val == "kron") {
+          req.graph.kind = Kind::kKronecker;
+        } else if (val == "patents") {
+          req.graph.kind = Kind::kPatentsLike;
+        } else if (val == "dota") {
+          req.graph.kind = Kind::kDotaLike;
+        } else if (val == "snap") {
+          req.graph.kind = Kind::kSnapFile;
+        } else {
+          throw ProtocolError("unknown kind '" + val + "'");
+        }
+      } else if (key == "graph") {
+        req.graph.path = val;
+      } else if (key == "scale") {
+        req.graph.scale = text::parse<int>(val, "request", key, 0);
+      } else if (key == "edgefactor") {
+        req.graph.edgefactor = text::parse<int>(val, "request", key, 0);
+      } else if (key == "fraction") {
+        req.graph.fraction = text::parse<double>(val, "request", key, 0);
+      } else if (key == "seed") {
+        req.graph.seed = text::parse<std::uint64_t>(val, "request", key, 0);
+      } else if (key == "symmetrize") {
+        req.graph.symmetrize = parse_bool_field(key, val);
+      } else if (key == "dedupe") {
+        req.graph.deduplicate = parse_bool_field(key, val);
+      } else if (key == "weights") {
+        req.graph.add_weights = parse_bool_field(key, val);
+      } else if (key == "max_weight") {
+        req.graph.max_weight =
+            text::parse<std::uint32_t>(val, "request", key, 0);
       } else {
-        throw ProtocolError("unknown kind '" + val + "'");
+        throw ProtocolError("unknown key '" + key + "'");
       }
-    } else if (key == "graph") {
-      req.graph.path = val;
-    } else if (key == "scale") {
-      req.graph.scale = parse_num<int>(key, val);
-    } else if (key == "edgefactor") {
-      req.graph.edgefactor = parse_num<int>(key, val);
-    } else if (key == "fraction") {
-      req.graph.fraction = parse_double_field(key, val);
-    } else if (key == "seed") {
-      req.graph.seed = parse_num<std::uint64_t>(key, val);
-    } else if (key == "symmetrize") {
-      req.graph.symmetrize = parse_bool_field(key, val);
-    } else if (key == "dedupe") {
-      req.graph.deduplicate = parse_bool_field(key, val);
-    } else if (key == "weights") {
-      req.graph.add_weights = parse_bool_field(key, val);
-    } else if (key == "max_weight") {
-      req.graph.max_weight = parse_num<std::uint32_t>(key, val);
-    } else {
-      throw ProtocolError("unknown key '" + key + "'");
     }
+  } catch (const ProtocolError&) {
+    throw;
+  } catch (const EpgsError& e) {
+    throw ProtocolError(e.what());
   }
   if (!have_system) throw ProtocolError("run requires system=<name>");
   if (!have_algorithm) {

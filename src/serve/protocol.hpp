@@ -24,9 +24,9 @@
 // (malformed frame or request), `overloaded` (admission control rejected
 // the request), `deadline` (deadline_ms expired), `config` (valid frame,
 // unrunnable spec), `shutdown` (server stopping), `internal`. Parsers are
-// strict in the fs_shim tradition: every field goes through from_chars
-// and an unknown key, verb, or garbage value is a typed ProtocolError,
-// never a silently defaulted field.
+// strict: every number goes through text::try_parse/parse and an unknown
+// key, verb, or garbage value is a typed ProtocolError, never a silently
+// defaulted field.
 #pragma once
 
 #include <cstdint>

@@ -10,6 +10,7 @@
 #include <unistd.h>
 
 #include <csignal>
+#include <cstdlib>
 #include <cstring>
 #include <filesystem>
 #include <fstream>
@@ -446,6 +447,18 @@ TEST_F(KillResume, CancelWithoutSessionStillJustCancels) {
   fault::arm_cancel_at_iteration({"GAP", 2});
   EXPECT_THROW((void)sys->pagerank(), CancelledError);
   fault::disarm_cancel_at_iteration();
+}
+
+TEST(KillSpec, EnvSpecRejectsMalformedIteration) {
+  // EPGS_KILL_AT_CKPT=[system:]iteration: "-1" must not wrap to 2^64-1.
+  for (const char* spec : {"GAP:-1", "GAP:3x", "GAP:+3", "GAP: 3", "GAP:"}) {
+    ::setenv("EPGS_KILL_AT_CKPT", spec, 1);
+    EXPECT_THROW(fault::arm_kill_from_env(), EpgsError) << spec;
+  }
+  ::setenv("EPGS_KILL_AT_CKPT", "GAP:3", 1);
+  EXPECT_NO_THROW(fault::arm_kill_from_env());
+  fault::disarm_kill_at_checkpoint();
+  ::unsetenv("EPGS_KILL_AT_CKPT");
 }
 
 // --- supervised retry from a snapshot ------------------------------------

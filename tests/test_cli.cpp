@@ -56,8 +56,16 @@ TEST(CliArgs, ParseOptionsFlagsPositional) {
 
 TEST(CliArgs, TypedGettersValidate) {
   const auto args = Args::parse({"--scale", "abc", "--frac", "0.5"});
-  EXPECT_THROW(args.get_int("scale", 0), EpgsError);
+  EXPECT_THROW((void)args.get_int("scale", 0), EpgsError);
   EXPECT_DOUBLE_EQ(args.get_double("frac", 0.0), 0.5);
+  // A negative unsigned value, a '+' sign, leading whitespace and a hex
+  // float are rejected, not wrapped or skipped.
+  const auto lenient = Args::parse({"--seed", "-1", "--scale", "+4",
+                                    "--roots", " 4", "--frac", "0x1p-3"});
+  EXPECT_THROW((void)lenient.get_u64("seed", 0), EpgsError);
+  EXPECT_THROW((void)lenient.get_int("scale", 0), EpgsError);
+  EXPECT_THROW((void)lenient.get_int("roots", 0), EpgsError);
+  EXPECT_THROW((void)lenient.get_double("frac", 0.0), EpgsError);
   EXPECT_EQ(args.get_int("missing", 7), 7);
   EXPECT_THROW(args.expect_known({"scale"}), EpgsError);
   EXPECT_NO_THROW(args.expect_known({"scale", "frac"}));

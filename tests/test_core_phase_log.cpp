@@ -98,6 +98,12 @@ TEST(PhaseLog, ParseRejectsMalformedLines) {
                std::runtime_error);
   EXPECT_THROW(PhaseLog::parse_log_text("# attr without equals\n"),
                std::runtime_error);
+  // Trailing junk on a number is an error, not its numeric prefix.
+  EXPECT_THROW(PhaseLog::parse_log_text("* phase: 1.5x sec\n"),
+               std::runtime_error);
+  EXPECT_THROW(
+      PhaseLog::parse_log_text("* phase: 1.0 sec\n@ iter=1 sec=1x\n"),
+      std::runtime_error);
 }
 
 TEST(PhaseLog, ClearResets) {

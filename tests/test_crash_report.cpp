@@ -125,6 +125,25 @@ TEST_F(CrashReportDir, MissingEmptyAndGarbageFilesParseToNullopt) {
   EXPECT_FALSE(read_report(garbage).has_value());
 }
 
+TEST_F(CrashReportDir, ReportNumbersParseStrictlyOrKeepDefaults) {
+  const auto path = report("hand.crash");
+  std::ofstream(path) << "epgs-crash-v1\nsignal 11 SIGSEGV\ncode 7x\n"
+                      << "errno 5\niteration 12\n";
+  const auto r = read_report(path);
+  ASSERT_TRUE(r.has_value());
+  EXPECT_EQ(r->signal, 11) << "the number is the line's first token";
+  EXPECT_EQ(r->signal_name, "SIGSEGV");
+  EXPECT_EQ(r->si_code, 0) << "a malformed field keeps its default";
+  EXPECT_EQ(r->saved_errno, 5);
+  EXPECT_EQ(r->iteration, 12);
+
+  std::ofstream(path) << "epgs-crash-v1\nsignal x11\niteration 3x\n";
+  const auto junk = read_report(path);
+  ASSERT_TRUE(junk.has_value());
+  EXPECT_EQ(junk->signal, 0);
+  EXPECT_EQ(junk->iteration, -1);
+}
+
 TEST_F(CrashReportDir, ArmFailureLeavesProcessDisarmedNotBroken) {
   // Forensics must never turn an unopenable report path into a trial
   // failure: arm() reports false and the process stays disarmed.

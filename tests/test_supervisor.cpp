@@ -475,6 +475,28 @@ TEST_F(SupervisorDir, ReplayDropsBareEndGroupAsTornTail) {
   EXPECT_EQ(entries[0].key, "GAP|BFS|0");
 }
 
+TEST_F(SupervisorDir, ReplayTreatsNumericJunkAsTornTail) {
+  // A number with trailing junk is a torn field, not its numeric prefix:
+  // replay stops at the first such group, in the unit line or the end
+  // line, and keeps only the groups before it.
+  const std::string good = "unit GAP|BFS|0|success|1|0\nend 1|success|-1\n";
+  const std::string after = "unit GAP|BFS|2|success|1|0\nend 1|success|-1\n";
+  const std::string torn[] = {
+      "unit GAP|BFS|1|success|3x|1\nend 3|success|-1\n",
+      "unit GAP|BFS|1|success|1|0x\nend 1|success|-1\n",
+      "unit GAP|BFS|1|success|2|0\nend 2x|success|-1\n",
+      "unit GAP|BFS|1|success|2|0\nend 2|success|-1x\n",
+  };
+  for (const std::string& bad : torn) {
+    SCOPED_TRACE(bad);
+    std::ofstream(journal_path())
+        << "epgs-journal-v1\nconfig fp\n" << good << bad << after;
+    const auto entries = replay_journal(journal_path(), "fp");
+    ASSERT_EQ(entries.size(), 1u);
+    EXPECT_EQ(entries[0].key, "GAP|BFS|0");
+  }
+}
+
 TEST_F(SupervisorDir, ReplaySkipsCheckpointBreadcrumbs) {
   Journal j;
   j.open_fresh(journal_path(), "fp");
