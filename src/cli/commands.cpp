@@ -12,6 +12,7 @@
 #include <unistd.h>
 
 #include "core/error.hpp"
+#include "core/fs_shim.hpp"
 #include "core/stats.hpp"
 #include "graph/homogenizer.hpp"
 #include "graph/snap_io.hpp"
@@ -63,35 +64,37 @@ harness::GraphSpec spec_from_args(const Args& args) {
   return spec;
 }
 
-std::ofstream open_out_file(const std::string& path) {
-  std::ofstream f(path, std::ios::binary);
-  EPGS_CHECK(f.good(), "cannot open " + path + " for writing");
-  return f;
+/// Write `text` to `path` through the fs shim: a failed open or write
+/// (a full disk included) throws an error naming the file, so the
+/// command exits 1 instead of reporting a truncated file as written.
+void write_out_file(const std::string& path, std::string_view text) {
+  fsx::OutStream f(path);
+  f << text;
+  f.close();
 }
 
 /// SIGINT/SIGTERM during `epg run`: the first signal requests a graceful
-/// stop (the interrupt watcher cancels the in-flight unit, whose final
-/// checkpoint keeps it resumable; finished units flush to journal + CSV);
+/// stop (the in-flight unit's token reads the flag at its next poll, and
+/// its final checkpoint keeps it resumable; finished units flush to
+/// journal + CSV);
 /// a second signal hard-exits with the conventional 128+sig status.
 /// Async-signal-safe: one atomic load/store and _exit, nothing else.
 extern "C" void handle_run_signal(int sig) {
-  if (harness::interrupt_requested()) _exit(128 + sig);
-  harness::request_interrupt(sig);
+  if (interrupt_requested()) _exit(128 + sig);
+  request_interrupt(sig);
 }
 
 /// RAII signal-handler installation so every exit path from cmd_run
 /// (including thrown EpgsErrors) restores the default disposition.
 struct RunSignalScope {
   RunSignalScope() {
-    harness::reset_interrupt();
-    harness::enable_interrupt_watch(true);
+    reset_interrupt();
     std::signal(SIGINT, handle_run_signal);
     std::signal(SIGTERM, handle_run_signal);
   }
   ~RunSignalScope() {
     std::signal(SIGINT, SIG_DFL);
     std::signal(SIGTERM, SIG_DFL);
-    harness::enable_interrupt_watch(false);
   }
 };
 
@@ -252,18 +255,16 @@ int cmd_run(const Args& args, std::ostream& out) {
   if (!logdir.empty()) {
     fs::create_directories(logdir);
     for (const auto& [system, text] : result.raw_logs) {
-      auto f = open_out_file((fs::path(logdir) / (system + ".log")).string());
-      f << "# system = " << system << "\n"
-        << "# dataset = " << cfg.graph.name() << "\n"
-        << text;
+      write_out_file((fs::path(logdir) / (system + ".log")).string(),
+                     "# system = " + system + "\n# dataset = " +
+                         cfg.graph.name() + "\n" + text);
     }
     out << "wrote " << result.raw_logs.size() << " raw logs to " << logdir
         << "\n";
   }
 
   const std::string csv_path = args.get("csv", "results.csv");
-  auto csv = open_out_file(csv_path);
-  csv << harness::records_to_csv(result.records);
+  write_out_file(csv_path, harness::records_to_csv(result.records));
   out << "wrote " << result.records.size() << " records to " << csv_path
       << "\n";
 
@@ -282,7 +283,7 @@ int cmd_run(const Args& args, std::ostream& out) {
         << (args.has("allow-dnf") ? " (tolerated by --allow-dnf)" : "")
         << "\n";
   }
-  if (const int sig = harness::interrupt_signal(); sig != 0) {
+  if (const int sig = interrupt_signal(); sig != 0) {
     // Conventional 128+sig exit (130 for SIGINT, 143 for SIGTERM) so
     // wrappers can tell "operator stopped it" from DNFs and usage errors.
     out << "interrupted by signal " << sig
@@ -379,13 +380,13 @@ int cmd_serve(const Args& args, std::ostream& out) {
   // graceful stop, a second hard-exits 128+sig.
   const RunSignalScope signal_scope;
   const bool graceful =
-      server.wait([] { return harness::interrupt_requested(); });
+      server.wait([] { return interrupt_requested(); });
   server.stop();
   // The final snapshot is part of the CLI contract (the smoke greps it):
   // graceful or signalled, the daemon accounts for every request.
   out << "\nmetrics:\n" << serve::render_metrics(server.snapshot());
   if (!graceful) {
-    const int sig = harness::interrupt_signal();
+    const int sig = interrupt_signal();
     out << "interrupted by signal " << sig << "\n";
     return 128 + sig;
   }
@@ -434,8 +435,7 @@ int cmd_query(const Args& args, std::ostream& out) {
   if (reply.kind == serve::ReplyKind::kOk) {
     const std::string out_path = args.get("out");
     if (!out_path.empty()) {
-      auto f = open_out_file(out_path);
-      f << reply.body;
+      write_out_file(out_path, reply.body);
       out << "wrote reply body to " << out_path << "\n";
     } else if (!reply.body.empty()) {
       out << reply.body;
@@ -502,8 +502,7 @@ int cmd_parse(const Args& args, std::ostream& out) {
   EPGS_CHECK(!records.empty(), "no .log files found in " + logdir);
 
   const std::string csv_path = args.get("csv", "results.csv");
-  auto csv = open_out_file(csv_path);
-  csv << harness::records_to_csv(records);
+  write_out_file(csv_path, harness::records_to_csv(records));
   out << "parsed " << records.size() << " records into " << csv_path
       << "\n";
   return 0;
@@ -544,11 +543,10 @@ int cmd_analyze(const Args& args, std::ostream& out) {
 
   const std::string prefix = args.get("out");
   if (!prefix.empty()) {
-    auto datf = open_out_file(prefix + ".dat");
-    datf << dat.str();
+    write_out_file(prefix + ".dat", dat.str());
     // The original tool fed R; emit an R script over the .dat file so
     // phase 5 stays scriptable.
-    auto rf = open_out_file(prefix + ".R");
+    std::ostringstream rf;
     rf << "# Auto-generated by epg analyze — phase 5 of the pipeline.\n"
        << "d <- read.table('" << prefix << ".dat', header=FALSE,\n"
        << "  col.names=c('alg','system','phase','n','min','q1','median',"
@@ -564,6 +562,7 @@ int cmd_analyze(const Args& args, std::ostream& out) {
           "ylab='Time (seconds)')\n"
        << "  dev.off()\n"
        << "}\n";
+    write_out_file(prefix + ".R", rf.str());
     out << "wrote " << prefix << ".dat and " << prefix << ".R\n";
   }
   return 0;
@@ -623,8 +622,7 @@ int cmd_graphalytics(const Args& args, std::ostream& out) {
 
   const std::string html_path = args.get("html");
   if (!html_path.empty()) {
-    auto f = open_out_file(html_path);
-    f << epgs::graphalytics::render_html(report);
+    write_out_file(html_path, epgs::graphalytics::render_html(report));
     out << "wrote HTML report to " << html_path << "\n";
   }
   return 0;

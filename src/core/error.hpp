@@ -44,8 +44,9 @@ class ResourceExhaustedError : public EpgsError {
   using EpgsError::EpgsError;
 };
 
-/// Thrown by a cancellation checkpoint after the watchdog cancelled the
-/// trial's token; the supervisor classifies it as Outcome::kTimeout.
+/// Thrown by a cancellation checkpoint once the trial's token reports
+/// cancelled; the supervisor classifies it by cause (kTimeout,
+/// kInterrupted, kOomKilled).
 class CancelledError : public EpgsError {
  public:
   using EpgsError::EpgsError;
@@ -73,7 +74,7 @@ class ValidationFailedError : public EpgsError {
 /// aborting the sweep — so every record and CSV row carries one of these.
 enum class Outcome {
   kSuccess,           ///< ran to completion (and validated, if requested)
-  kTimeout,           ///< cancelled by the watchdog at its deadline
+  kTimeout,           ///< cancelled at its deadline
   kCrash,             ///< process death / abort / uncontained exception
   kTransient,         ///< retryable failure that exhausted its retries
   kValidationFailed,  ///< output rejected by the reference oracles

@@ -44,7 +44,7 @@ struct ChaosOptions {
   /// Spec text to replay instead of generating from the seed (the
   /// --replay path); empty generates.
   std::string replay_spec;
-  /// Per-attempt watchdog for the chaos sweeps. Must comfortably exceed
+  /// Per-attempt timeout for the chaos sweeps. Must comfortably exceed
   /// a clean unit; kHang events each burn one deadline.
   double timeout_seconds = 20.0;
   /// Retry budget per unit. Generated faults fire once, so 1 would do;

@@ -28,7 +28,7 @@ namespace epgs::harness::chaos {
 /// round can arm at most one event per family (the injector holds one
 /// process-global plan per family).
 enum class EventKind {
-  kHang,              ///< spin until the watchdog cancels (-> kTimeout)
+  kHang,              ///< spin until the deadline cancels (-> kTimeout)
   kTransient,         ///< TransientError (-> retry)
   kError,             ///< EpgsError (-> kCrash, contained)
   kAbort,             ///< std::abort in the isolated child

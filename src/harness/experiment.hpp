@@ -74,7 +74,7 @@ struct DatasetOptions {
 /// every mechanism, so an unconfigured sweep behaves like the original
 /// unsupervised runner (modulo per-unit error containment).
 struct SupervisorOptions {
-  /// Wall-clock deadline per attempt; 0 disables the watchdog. Measured
+  /// Wall-clock deadline per attempt; 0 disables it. Measured
   /// against std::chrono::steady_clock, never the system clock.
   double timeout_seconds = 0.0;
   /// Extra attempts granted to Outcome::kTransient failures only (and to
@@ -125,7 +125,7 @@ struct SupervisorOptions {
   /// this much wall time since the last save. The 0.25 s default bounds
   /// lost work per kill at a quarter second while staying well under the
   /// <5% overhead budget on fast kernels (see bench_checkpoint); 0
-  /// disables. A final snapshot is still written whenever a watchdog or
+  /// disables. A final snapshot is still written whenever a deadline or
   /// interrupt cancels the unit, regardless of cadence.
   double checkpoint_every_seconds = 0.25;
   /// Crash-forensics report file for this unit; empty disables. Each
@@ -164,7 +164,7 @@ struct ExperimentConfig {
   bool reconstruct_per_trial = true;
   /// Validate every result against the serial reference oracles.
   bool validate = false;
-  /// Watchdog / retry / isolation / journal configuration.
+  /// Timeout / retry / isolation / journal configuration.
   SupervisorOptions supervisor;
   /// Dataset cache / zero-copy data path configuration.
   DatasetOptions dataset;

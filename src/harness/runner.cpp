@@ -91,25 +91,24 @@ struct SweepOracle {
 /// Execute one system's slice of the plan. Everything decided up front
 /// lives in `sp`; this function only drives the adapter through the
 /// supervisor and hands records to the collector.
-void execute_system_plan(const ExperimentConfig& cfg, const SweepPlan& plan,
-                         const SystemPlan& sp, const EdgeList& el,
-                         const std::vector<vid_t>& roots,
+void execute_system_plan(const ExperimentConfig& cfg,
+                         const std::string& fingerprint,
+                         const SweepPlan& plan, const SystemPlan& sp,
+                         const EdgeList& el, const std::vector<vid_t>& roots,
                          const SweepOracle& oracle,
                          RecordCollector& collector, Xoshiro256& backoff_rng,
                          std::map<std::string, std::string>& raw_logs) {
   const SupervisorOptions& sup = cfg.supervisor;
   const bool file_mode = plan.data_path == DataPath::kNativeFile;
 
-  std::unique_ptr<System> sys;
-  try {
-    sys = make_system(sp.system);
-  } catch (const std::exception& e) {
+  if (!sp.config_error.empty()) {
     TrialReport rep;
     rep.outcome = Outcome::kConfig;
-    rep.message = e.what();
+    rep.message = sp.config_error;
     collector.add(failure_record(plan, sp.system, "", -1, "configure", rep));
     return;
   }
+  const std::unique_ptr<System> sys = make_system(sp.system);
   ThreadScope scope(plan.threads);
 
   // Phase 4 in miniature, per unit: serialise the slice of the system's
@@ -211,7 +210,6 @@ void execute_system_plan(const ExperimentConfig& cfg, const SweepPlan& plan,
     return once_built;
   };
 
-  const std::string fingerprint = config_fingerprint(cfg);
   for (const PlannedTrial& t : sp.trials) {
     if (build_failed) break;
     if (interrupt_requested()) break;  // graceful SIGINT/SIGTERM
@@ -420,8 +418,8 @@ ExperimentResult run_experiment(const ExperimentConfig& cfg,
 
   // Collect: journal replay (on --resume) happens before planning so the
   // plan can mark every already-finished unit.
-  RecordCollector collector(sup, config_fingerprint(cfg),
-                            cfg.iter_trace_dir);
+  const std::string fingerprint = config_fingerprint(cfg);
+  RecordCollector collector(sup, fingerprint, cfg.iter_trace_dir);
   collector.emit_replayed(cfg.systems);
 
   // Plan: every unit and every data-path/rebuild/replay decision, up
@@ -443,8 +441,8 @@ ExperimentResult run_experiment(const ExperimentConfig& cfg,
   Xoshiro256 backoff_rng(sup.backoff_seed);
   for (const SystemPlan& sp : plan.systems) {
     if (interrupt_requested()) break;  // flush what finished, stop cleanly
-    execute_system_plan(cfg, plan, sp, el, result.roots, oracle,
-                        collector, backoff_rng, result.raw_logs);
+    execute_system_plan(cfg, fingerprint, plan, sp, el, result.roots,
+                        oracle, collector, backoff_rng, result.raw_logs);
   }
 
   result.journal_warning = collector.journal_warning();

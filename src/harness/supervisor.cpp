@@ -29,46 +29,6 @@
 namespace epgs::harness {
 namespace {
 
-/// Deadline thread for one attempt. Waits on a condition_variable against
-/// a steady_clock deadline; cancels the token if the deadline passes
-/// before disarm(). Destructor always disarms and joins, so the token it
-/// cancels provably outlives it.
-class Watchdog {
- public:
-  Watchdog(CancellationToken& token, double seconds)
-      : deadline_(std::chrono::steady_clock::now() +
-                  std::chrono::duration_cast<
-                      std::chrono::steady_clock::duration>(
-                      std::chrono::duration<double>(seconds))) {
-    thread_ = std::thread([this, &token] {
-      std::unique_lock<std::mutex> lk(mutex_);
-      while (!done_ && std::chrono::steady_clock::now() < deadline_) {
-        cv_.wait_until(lk, deadline_);
-      }
-      if (!done_) token.cancel();
-    });
-  }
-
-  ~Watchdog() {
-    {
-      std::lock_guard<std::mutex> lk(mutex_);
-      done_ = true;
-    }
-    cv_.notify_all();
-    thread_.join();
-  }
-
-  Watchdog(const Watchdog&) = delete;
-  Watchdog& operator=(const Watchdog&) = delete;
-
- private:
-  std::chrono::steady_clock::time_point deadline_;
-  std::mutex mutex_;
-  std::condition_variable cv_;
-  bool done_ = false;
-  std::thread thread_;
-};
-
 /// Resident-set watchdog for one attempt: polls /proc/self/statm and
 /// cancels the token when RSS crosses the limit, so an over-budget unit
 /// unwinds cooperatively before the kernel OOM killer gets involved.
@@ -125,70 +85,24 @@ std::string one_line(std::string s) {
   return s;
 }
 
-// --- Interrupt handling --------------------------------------------------
-
-std::atomic<int> g_interrupt_signal{0};
-std::atomic<bool> g_interrupt_watch{false};
-
-/// Per-attempt interrupt watcher: cancels the token as soon as a SIGINT/
-/// SIGTERM has been recorded, so the running kernel unwinds at its next
-/// iteration boundary (writing a final snapshot on the way out).
-class InterruptWatcher {
- public:
-  explicit InterruptWatcher(CancellationToken& token) {
-    thread_ = std::thread([this, &token] {
-      std::unique_lock<std::mutex> lk(mutex_);
-      while (!done_) {
-        if (g_interrupt_signal.load(std::memory_order_relaxed) != 0) {
-          token.cancel();
-          return;
-        }
-        cv_.wait_for(lk, std::chrono::milliseconds(25));
-      }
-    });
-  }
-
-  ~InterruptWatcher() {
-    {
-      std::lock_guard<std::mutex> lk(mutex_);
-      done_ = true;
-    }
-    cv_.notify_all();
-    thread_.join();
-  }
-
-  InterruptWatcher(const InterruptWatcher&) = delete;
-  InterruptWatcher& operator=(const InterruptWatcher&) = delete;
-
- private:
-  std::mutex mutex_;
-  std::condition_variable cv_;
-  bool done_ = false;
-  std::thread thread_;
-};
-
-/// One attempt, in this process, under the watchdogs.
+/// One attempt, in this process. The token polls the attempt's deadline
+/// and the interrupt flag itself; only memory needs a sampler thread.
 TrialReport run_attempt(const UnitFn& fn, const SupervisorOptions& opts,
                         CheckpointSession* session) {
   TrialReport r;
-  CancellationToken token;
-  std::optional<Watchdog> dog;
+  CancellationToken token(
+      Deadline::after(std::chrono::duration<double>(opts.timeout_seconds)));
   std::optional<RssWatchdog> rss_dog;
-  std::optional<InterruptWatcher> int_dog;
-  try {
-    if (opts.timeout_seconds > 0) dog.emplace(token, opts.timeout_seconds);
-    // opts.isolate here means "this is the forked child": RLIMIT_AS is
-    // already the hard guard, and under a tight limit the watchdog's own
-    // thread stack may not even be mappable — skip the soft guard.
-    if (opts.mem_limit_bytes > 0 && !opts.isolate) {
+  // opts.isolate here means "this is the forked child": RLIMIT_AS is
+  // already the hard guard, and under a tight limit the sampler's own
+  // thread stack may not even be mappable — skip the soft guard.
+  if (opts.mem_limit_bytes > 0 && !opts.isolate) {
+    try {
       rss_dog.emplace(token, opts.mem_limit_bytes);
+    } catch (const std::exception&) {
+      // The sampler could not start: run the unit without the soft guard
+      // rather than fail it.
     }
-    if (g_interrupt_watch.load(std::memory_order_relaxed)) {
-      int_dog.emplace(token);
-    }
-  } catch (const std::exception&) {
-    // Guard threads could not start (e.g. stack allocation refused under
-    // the memory limit): run the unit unguarded rather than fail it.
   }
   try {
     r.records = fn(token);
@@ -199,19 +113,18 @@ TrialReport run_attempt(const UnitFn& fn, const SupervisorOptions& opts,
   } catch (const std::exception& e) {
     r.outcome = classify_exception(e);
     r.message = one_line(e.what());
-    // All three guards cancel the same token; disambiguate what the
-    // resulting CancelledError meant. An interrupt trumps everything —
-    // the unit is journaled as interrupted and re-run on --resume.
-    if (r.outcome == Outcome::kTimeout &&
-        g_interrupt_signal.load(std::memory_order_relaxed) != 0) {
+    // The interrupt flag, the RSS sampler and the deadline all cancel
+    // the same token; disambiguate what the resulting CancelledError
+    // meant. An interrupt trumps everything — the unit is journaled as
+    // interrupted and re-run on --resume.
+    if (r.outcome == Outcome::kTimeout && interrupt_requested()) {
       r.outcome = Outcome::kInterrupted;
       r.message = "interrupted by signal " +
-                  std::to_string(g_interrupt_signal.load()) + " (" +
-                  r.message + ")";
+                  std::to_string(interrupt_signal()) + " (" + r.message +
+                  ")";
     }
-    // A cancellation that unwound before the watchdog fired (it cancels,
-    // we observe later) is still a timeout; but an exception that raced a
-    // timer that never existed cannot be one.
+    // With no deadline and no RSS trip, nothing supervised cancelled the
+    // token: a CancelledError from elsewhere is a crash, not a timeout.
     if (r.outcome == Outcome::kTimeout && opts.timeout_seconds <= 0 &&
         !(rss_dog && rss_dog->tripped())) {
       r.outcome = Outcome::kCrash;
@@ -390,7 +303,7 @@ TrialReport run_isolated_attempt(const UnitFn& fn,
   }
   ::close(fds[1]);
 
-  // The child carries its own watchdog; this hard deadline only matters
+  // The child's token polls its own deadline; this hard deadline only matters
   // when the child is wedged beyond cooperative cancellation (e.g. a hang
   // inside an OpenMP region). Grace factor + constant floor keep slow
   // teardown from being misread as a hang.
@@ -512,24 +425,6 @@ double backoff_delay(const SupervisorOptions& opts, int attempt,
              static_cast<double>(1u << (attempt > 0 ? attempt - 1 : 0));
   d *= 1.0 + rng.uniform();  // full jitter: avoid retry convoys
   return d < opts.backoff_max_seconds ? d : opts.backoff_max_seconds;
-}
-
-void request_interrupt(int signal) noexcept {
-  g_interrupt_signal.store(signal, std::memory_order_relaxed);
-}
-
-int interrupt_signal() noexcept {
-  return g_interrupt_signal.load(std::memory_order_relaxed);
-}
-
-bool interrupt_requested() noexcept { return interrupt_signal() != 0; }
-
-void reset_interrupt() noexcept {
-  g_interrupt_signal.store(0, std::memory_order_relaxed);
-}
-
-void enable_interrupt_watch(bool on) noexcept {
-  g_interrupt_watch.store(on, std::memory_order_relaxed);
 }
 
 TrialReport supervise_unit(const UnitFn& fn, const SupervisorOptions& opts,

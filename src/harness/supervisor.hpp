@@ -8,14 +8,16 @@
 // VLDB'18; LDBC Graphalytics) instead record per-unit DNF outcomes and
 // keep going. This layer does that for the in-process harness:
 //
-//   * watchdog  — a deadline thread cancels the unit's CancellationToken
-//                 when timeout_seconds of steady_clock time elapse;
-//                 adapters poll the token at iteration boundaries and
-//                 unwind with CancelledError -> Outcome::kTimeout.
+//   * deadline  — each attempt's CancellationToken carries a steady_clock
+//                 deadline timeout_seconds away and reads the interrupt
+//                 flag (core/cancellation.hpp); adapters poll the token
+//                 at iteration boundaries and unwind with CancelledError
+//                 -> Outcome::kTimeout, or kInterrupted after SIGINT/
+//                 SIGTERM. No thread is started for either.
 //   * isolation — optionally fork() each unit so std::abort / segfaults
 //                 are contained as Outcome::kCrash; the child streams its
 //                 records back over a pipe and the parent hard-kills it if
-//                 even the in-child watchdog is wedged.
+//                 even the in-child deadline poll is wedged.
 //   * retry     — TransientError failures are re-attempted with seeded
 //                 exponential backoff + jitter, up to max_retries.
 //   * journal   — every finished unit is appended (fsync'd) to a journal
@@ -24,10 +26,12 @@
 //   * governor  — opts.mem_limit_bytes caps each unit's memory three
 //                 ways: setrlimit(RLIMIT_AS) in forked children (an
 //                 allocation over the cap fails with bad_alloc ->
-//                 Outcome::kOomKilled), an in-process RSS watchdog
-//                 polling /proc/self/statm that cancels the token before
-//                 the kernel's OOM killer fires, and SIGKILL'd children
-//                 classified as kOomKilled rather than generic crashes.
+//                 Outcome::kOomKilled), an in-process RSS watchdog — the
+//                 one guard thread, because memory must be sampled
+//                 between polls — that reads /proc/self/statm and cancels
+//                 the token before the kernel's OOM killer fires, and
+//                 SIGKILL'd children classified as kOomKilled rather than
+//                 generic crashes.
 //                 ResourceExhaustedError (ENOSPC, lock timeouts, fd
 //                 exhaustion) maps to Outcome::kResourceExhausted.
 #pragma once
@@ -71,7 +75,8 @@ struct TrialReport {
 
 /// The unit body: runs one (system, algorithm, trial) and returns its
 /// records. Throws on failure; must poll the token it is given (directly
-/// or via System::set_cancellation) or the watchdog cannot cancel it.
+/// or via System::set_cancellation) or no deadline, interrupt or RSS trip
+/// can cancel it.
 using UnitFn = std::function<std::vector<RunRecord>(CancellationToken&)>;
 
 /// Classify an in-process failure for the outcome taxonomy.
@@ -94,23 +99,11 @@ TrialReport supervise_unit(const UnitFn& fn, const SupervisorOptions& opts,
 
 // --- Interrupt handling --------------------------------------------------
 //
-// Graceful SIGINT/SIGTERM: the CLI's signal handler calls
-// request_interrupt() (async-signal-safe), the per-attempt interrupt
-// watcher (a thread, gated by enable_interrupt_watch so library users and
-// tests do not pay for it) cancels the active unit's token, and the
-// resulting CancelledError classifies as Outcome::kInterrupted — never
-// retried, dropped from journal replay so a --resume re-runs the unit
-// from its final checkpoint snapshot.
-
-/// Record that an interrupt signal arrived. Async-signal-safe.
-void request_interrupt(int signal) noexcept;
-/// The recorded signal number, or 0 when none arrived.
-[[nodiscard]] int interrupt_signal() noexcept;
-[[nodiscard]] bool interrupt_requested() noexcept;
-/// Clear the recorded signal (tests).
-void reset_interrupt() noexcept;
-/// Gate the per-attempt interrupt watcher thread (default off).
-void enable_interrupt_watch(bool on) noexcept;
+// request_interrupt() and the flag it sets live in core/cancellation.hpp:
+// a recorded SIGINT/SIGTERM cancels every token at its next poll, and
+// run_attempt classifies the resulting CancelledError as
+// Outcome::kInterrupted — never retried, dropped from journal replay so a
+// --resume re-runs the unit from its final checkpoint snapshot.
 
 // --- Journal -------------------------------------------------------------
 //

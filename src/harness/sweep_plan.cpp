@@ -29,7 +29,6 @@ SweepPlan plan_sweep(const ExperimentConfig& cfg,
                      const std::map<std::string, JournalEntry>& journaled) {
   SweepPlan plan;
   plan.dataset = cfg.graph.name();
-  plan.fingerprint = config_fingerprint(cfg);
   plan.threads = cfg.threads > 0 ? cfg.threads : max_threads();
   plan.data_path =
       files != nullptr ? DataPath::kNativeFile : DataPath::kInMemory;

@@ -54,7 +54,6 @@ struct SystemPlan {
 
 struct SweepPlan {
   std::string dataset;
-  std::string fingerprint;  ///< config fingerprint (journal identity)
   int threads = 0;
   DataPath data_path = DataPath::kInMemory;
   std::vector<SystemPlan> systems;

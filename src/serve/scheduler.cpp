@@ -37,7 +37,8 @@ Scheduler::Scheduler(GraphStore& store, Metrics& metrics, Options opts)
 Scheduler::~Scheduler() { stop(); }
 
 Reply Scheduler::submit(const Request& req) {
-  const Deadline deadline = Deadline::after_ms(req.deadline_ms);
+  const Deadline deadline =
+      Deadline::after(std::chrono::milliseconds(req.deadline_ms));
   if (deadline.expired()) {
     metrics_.add_rejected_deadline(1);
     return Reply{ReplyKind::kDeadline, "run",
@@ -133,7 +134,7 @@ void Scheduler::execute(Batch& batch) {
   batch.waiters = std::move(live);
   if (batch.waiters.empty()) return;
 
-  // The watchdog inherits the waiters' budget: the latest live deadline
+  // The attempt inherits the waiters' budget: the latest live deadline
   // bounds the attempt, so a hung kernel is cancelled the moment the last
   // interested client has given up. Any unbounded waiter keeps the base
   // (possibly disabled) timeout.

@@ -15,8 +15,8 @@
 //
 // Deadlines are enforced at every hand-off: expired waiters are answered
 // `deadline` without (or despite) execution, and the live waiters'
-// remaining budget feeds the trial supervisor's watchdog so a hung kernel
-// is cooperatively cancelled rather than blocking the queue forever.
+// remaining budget bounds the trial's timeout so a hung kernel is
+// cooperatively cancelled rather than blocking the queue forever.
 #pragma once
 
 #include <condition_variable>
@@ -43,7 +43,7 @@ class Scheduler {
     /// Maximum batches waiting in the queue (the executing batch does not
     /// count). Beyond this, admission control rejects.
     std::size_t queue_depth = 16;
-    /// Base supervisor configuration for every served run. The watchdog
+    /// Base supervisor configuration for every served run. The attempt
     /// timeout is overridden per batch from the waiters' deadlines.
     harness::SupervisorOptions supervisor;
     /// Validate served results against the reference oracles.

@@ -4,7 +4,6 @@
 #include <sys/un.h>
 #include <unistd.h>
 
-#include <algorithm>
 #include <cerrno>
 #include <chrono>
 #include <cstring>
@@ -96,7 +95,7 @@ bool Server::wait(const std::function<bool()>& interrupted) {
 }
 
 void Server::stop() {
-  std::vector<std::thread> conns;
+  std::list<Connection> conns;
   {
     std::lock_guard<std::mutex> lk(mutex_);
     if (stopping_) {
@@ -109,7 +108,9 @@ void Server::stop() {
     // return, then the loop observes stopping_ and exits.
     if (listen_fd_ >= 0) ::shutdown(listen_fd_, SHUT_RDWR);
     // Unblock every connection read so the threads can drain and exit.
-    for (const int fd : live_fds_) ::shutdown(fd, SHUT_RDWR);
+    for (const Connection& c : connections_) {
+      if (!c.done) ::shutdown(c.fd, SHUT_RDWR);
+    }
     conns = std::move(connections_);
   }
   cv_.notify_all();
@@ -119,9 +120,7 @@ void Server::stop() {
   // scheduler's stop answers those waiters (with `shutdown` replies).
   // Late submits from threads mid-drain get an immediate shutdown reply.
   scheduler_->stop();
-  for (auto& t : conns) {
-    if (t.joinable()) t.join();
-  }
+  for (Connection& c : conns) c.thread.join();
   close_quietly(listen_fd_);
   listen_fd_ = -1;
   ::unlink(opts_.socket_path.c_str());
@@ -149,8 +148,21 @@ void Server::accept_loop() {
         // with; existing connections keep serving until stop().
         return;
       }
-      live_fds_.push_back(fd);
-      connections_.emplace_back([this, fd] { serve_connection(fd); });
+      // A done thread holds no lock and has nothing left but to return,
+      // so the join is brief; joining before the next spawn lets the new
+      // thread reuse the finished one's stack.
+      std::erase_if(connections_, [](Connection& c) {
+        if (c.done) c.thread.join();
+        return c.done;
+      });
+      Connection& c = connections_.emplace_back();
+      c.fd = fd;
+      c.thread = std::thread([this, &c] {
+        serve_connection(c.fd);
+        std::lock_guard<std::mutex> done_lk(mutex_);
+        close_quietly(c.fd);
+        c.done = true;
+      });
     }
   }
 }
@@ -195,10 +207,6 @@ void Server::serve_connection(int fd) {
       cv_.notify_all();
     }
   }
-  close_quietly(fd);
-  std::lock_guard<std::mutex> lk(mutex_);
-  live_fds_.erase(std::remove(live_fds_.begin(), live_fds_.end(), fd),
-                  live_fds_.end());
 }
 
 Reply Server::dispatch(const Request& req) {

@@ -2,7 +2,10 @@
 // store and the batching scheduler.
 //
 // One accept thread hands each connection to its own thread (connections
-// are cheap; kernel execution is serialized by the scheduler anyway).
+// are cheap; kernel execution is serialized by the scheduler anyway). A
+// finished connection thread is joined at the next accept, so a
+// long-running server keeps one thread stack per live connection, not
+// one per connection ever served.
 // Connections speak the length-prefixed protocol from protocol.hpp and
 // may issue any number of requests before closing. A malformed frame or
 // request is answered with a typed `protocol` error and the connection
@@ -18,11 +21,11 @@
 
 #include <condition_variable>
 #include <functional>
+#include <list>
 #include <memory>
 #include <mutex>
 #include <string>
 #include <thread>
-#include <vector>
 
 #include "serve/graph_session.hpp"
 #include "serve/metrics.hpp"
@@ -71,6 +74,19 @@ class Server {
   }
 
  private:
+  /// One client connection. `done` is set under mutex_ as the thread's
+  /// last action, after the socket is closed; the accept loop then joins
+  /// and drops the entry.
+  struct Connection {
+    Connection() = default;
+    Connection(const Connection&) = delete;  // its thread holds &this
+    Connection& operator=(const Connection&) = delete;
+
+    int fd = -1;
+    bool done = false;
+    std::thread thread;
+  };
+
   void accept_loop();
   void serve_connection(int fd);
   /// Dispatch one parsed request; run goes through the scheduler.
@@ -88,8 +104,8 @@ class Server {
   std::condition_variable cv_;
   bool shutdown_requested_ = false;  ///< a client asked us to stop
   bool stopping_ = false;
-  std::vector<std::thread> connections_;
-  std::vector<int> live_fds_;
+  /// A list, so a running thread's entry never moves.
+  std::list<Connection> connections_;
 };
 
 }  // namespace epgs::serve

@@ -130,8 +130,8 @@ void on_phase_start(std::string_view system, std::string_view phase,
       break;
     case Kind::kHang:
       // Cooperative stand-in for an algorithmic livelock: spins exactly
-      // until the watchdog cancels the trial. With no token (no watchdog,
-      // or a hard-isolated child) this hangs for real.
+      // until the token reports cancelled (deadline, interrupt or RSS
+      // trip). With no token (an unsupervised system) this hangs for real.
       while (token == nullptr || !token->cancelled()) {
         std::this_thread::sleep_for(std::chrono::milliseconds(1));
       }

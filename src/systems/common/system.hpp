@@ -156,10 +156,9 @@ class System {
   /// trials resume from their last completed iteration. Driven by
   /// KernelRun::iteration(); adapters never call it directly.
   void checkpoint() const {
-    if (cancel_ != nullptr && cancel_->cancelled() && ckpt_ != nullptr) {
-      ckpt_->save_now();
-    }
-    if (cancel_ != nullptr) cancel_->checkpoint();
+    if (cancel_ == nullptr || !cancel_->cancelled()) return;
+    if (ckpt_ != nullptr) ckpt_->save_now();
+    cancel_->checkpoint();
   }
 
   /// Register the kernel's serializable iteration state with the attached

@@ -11,6 +11,7 @@
 
 #include "cli/args.hpp"
 #include "core/error.hpp"
+#include "core/fs_shim.hpp"
 #include "graph/snap_io.hpp"
 #include "harness/runner.hpp"
 #include "systems/common/fault_injection.hpp"
@@ -309,6 +310,22 @@ TEST(Cli, RunExitsNonzeroOnDnfUnlessAllowed) {
   bool has_crash = false;
   for (const auto& r : recs) has_crash |= r.outcome == Outcome::kCrash;
   EXPECT_TRUE(has_crash);
+}
+
+TEST(Cli, RunCsvOnFullDiskExitsOneNamingTheFile) {
+  TempDir dir;
+  const auto csv = (dir.path() / "enospc-results.csv").string();
+  fsx::Scoped full({.op = fsx::Op::kWrite, .path_substr = "enospc-results"});
+  std::string out;
+  EXPECT_EQ(run_cli({"run", "--kind", "kron", "--scale", "6", "--systems",
+                     "GAP", "--algorithms", "BFS", "--roots", "1",
+                     "--threads", "1", "--csv", csv},
+                    &out),
+            1)
+      << out;
+  EXPECT_NE(out.find(csv), std::string::npos) << out;
+  EXPECT_EQ(out.find("records to"), std::string::npos)
+      << "a failed CSV write must not be reported as written: " << out;
 }
 
 TEST(Cli, RunJournalAndResumeFlags) {

@@ -9,6 +9,7 @@
 
 #include <atomic>
 #include <filesystem>
+#include <fstream>
 #include <functional>
 #include <sstream>
 #include <string>
@@ -389,6 +390,50 @@ TEST(ServeCoalescing, IdenticalQueuedRequestsShareOneExecution) {
   EXPECT_GE(stat_value(stats.body, "coalesced"), 2u);
   EXPECT_EQ(stat_value(stats.body, "batches"), 2u);
   EXPECT_EQ(stat_value(stats.body, "cold_loads"), 2u);
+}
+
+/// VmSize in KiB: the first field of /proc/self/statm, in pages.
+std::uint64_t vm_size_kb() {
+  std::ifstream statm("/proc/self/statm");
+  std::uint64_t pages = 0;
+  statm >> pages;
+  return pages * static_cast<std::uint64_t>(::sysconf(_SC_PAGESIZE)) / 1024;
+}
+
+std::size_t task_count() {
+  std::size_t n = 0;
+  for ([[maybe_unused]] const auto& task :
+       fs::directory_iterator("/proc/self/task")) {
+    ++n;
+  }
+  return n;
+}
+
+TEST(ServeSoak, SequentialConnectionsKeepVmSizeAndThreadsFlat) {
+  TempDir tmp;
+  serve::ServerOptions opts;
+  opts.socket_path = (tmp.path() / "epg.sock").string();
+  serve::Server server(opts);
+  const std::size_t idle_tasks = task_count();
+  // Each ping waits for its connection thread to exit before the next
+  // connect, so no two connections overlap and VmSize measures reaping
+  // alone: a joined thread's stack is reused, an unjoined one's stays
+  // mapped (8 MiB each).
+  const auto ping = [&] {
+    const auto kind = serve::query_server(opts.socket_path, "ping").kind;
+    for (int i = 0; i < 2000 && task_count() > idle_tasks; ++i) {
+      std::this_thread::sleep_for(std::chrono::milliseconds(1));
+    }
+    return kind;
+  };
+  for (int i = 0; i < 4; ++i) ASSERT_EQ(ping(), serve::ReplyKind::kOk);
+  const std::uint64_t vm_before = vm_size_kb();
+
+  for (int i = 0; i < 300; ++i) ASSERT_EQ(ping(), serve::ReplyKind::kOk);
+
+  EXPECT_EQ(task_count(), idle_tasks);
+  EXPECT_LE(vm_size_kb(), vm_before + 16 * 1024)
+      << "VmSize grew with the number of connections served";
 }
 
 TEST(ServeCli, ServeCommandServesAndDumpsMetricsOnClientShutdown) {

@@ -7,6 +7,7 @@
 #include <unistd.h>
 
 #include <chrono>
+#include <csignal>
 #include <filesystem>
 #include <fstream>
 #include <sstream>
@@ -31,7 +32,10 @@ class SupervisorDir : public ::testing::Test {
            ("epgs_supervisor_" + std::to_string(::getpid()));
     fs::create_directories(dir_);
   }
-  void TearDown() override { fs::remove_all(dir_); }
+  void TearDown() override {
+    reset_interrupt();
+    fs::remove_all(dir_);
+  }
 
   [[nodiscard]] std::string journal_path() const {
     return (dir_ / "journal.txt").string();
@@ -129,6 +133,110 @@ TEST(Supervisor, WatchdogCancelsCooperativeLoopAtDeadline) {
   EXPECT_EQ(report.outcome, Outcome::kTimeout);
   // The watchdog cannot fire before its steady-clock deadline.
   EXPECT_GE(report.elapsed_seconds, 0.2);
+}
+
+std::size_t thread_count() {
+  std::size_t n = 0;
+  for ([[maybe_unused]] const auto& task :
+       fs::directory_iterator("/proc/self/task")) {
+    ++n;
+  }
+  return n;
+}
+
+TEST(Supervisor, DeadlineIsPolledWithoutAHelperThread) {
+  SupervisorOptions opts;
+  opts.timeout_seconds = 30.0;
+  Xoshiro256 rng(1);
+  const std::size_t before = thread_count();
+  std::size_t during = 0;
+  const auto report = supervise_unit(
+      [&](CancellationToken&) {
+        during = thread_count();
+        return std::vector<RunRecord>{};
+      },
+      opts, rng);
+  EXPECT_EQ(report.outcome, Outcome::kSuccess);
+  EXPECT_EQ(during, before) << "a timed attempt must not start a thread";
+}
+
+// --- the outcome table ---------------------------------------------------
+//
+// A CancelledError says only that the token was cancelled. run_attempt
+// names the cause: an interrupt first, then an RSS trip, then a
+// configured timeout; with no guard configured it is a crash.
+
+struct OutcomeCase {
+  const char* name;
+  double timeout_seconds = 0;
+  std::uint64_t mem_limit_bytes = 0;
+  bool interrupt = false;        ///< the unit raises SIGINT mid-loop
+  bool throw_cancelled = false;  ///< the unit throws CancelledError itself
+  Outcome want = Outcome::kSuccess;
+  std::string_view message_prefix;
+  std::string_view message_has;
+};
+
+class SupervisorInterrupt : public ::testing::Test {
+ protected:
+  void TearDown() override { reset_interrupt(); }
+};
+
+TEST_F(SupervisorInterrupt, OutcomeTableNamesTheCauseOfCancellation) {
+  const OutcomeCase cases[] = {
+      {.name = "timeout only",
+       .timeout_seconds = 0.2,
+       .want = Outcome::kTimeout,
+       .message_prefix = "trial cancelled"},
+      {.name = "interrupt during the unit",
+       .interrupt = true,
+       .want = Outcome::kInterrupted,
+       .message_prefix = "interrupted by signal 2"},
+      {.name = "interrupt and timeout together",
+       .timeout_seconds = 0.05,
+       .interrupt = true,
+       .want = Outcome::kInterrupted,
+       .message_prefix = "interrupted by signal 2"},
+      {.name = "RSS over the limit",
+       .mem_limit_bytes = 1 << 20,
+       .want = Outcome::kOomKilled,
+       .message_has = "memory limit"},
+      {.name = "CancelledError with no guard",
+       .throw_cancelled = true,
+       .want = Outcome::kCrash},
+  };
+  for (const OutcomeCase& c : cases) {
+    SCOPED_TRACE(c.name);
+    reset_interrupt();
+    SupervisorOptions opts;
+    opts.timeout_seconds = c.timeout_seconds;
+    opts.mem_limit_bytes = c.mem_limit_bytes;
+    opts.max_retries = 3;
+    opts.backoff_base_seconds = 1e-4;
+    opts.backoff_max_seconds = 1e-3;
+    Xoshiro256 rng(1);
+    const auto report = supervise_unit(
+        [&](CancellationToken& token) -> std::vector<RunRecord> {
+          if (c.throw_cancelled) throw CancelledError("no guard fired");
+          // Bounded so a broken cancellation path fails, not hangs.
+          for (int poll = 0; poll < 20000; ++poll) {
+            if (c.interrupt && poll == 3) request_interrupt(SIGINT);
+            token.checkpoint();
+            std::this_thread::sleep_for(std::chrono::milliseconds(1));
+          }
+          return {};
+        },
+        opts, rng);
+    EXPECT_EQ(outcome_name(report.outcome), outcome_name(c.want));
+    EXPECT_EQ(report.attempts, 1);
+    EXPECT_EQ(report.message.rfind(c.message_prefix, 0), 0u)
+        << report.message;
+    EXPECT_NE(report.message.find(c.message_has), std::string::npos)
+        << report.message;
+    if (c.want == Outcome::kTimeout) {
+      EXPECT_GE(report.elapsed_seconds, c.timeout_seconds);
+    }
+  }
 }
 
 TEST(Supervisor, TransientRetriedUntilSuccess) {
@@ -674,6 +782,47 @@ TEST_F(SupervisorDir, ResumeMayAddSystems) {
   const auto result = run_experiment(cfg);
   EXPECT_EQ(fault::phase_events(), 0) << "GAP was fully journaled";
   EXPECT_EQ(result.seconds_of("GraphMat", phase::kAlgorithm, "BFS").size(),
+            2u);
+}
+
+TEST_F(SupervisorDir, InterruptedSweepStopsAndResumeRerunsTheUnit) {
+  auto cfg = tiny_config();
+  cfg.systems = {"GAP", "Graph500"};
+  cfg.num_roots = 2;
+  // A safety net only: the interrupt must end the hang long before it.
+  cfg.supervisor.timeout_seconds = 30.0;
+  cfg.supervisor.journal_path = journal_path();
+  {
+    // The first BFS unit hangs; Ctrl-C arrives while it spins.
+    fault::Scoped hang(
+        {.kind = fault::Kind::kHang, .max_fires = 1, .phase = "bfs"});
+    std::thread operator_([] {
+      for (int i = 0; i < 10000 && fault::fire_count() == 0; ++i) {
+        std::this_thread::sleep_for(std::chrono::milliseconds(1));
+      }
+      request_interrupt(SIGINT);
+    });
+    const auto first = run_experiment(cfg);
+    operator_.join();
+    EXPECT_EQ(fault::phase_events(), 1) << "a unit started after Ctrl-C";
+    const auto interrupted = records_with(first, Outcome::kInterrupted);
+    ASSERT_EQ(interrupted.size(), 1u);
+    EXPECT_EQ(interrupted[0].system, "GAP");
+    EXPECT_EQ(interrupted[0].trial, 0);
+    EXPECT_TRUE(first.seconds_of("Graph500", phase::kAlgorithm, "BFS")
+                    .empty());
+  }
+  reset_interrupt();
+
+  // --resume re-runs the interrupted unit and the ones never started.
+  cfg.supervisor.resume = true;
+  fault::Scoped probe(
+      {.kind = fault::Kind::kNone, .max_fires = 0, .phase = "bfs"});
+  const auto second = run_experiment(cfg);
+  EXPECT_EQ(fault::phase_events(), 4);
+  EXPECT_TRUE(records_with(second, Outcome::kInterrupted).empty());
+  EXPECT_EQ(second.seconds_of("GAP", phase::kAlgorithm, "BFS").size(), 2u);
+  EXPECT_EQ(second.seconds_of("Graph500", phase::kAlgorithm, "BFS").size(),
             2u);
 }
 
