@@ -235,20 +235,8 @@ int cmd_run(const Args& args, std::ostream& out) {
         << (result.dataset_cache_hit ? "hit" : "miss") << " ("
         << cfg.dataset.cache_dir << ")\n";
   }
-  if (result.dataset_degraded) {
-    out << "warning: dataset cache degraded to uncached in-RAM generation: "
-        << result.dataset_warning << "\n";
-  }
-  if (!result.journal_warning.empty()) {
-    out << "warning: journaling stopped mid-sweep (resume will re-run the "
-           "unjournaled tail): "
-        << result.journal_warning << "\n";
-  }
-  if (!result.pin_warning.empty()) {
-    out << "warning: " << result.pin_warning << "\n";
-  }
-  if (!result.iter_trace_warning.empty()) {
-    out << "warning: " << result.iter_trace_warning << "\n";
+  for (const std::string& warning : result.warnings) {
+    out << "warning: " << warning << "\n";
   }
 
   const std::string logdir = args.get("logdir");

@@ -270,16 +270,6 @@ template <typename T, typename IterT, typename GetFn, typename SetFn>
       });
 }
 
-/// The PageRank spelling: double rank vector + int iteration counter +
-/// edge-work counter, shared by the GAP/Ligra adapters (GraphMat's float
-/// ranks and GraphBIG's AoS layout use the general flavours above).
-[[nodiscard]] inline FnCheckpointable ckpt_f64_vector(
-    double* data, std::size_t count, int* iterations,
-    std::uint64_t* edge_work, std::string what = "PageRank") {
-  return ckpt_scalar_vector<double, int>(data, count, iterations, edge_work,
-                                         std::move(what));
-}
-
 /// Test hook fired between a snapshot's durable tmp write and the rename
 /// that publishes it — the exact window where a process death leaves a
 /// stale-or-absent snapshot plus an orphaned .tmp. The fault-injection

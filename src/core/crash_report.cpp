@@ -213,12 +213,6 @@ void note_fault(int slot, std::string_view desc) noexcept {
   copy_note(g_faults[slot], desc);
 }
 
-void clear_notes() noexcept {
-  g_phase[0] = '\0';
-  g_iteration.store(-1, std::memory_order_relaxed);
-  for (auto& slot : g_faults) slot[0] = '\0';
-}
-
 // --- Parsing ------------------------------------------------------------
 
 std::string_view signal_name(int sig) {

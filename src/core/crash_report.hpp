@@ -66,9 +66,6 @@ inline constexpr int kFaultSlots = 4;
 /// Record (or clear, with empty `desc`) the armed fault plan in `slot`.
 void note_fault(int slot, std::string_view desc) noexcept;
 
-/// Reset every note to its disarmed state.
-void clear_notes() noexcept;
-
 // --- Parsing (parent side) ---------------------------------------------
 
 struct CrashReport {

@@ -150,8 +150,6 @@ void disarm() {
 
 bool armed() { return g_armed.load(std::memory_order_acquire); }
 
-int call_count() { return g_calls.load(); }
-
 int fire_count() { return g_fires.load(); }
 
 void arm_from_spec(std::string_view spec) {

@@ -63,9 +63,6 @@ void disarm();
 
 [[nodiscard]] bool armed();
 
-/// Matching calls observed since arm().
-[[nodiscard]] int call_count();
-
 /// Times the armed fault actually fired.
 [[nodiscard]] int fire_count();
 

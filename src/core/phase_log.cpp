@@ -76,17 +76,6 @@ void PhaseLog::clear() {
   attrs_.clear();
 }
 
-PhaseLog PhaseLog::slice(std::size_t first) const {
-  PhaseLog out;
-  out.attrs_ = attrs_;
-  if (first < entries_.size()) {
-    out.entries_.assign(entries_.begin() +
-                            static_cast<std::ptrdiff_t>(first),
-                        entries_.end());
-  }
-  return out;
-}
-
 std::string PhaseLog::to_log_text() const {
   std::ostringstream os;
   os.precision(9);

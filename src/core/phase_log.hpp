@@ -98,11 +98,6 @@ class PhaseLog {
 
   void clear();
 
-  /// Copy of this log holding only entries [first, size()) — the slice a
-  /// supervised trial appended — with the run-wide attrs preserved. An
-  /// out-of-range `first` yields an entry-less log.
-  [[nodiscard]] PhaseLog slice(std::size_t first) const;
-
   /// Serialise in the bullet-list style of the GraphMat log excerpt in
   /// Table I ("load graph: 5.91229 sec").
   [[nodiscard]] std::string to_log_text() const;

@@ -10,7 +10,7 @@
 
 namespace epgs {
 
-/// Monotonic wall-clock timer with start/stop/lap semantics.
+/// Monotonic wall-clock timer: seconds since construction or reset().
 class WallTimer {
  public:
   using clock = std::chrono::steady_clock;
@@ -23,14 +23,6 @@ class WallTimer {
   /// Seconds elapsed since construction or the last reset().
   [[nodiscard]] double seconds() const {
     return std::chrono::duration<double>(clock::now() - start_).count();
-  }
-
-  /// Seconds elapsed, then restart. Useful for back-to-back phases.
-  double lap() {
-    const auto now = clock::now();
-    const double s = std::chrono::duration<double>(now - start_).count();
-    start_ = now;
-    return s;
   }
 
  private:

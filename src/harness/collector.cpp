@@ -133,17 +133,7 @@ void RecordCollector::emit_replayed(
 void RecordCollector::store(const std::string& key,
                             std::vector<RunRecord> recs,
                             const TrialReport& rep) {
-  TrialReport journaled_rep;
-  journaled_rep.outcome = rep.outcome;
-  journaled_rep.attempts = rep.attempts;
-  journaled_rep.last_failure = rep.last_failure;
-  journaled_rep.resumed_from_iter = rep.resumed_from_iter;
-  journaled_rep.message = rep.message;
-  journaled_rep.elapsed_seconds = rep.elapsed_seconds;
-  journaled_rep.crash_fingerprint = rep.crash_fingerprint;
-  journaled_rep.crash_report_path = rep.crash_report_path;
-  journaled_rep.records = recs;
-  journal_.append(key, journaled_rep);
+  journal_.append(key, rep, recs);
   write_timelines(recs);
   records_.insert(records_.end(), std::make_move_iterator(recs.begin()),
                   std::make_move_iterator(recs.end()));

@@ -153,7 +153,7 @@ struct ExperimentConfig {
   int threads = 0;      ///< 0 = all available
   /// Pin the OpenMP team round-robin over the allowed CPUs (--pin on
   /// the CLI; EPGS_PIN=1 also enables it). Denied sched_setaffinity
-  /// degrades to ExperimentResult::pin_warning, never a failure.
+  /// degrades to an ExperimentResult::warnings entry, never a failure.
   bool pin = false;
   std::uint64_t root_seed = 2;
   PageRankParams pagerank;

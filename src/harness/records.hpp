@@ -40,8 +40,8 @@ struct RunRecord {
 struct ExperimentResult {
   std::vector<RunRecord> records;
   std::vector<vid_t> roots;
-  /// Verbatim per-system log text (what the parser consumed) for
-  /// inspection, keyed by system name.
+  /// Per-system log text, keyed by system name: the concatenated text of
+  /// every successful unit, exactly what its records were parsed from.
   std::map<std::string, std::string> raw_logs;
   /// True when the run went through the zero-copy dataset pipeline
   /// (cache + native-file loads) rather than staging edges from RAM.
@@ -51,17 +51,12 @@ struct ExperimentResult {
   /// The dataset cache failed (disk full, lock timeout, I/O error) and
   /// the run fell back to uncached in-RAM generation.
   bool dataset_degraded = false;
-  std::string dataset_warning;  ///< why, when dataset_degraded
-  /// Non-empty when journaling stopped mid-sweep (e.g. the disk filled):
-  /// results are complete but a --resume will re-run the unjournaled tail.
-  std::string journal_warning;
-  /// Non-empty when the --iter-trace sidecar could not be opened or
-  /// stopped mid-sweep; results are unaffected, telemetry is partial.
-  std::string iter_trace_warning;
-  /// Non-empty when thread pinning was requested (--pin / EPGS_PIN) but
-  /// sched_setaffinity refused some or all binds; the run continued
-  /// unpinned on those threads.
-  std::string pin_warning;
+  /// Degradations the run survived, one full sentence each, in this
+  /// order: the dataset cache fell back to in-RAM generation, journaling
+  /// stopped mid-sweep (a --resume re-runs the unjournaled tail), thread
+  /// pinning was refused, the --iter-trace sidecar stopped. Results are
+  /// complete whatever this holds.
+  std::vector<std::string> warnings;
 
   /// Seconds of every successful record matching the given keys (empty
   /// algorithm matches any). DNF rows never contribute samples.

@@ -111,11 +111,16 @@ void execute_system_plan(const ExperimentConfig& cfg,
   const std::unique_ptr<System> sys = make_system(sp.system);
   ThreadScope scope(plan.threads);
 
-  // Phase 4 in miniature, per unit: serialise the slice of the system's
-  // log this unit appended, parse it back (the AWK idiom), emit records.
-  auto slice_records = [&](const PhaseLog& log_slice, const std::string& alg,
-                           int trial) {
-    const PhaseLog parsed = PhaseLog::parse_log_text(log_slice.to_log_text());
+  // Phase 4 in miniature, per successful unit: write the log the unit
+  // returned as text, append that text to the system's raw log, and parse
+  // it back into records (the AWK idiom). In-process and isolated units
+  // take the same path, so the raw log holds exactly the text every
+  // successful unit's records came from.
+  auto unit_records = [&](const PhaseLog& log, const std::string& alg,
+                          int trial) {
+    const std::string text = log.to_log_text();
+    raw_logs[sp.system] += text;
+    const PhaseLog parsed = PhaseLog::parse_log_text(text);
     std::vector<RunRecord> recs;
     for (const auto& e : parsed.entries()) {
       RunRecord rec;
@@ -146,9 +151,9 @@ void execute_system_plan(const ExperimentConfig& cfg,
           [&](CancellationToken& token) {
             sys->set_cancellation(&token);
             TokenGuard guard{sys.get()};
-            const std::size_t mark = sys->log().entries().size();
+            sys->log().clear();
             sys->load_file(sp.native_file);
-            return slice_records(sys->log().slice(mark), "", -1);
+            return sys->log();
           },
           load_opts, backoff_rng);
       if (rep.outcome != Outcome::kSuccess) {
@@ -159,7 +164,9 @@ void execute_system_plan(const ExperimentConfig& cfg,
       }
       // On resume the journal already holds this load's records; the
       // reload only restores the staged edges and is not re-journaled.
-      if (!sp.load_replayed) collector.store(sp.load_key, rep.records, rep);
+      if (!sp.load_replayed) {
+        collector.store(sp.load_key, unit_records(rep.log, "", -1), rep);
+      }
     } else {
       sys->load_file(sp.native_file);
     }
@@ -190,9 +197,9 @@ void execute_system_plan(const ExperimentConfig& cfg,
         [&](CancellationToken& token) {
           sys->set_cancellation(&token);
           TokenGuard guard{sys.get()};
-          const std::size_t mark = sys->log().entries().size();
+          sys->log().clear();
           sys->build();
-          return slice_records(sys->log().slice(mark), "", -1);
+          return sys->log();
         },
         build_opts, backoff_rng);
     if (rep.outcome == Outcome::kSuccess) {
@@ -200,7 +207,9 @@ void execute_system_plan(const ExperimentConfig& cfg,
       // On resume the journal already holds (and replay already emitted)
       // this build's records; the rebuild only restores the in-memory
       // structure and is not re-journaled.
-      if (!sp.build_replayed) collector.store(sp.build_key, rep.records, rep);
+      if (!sp.build_replayed) {
+        collector.store(sp.build_key, unit_records(rep.log, "", -1), rep);
+      }
     } else {
       build_failed = true;
       // Not journaled: a failed build should be retried by a resume.
@@ -236,7 +245,7 @@ void execute_system_plan(const ExperimentConfig& cfg,
       sys->set_cancellation(&token);
       sys->set_checkpoint_session(session ? &*session : nullptr);
       TokenGuard guard{sys.get()};
-      const std::size_t mark = sys->log().entries().size();
+      sys->log().clear();
       if (sp.rebuild_per_trial) sys->build();
       auto check = [&](const ValidationError& err, std::string_view what) {
         if (err) {
@@ -288,7 +297,7 @@ void execute_system_plan(const ExperimentConfig& cfg,
           (void)sys->bc(root);
           break;
       }
-      return slice_records(sys->log().slice(mark), t.alg_name, t.trial);
+      return sys->log();
 
       // LCC/WCC/CDLP/PageRank are deterministic per trial; still run
       // them num_roots times as the paper does ("for PageRank, we
@@ -310,7 +319,9 @@ void execute_system_plan(const ExperimentConfig& cfg,
     TrialReport rep = supervise_unit(unit, unit_opts, backoff_rng,
                                      session ? &*session : nullptr);
     if (rep.outcome == Outcome::kSuccess) {
-      for (auto& rec : rep.records) {
+      std::vector<RunRecord> recs =
+          unit_records(rep.log, t.alg_name, t.trial);
+      for (auto& rec : recs) {
         if (rep.attempts > 1) {
           rec.extra["attempts"] = std::to_string(rep.attempts);
           rec.extra["last_failure"] = std::string(outcome_name(rep.last_failure));
@@ -327,7 +338,7 @@ void execute_system_plan(const ExperimentConfig& cfg,
               std::to_string(rep.resumed_from_iter);
         }
       }
-      collector.store(t.key, std::move(rep.records), rep);
+      collector.store(t.key, std::move(recs), rep);
     } else {
       // A failure that left a snapshot behind is resumable: breadcrumb it
       // so --resume re-runs this unit from the snapshot instead of
@@ -348,13 +359,6 @@ void execute_system_plan(const ExperimentConfig& cfg,
       if (rep.outcome == Outcome::kInterrupted) break;
     }
   }
-
-  // Verbatim parent-side log text for inspection. Units that ran in
-  // isolated children logged in the child; their records travelled back
-  // over the pipe but their raw text did not.
-  if (!sys->log().entries().empty()) {
-    raw_logs[sp.system] = sys->log().to_log_text();
-  }
 }
 
 }  // namespace
@@ -366,16 +370,15 @@ ExperimentResult run_experiment(const ExperimentConfig& cfg) {
   EdgeList el;
   std::optional<HomogenizedDataset> files;
   StagedDataset staged;
-  bool degraded = false;
-  std::string degradation;
+  std::optional<std::string> degradation;
   if (cfg.dataset.enabled()) {
     PreparedDataset prep = prepare_dataset(cfg.graph, cfg.dataset);
     el = std::move(prep.edges);
     if (prep.degraded) {
       // Sick cache (disk full, lock timeout, I/O error): the sweep runs
       // anyway on the in-RAM data path and the result carries a warning.
-      degraded = true;
-      degradation = prep.degradation;
+      degradation = "dataset cache degraded to uncached in-RAM generation: " +
+                    prep.degradation;
     } else {
       files = std::move(prep.entry.files);
       staged.files = &*files;
@@ -387,8 +390,11 @@ ExperimentResult run_experiment(const ExperimentConfig& cfg) {
   staged.edges = &el;
 
   ExperimentResult result = run_experiment(cfg, staged);
-  result.dataset_degraded = degraded;
-  result.dataset_warning = std::move(degradation);
+  // Cache fallback happened first, so its warning leads the list.
+  result.dataset_degraded = degradation.has_value();
+  if (degradation) {
+    result.warnings.insert(result.warnings.begin(), std::move(*degradation));
+  }
   return result;
 }
 
@@ -430,11 +436,12 @@ ExperimentResult run_experiment(const ExperimentConfig& cfg,
   // threads, so binds applied here stick for every later parallel
   // region at the same thread count. Refused binds downgrade to a
   // warning — containers may deny sched_setaffinity.
+  std::string pin_warning;
   if (cfg.pin) set_pinning(true);
   if (pinning_enabled()) {
     ThreadScope pin_scope(plan.threads);
     const PinReport pin_rep = apply_thread_pinning();
-    if (pin_rep.failed > 0) result.pin_warning = describe(pin_rep);
+    if (pin_rep.failed > 0) pin_warning = describe(pin_rep);
   }
 
   // Execute.
@@ -445,8 +452,16 @@ ExperimentResult run_experiment(const ExperimentConfig& cfg,
                         oracle, collector, backoff_rng, result.raw_logs);
   }
 
-  result.journal_warning = collector.journal_warning();
-  result.iter_trace_warning = collector.trace_warning();
+  if (!collector.journal_warning().empty()) {
+    result.warnings.push_back(
+        "journaling stopped mid-sweep (resume will re-run the unjournaled "
+        "tail): " +
+        collector.journal_warning());
+  }
+  if (!pin_warning.empty()) result.warnings.push_back(pin_warning);
+  if (!collector.trace_warning().empty()) {
+    result.warnings.push_back(collector.trace_warning());
+  }
   result.records = collector.take();
   return result;
 }

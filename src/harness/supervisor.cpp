@@ -105,7 +105,7 @@ TrialReport run_attempt(const UnitFn& fn, const SupervisorOptions& opts,
     }
   }
   try {
-    r.records = fn(token);
+    r.log = fn(token);
     r.outcome = Outcome::kSuccess;
   } catch (const std::bad_alloc&) {
     r.outcome = Outcome::kOomKilled;
@@ -145,14 +145,16 @@ TrialReport run_attempt(const UnitFn& fn, const SupervisorOptions& opts,
 
 // --- fork() isolation ----------------------------------------------------
 
+// The payload: three header lines, then the attempt's PhaseLog text.
+//   outcome <name>
+//   message <one line>
+//   resumed <iteration or -1>
+//   log
+//   <PhaseLog::to_log_text() through EOF>
 constexpr std::string_view kPayloadOutcome = "outcome ";
 constexpr std::string_view kPayloadMessage = "message ";
 constexpr std::string_view kPayloadResumed = "resumed ";
-// "tl <record_index> <iter> <seconds> <frontier> <edges> <residual>" —
-// one line per iteration-telemetry row, re-attached to records by index.
-// A record with an empty timeline emits none.
-constexpr std::string_view kPayloadTimeline = "tl ";
-constexpr std::string_view kPayloadRecords = "records";
+constexpr std::string_view kPayloadLog = "log";
 constexpr std::string_view kPayloadCtx = "isolated child payload";
 
 void write_all(int fd, std::string_view data) {
@@ -191,95 +193,37 @@ void write_all(int fd, std::string_view data) {
   }
   TrialReport r = run_attempt(fn, opts, session);
   std::ostringstream os;
-  os.precision(17);
   os << kPayloadOutcome << outcome_name(r.outcome) << '\n'
      << kPayloadMessage << one_line(r.message) << '\n'
-     << kPayloadResumed << r.resumed_from_iter << '\n';
-  for (std::size_t i = 0; i < r.records.size(); ++i) {
-    for (const IterRecord& row : r.records[i].timeline) {
-      os << kPayloadTimeline << i << ' ' << row.iter << ' ' << row.seconds
-         << ' ' << row.frontier << ' ' << row.edges << ' ' << row.residual
-         << '\n';
-    }
-  }
-  os << kPayloadRecords << '\n' << records_to_csv(r.records);
+     << kPayloadResumed << r.resumed_from_iter << '\n'
+     << kPayloadLog << '\n'
+     << r.log.to_log_text();
   write_all(fd, os.str());
   ::close(fd);
   ::_exit(0);  // skip atexit/static destructors: this is not our process
 }
 
-TrialReport parse_child_payload(const std::string& payload) {
+TrialReport parse_child_payload(std::string_view payload) {
+  // Consume one "<prefix><value>" header line and return its value.
+  const auto header = [&payload](std::string_view prefix) {
+    const std::size_t eol = payload.find('\n');
+    EPGS_CHECK(eol != std::string_view::npos && payload.starts_with(prefix),
+               "isolated child payload: missing " +
+                   std::string(prefix.substr(0, prefix.find(' '))) +
+                   " line");
+    const std::string_view value =
+        payload.substr(prefix.size(), eol - prefix.size());
+    payload.remove_prefix(eol + 1);
+    return value;
+  };
   TrialReport r;
-  std::size_t pos = payload.find('\n');
-  EPGS_CHECK(pos != std::string::npos &&
-                 payload.compare(0, kPayloadOutcome.size(),
-                                 kPayloadOutcome) == 0,
-             "isolated child payload: missing outcome line");
-  r.outcome = outcome_from_name(
-      payload.substr(kPayloadOutcome.size(), pos - kPayloadOutcome.size()));
-
-  std::size_t line_start = pos + 1;
-  pos = payload.find('\n', line_start);
-  EPGS_CHECK(pos != std::string::npos &&
-                 payload.compare(line_start, kPayloadMessage.size(),
-                                 kPayloadMessage) == 0,
-             "isolated child payload: missing message line");
-  r.message = payload.substr(line_start + kPayloadMessage.size(),
-                             pos - line_start - kPayloadMessage.size());
-
-  line_start = pos + 1;
-  pos = payload.find('\n', line_start);
-  EPGS_CHECK(pos != std::string::npos &&
-                 payload.compare(line_start, kPayloadResumed.size(),
-                                 kPayloadResumed) == 0,
-             "isolated child payload: missing resumed line");
-  const std::string_view view = payload;
+  r.outcome = outcome_from_name(header(kPayloadOutcome));
+  r.message = std::string(header(kPayloadMessage));
   r.resumed_from_iter = text::parse<std::int64_t>(
-      view.substr(line_start + kPayloadResumed.size(),
-                  pos - line_start - kPayloadResumed.size()),
-      kPayloadCtx, "resumed", 0);
-  line_start = pos + 1;
-
-  // Zero or more "tl ..." telemetry lines: a record with an empty
-  // timeline emits none.
-  std::vector<std::pair<std::size_t, IterRecord>> timeline_rows;
-  while (payload.compare(line_start, kPayloadTimeline.size(),
-                         kPayloadTimeline) == 0) {
-    pos = payload.find('\n', line_start);
-    EPGS_CHECK(pos != std::string::npos,
-               "isolated child payload: torn timeline line");
-    // A kernel without a residual writes it as "nan" or "-nan".
-    std::string_view tl = view.substr(
-        line_start + kPayloadTimeline.size(),
-        pos - line_start - kPayloadTimeline.size());
-    const auto idx = text::parse<std::size_t>(text::next_token(tl),
-                                              kPayloadCtx, "tl record", 0);
-    IterRecord row;
-    row.iter = text::parse<std::uint64_t>(text::next_token(tl), kPayloadCtx,
-                                          "tl iter", 0);
-    row.seconds = text::parse<double>(text::next_token(tl), kPayloadCtx,
-                                      "tl seconds", 0);
-    row.frontier = text::parse<std::uint64_t>(text::next_token(tl),
-                                              kPayloadCtx, "tl frontier", 0);
-    row.edges = text::parse<std::uint64_t>(text::next_token(tl), kPayloadCtx,
-                                           "tl edges", 0);
-    row.residual = text::parse<double>(text::next_token(tl), kPayloadCtx,
-                                       "tl residual", 0);
-    timeline_rows.emplace_back(idx, row);
-    line_start = pos + 1;
-  }
-
-  pos = payload.find('\n', line_start);
-  EPGS_CHECK(pos != std::string::npos &&
-                 payload.compare(line_start, pos - line_start,
-                                 kPayloadRecords) == 0,
-             "isolated child payload: missing records marker");
-  r.records = records_from_csv(payload.substr(pos + 1));
-  for (auto& [idx, row] : timeline_rows) {
-    EPGS_CHECK(idx < r.records.size(),
-               "isolated child payload: timeline row for missing record");
-    r.records[idx].timeline.push_back(row);
-  }
+      header(kPayloadResumed), kPayloadCtx, "resumed", 0);
+  EPGS_CHECK(header(kPayloadLog).empty(),
+             "isolated child payload: malformed log marker");
+  r.log = PhaseLog::parse_log_text(payload);
   return r;
 }
 
@@ -436,7 +380,7 @@ TrialReport supervise_unit(const UnitFn& fn, const SupervisorOptions& opts,
                                  : run_attempt(fn, opts, session);
     report.outcome = r.outcome;
     report.message = std::move(r.message);
-    report.records = std::move(r.records);
+    report.log = std::move(r.log);
     report.resumed_from_iter = r.resumed_from_iter;
     report.attempts = attempt;
     // A later clean attempt keeps the forensics of the crash it recovered
@@ -534,13 +478,14 @@ void Journal::open_append(const std::string& path) {
                                            fsx::OutStream::Mode::kAppend);
 }
 
-void Journal::append(const std::string& key, const TrialReport& report) {
+void Journal::append(const std::string& key, const TrialReport& report,
+                     const std::vector<RunRecord>& records) {
   if (file_ == nullptr) return;
   std::ostringstream os;
   os << "unit " << key << '|' << outcome_name(report.outcome) << '|'
-     << report.attempts << '|' << report.records.size() << '\n';
+     << report.attempts << '|' << records.size() << '\n';
   CsvWriter w(os);
-  for (const auto& rec : report.records) {
+  for (const auto& rec : records) {
     os << "rec ";
     w.write_row(record_to_csv_row(rec));
   }

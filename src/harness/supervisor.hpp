@@ -16,7 +16,7 @@
 //                 SIGTERM. No thread is started for either.
 //   * isolation — optionally fork() each unit so std::abort / segfaults
 //                 are contained as Outcome::kCrash; the child streams its
-//                 records back over a pipe and the parent hard-kills it if
+//                 log back over a pipe and the parent hard-kills it if
 //                 even the in-child deadline poll is wedged.
 //   * retry     — TransientError failures are re-attempted with seeded
 //                 exponential backoff + jitter, up to max_retries.
@@ -46,6 +46,7 @@
 #include "core/checkpoint.hpp"
 #include "core/error.hpp"
 #include "core/fs_shim.hpp"
+#include "core/phase_log.hpp"
 #include "core/rng.hpp"
 #include "harness/experiment.hpp"
 #include "harness/records.hpp"
@@ -64,7 +65,7 @@ struct TrialReport {
   std::int64_t resumed_from_iter = -1;
   std::string message;         ///< failure detail; empty on success
   double elapsed_seconds = 0;  ///< wall time across all attempts
-  std::vector<RunRecord> records;  ///< timed phases of the final attempt
+  PhaseLog log;  ///< phases the final attempt appended
   /// Stack fingerprint from the crash-forensics report of the last
   /// signal-killed attempt (empty when no attempt crashed, no report was
   /// armed, or the child died before its handler ran — e.g. SIGKILL).
@@ -73,11 +74,11 @@ struct TrialReport {
   std::string crash_report_path;
 };
 
-/// The unit body: runs one (system, algorithm, trial) and returns its
-/// records. Throws on failure; must poll the token it is given (directly
-/// or via System::set_cancellation) or no deadline, interrupt or RSS trip
-/// can cancel it.
-using UnitFn = std::function<std::vector<RunRecord>(CancellationToken&)>;
+/// The unit body: runs one (system, algorithm, trial) and returns the
+/// PhaseLog it appended. Throws on failure; must poll the token it is
+/// given (directly or via System::set_cancellation) or no deadline,
+/// interrupt or RSS trip can cancel it.
+using UnitFn = std::function<PhaseLog(CancellationToken&)>;
 
 /// Classify an in-process failure for the outcome taxonomy.
 [[nodiscard]] Outcome classify_exception(const std::exception& e);
@@ -161,8 +162,9 @@ class Journal {
 
   [[nodiscard]] bool active() const { return file_ != nullptr; }
 
-  /// Durably append one finished unit.
-  void append(const std::string& key, const TrialReport& report);
+  /// Durably append one finished unit and the records it produced.
+  void append(const std::string& key, const TrialReport& report,
+              const std::vector<RunRecord>& records);
 
   /// Durably append a "ckpt" breadcrumb: `key` left a resumable snapshot
   /// covering `iteration` completed iterations.

@@ -82,15 +82,6 @@ std::string_view kind_name(Kind k) {
   return "?";
 }
 
-Kind kind_from_name(std::string_view name) {
-  for (const Kind k :
-       {Kind::kNone, Kind::kHang, Kind::kTransient, Kind::kError, Kind::kAbort,
-        Kind::kSegv, Kind::kBadAlloc, Kind::kWrongOutput}) {
-    if (kind_name(k) == name) return k;
-  }
-  throw EpgsError("unknown fault kind '" + std::string(name) + "'");
-}
-
 void arm(const Plan& plan) {
   g_plan = plan;
   g_events.store(0);
@@ -282,12 +273,6 @@ void disarm_kill_at_publish() {
   g_publish_events.store(0);
   crash::note_fault(kNoteCancelOrPublish, {});
 }
-
-bool publish_kill_armed() {
-  return g_publish_armed.load(std::memory_order_acquire);
-}
-
-int publish_events() { return g_publish_events.load(); }
 
 void disarm_all() {
   disarm();

@@ -41,7 +41,6 @@ enum class Kind {
 };
 
 [[nodiscard]] std::string_view kind_name(Kind k);
-[[nodiscard]] Kind kind_from_name(std::string_view name);
 
 struct Plan {
   std::string system;  ///< exact System::name() match; empty = any system
@@ -162,9 +161,6 @@ struct PublishKillPlan {
 
 void arm_kill_at_publish(const PublishKillPlan& plan);
 void disarm_kill_at_publish();
-[[nodiscard]] bool publish_kill_armed();
-/// Publish points observed since arming (counts even when not firing).
-[[nodiscard]] int publish_events();
 
 /// Disarm every fault family at once (chaos round teardown).
 void disarm_all();

@@ -2,6 +2,8 @@
 
 #include <utility>
 
+#include "core/crash_report.hpp"
+#include "systems/common/fault_injection.hpp"
 #include "systems/common/system.hpp"
 
 namespace epgs {
@@ -9,8 +11,9 @@ namespace epgs {
 KernelRun::KernelRun(System& sys, std::string_view stage,
                      Checkpointable* state)
     : sys_(sys) {
-  if (state != nullptr) {
-    resumed_ = sys_.ckpt_begin(stage, *state);
+  // Unsupervised (no session attached), the kernel starts fresh.
+  if (state != nullptr && sys_.ckpt_ != nullptr) {
+    resumed_ = sys_.ckpt_->begin(stage, *state);
     registered_ = true;
   }
 }
@@ -42,10 +45,16 @@ void KernelRun::close_row() {
 
 void KernelRun::iteration(std::uint64_t completed, std::uint64_t frontier) {
   close_row();
-  // The boundary proper — exactly the old iter_checkpoint() sequence:
-  // fault hook, cadence tick, durable-save report, cancellation poll
-  // (which snapshots once more and throws when the token fired).
-  sys_.iter_checkpoint(completed);
+  // The boundary proper: crash note, fault hook, cadence tick,
+  // durable-save report (kill-at-checkpoint), cancellation poll (which
+  // snapshots once more and throws when the token fired).
+  crash::note_iteration(completed);
+  fault::on_iteration_boundary(sys_.name(), completed, sys_.cancel_);
+  if (sys_.ckpt_ != nullptr && sys_.ckpt_->tick(completed)) {
+    fault::on_checkpoint_saved(sys_.name(),
+                               sys_.ckpt_->last_saved_iteration());
+  }
+  sys_.checkpoint();
   row_ = IterRecord{};
   row_.iter = completed;
   row_.frontier = frontier;
@@ -59,7 +68,7 @@ void KernelRun::residual(double r) {
 
 void KernelRun::finish() {
   close_row();
-  if (registered_) sys_.ckpt_end();
+  if (registered_) sys_.ckpt_->end();
   sys_.pending_timeline_ = std::move(timeline_);
   timeline_.clear();
   finished_ = true;

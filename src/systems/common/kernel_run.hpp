@@ -25,13 +25,11 @@
 //   }
 //   run.finish();                           // closes timeline, drops ckpt
 //
-// iteration(i, f) snapshots/polls exactly where the old
-// ckpt_begin/iter_checkpoint/ckpt_end/checkpoint() call sites sat, so
-// kill/resume behaviour and results are bit-identical to the hand-rolled
-// loops. If the scope unwinds before finish() (cancellation, fault), the
-// destructor detaches the checkpoint session from the dying stack frame —
-// the snapshot stays on disk for the retry — and discards the partial
-// timeline.
+// iteration(i, f) is the kernel's one boundary: the only place it
+// snapshots and polls. If the scope unwinds before finish()
+// (cancellation, fault), the destructor detaches the checkpoint session
+// from the dying stack frame — the snapshot stays on disk for the retry —
+// and discards the partial timeline.
 #pragma once
 
 #include <cstdint>

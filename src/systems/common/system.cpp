@@ -128,25 +128,6 @@ vid_t System::num_vertices() const {
   return built_ ? n_ : staged_.num_vertices;
 }
 
-std::uint64_t System::ckpt_begin(std::string_view stage,
-                                 Checkpointable& state) {
-  if (ckpt_ == nullptr) return 0;
-  return ckpt_->begin(stage, state);
-}
-
-void System::iter_checkpoint(std::uint64_t completed) {
-  crash::note_iteration(completed);
-  fault::on_iteration_boundary(name(), completed, cancel_);
-  if (ckpt_ != nullptr && ckpt_->tick(completed)) {
-    fault::on_checkpoint_saved(name(), ckpt_->last_saved_iteration());
-  }
-  checkpoint();
-}
-
-void System::ckpt_end() {
-  if (ckpt_ != nullptr) ckpt_->end();
-}
-
 template <typename Fn>
 auto System::run_timed(std::string_view alg, bool supported, Fn&& fn) {
   if (!supported) {

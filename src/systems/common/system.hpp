@@ -111,15 +111,15 @@ class System {
   void set_cancellation(const CancellationToken* token) { cancel_ = token; }
 
   /// Attach (or detach, with nullptr) the per-unit checkpoint session.
-  /// Kernels register their iteration state through ckpt_begin() and
+  /// Kernels register their iteration state through a KernelRun and
   /// snapshot/restore at the same boundaries where they poll the token.
   void set_checkpoint_session(CheckpointSession* session) {
     ckpt_ = session;
   }
 
-  /// The shared kernel runtime scope drives the private checkpoint and
-  /// cancellation helpers below; adapters interact with them only through
-  /// a KernelRun, never directly.
+  /// The shared kernel runtime scope drives the checkpoint session and
+  /// the private cancellation point below; adapters interact with them
+  /// only through a KernelRun, never directly.
   friend class KernelRun;
 
  protected:
@@ -160,21 +160,6 @@ class System {
     if (ckpt_ != nullptr) ckpt_->save_now();
     cancel_->checkpoint();
   }
-
-  /// Register the kernel's serializable iteration state with the attached
-  /// session (no-op returning 0 when unsupervised): restores a valid
-  /// snapshot into `state` and returns the completed-iteration count to
-  /// continue from, or 0 on a fresh start.
-  std::uint64_t ckpt_begin(std::string_view stage, Checkpointable& state);
-
-  /// The snapshot-point flavour of checkpoint(): `completed` iterations
-  /// are done and the registered state is consistent. Ticks the session
-  /// (cadence-based save), reports durable saves to the fault injector
-  /// (kill-at-checkpoint), then polls the token.
-  void iter_checkpoint(std::uint64_t completed);
-
-  /// Kernel ran to completion: drop the registration and the snapshot.
-  void ckpt_end();
 
   template <typename Fn>
   auto run_timed(std::string_view alg, bool supported, Fn&& fn);

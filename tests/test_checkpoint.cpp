@@ -485,7 +485,7 @@ TEST_F(KillResume, SupervisorRetriesSigkilledChildFromSnapshot) {
         sys->set_checkpoint_session(&session);
         (void)sys->pagerank();
         sys->set_checkpoint_session(nullptr);
-        return std::vector<harness::RunRecord>{};
+        return PhaseLog{};
       },
       opts, rng, &session);
   fault::disarm_kill_at_checkpoint();
@@ -501,7 +501,7 @@ TEST_F(KillResume, NoSnapshotMeansNoRetryForCrashes) {
   Xoshiro256 rng(1);
   int calls = 0;
   const harness::TrialReport rep = harness::supervise_unit(
-      [&](CancellationToken&) -> std::vector<harness::RunRecord> {
+      [&](CancellationToken&) -> PhaseLog {
         ++calls;
         throw EpgsError("boom");
       },

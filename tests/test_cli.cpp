@@ -191,6 +191,42 @@ TEST(Cli, FullPipelineRunParseAnalyze) {
   EXPECT_TRUE(fs::exists(prefix + ".R"));
 }
 
+TEST(Cli, IsolatedRunLogsParseToItsSuccessRows) {
+  // Isolated units log in forked children; their log text still reaches
+  // --logdir, so parsing the logs gives back every successful row.
+  TempDir dir;
+  const auto run_csv = (dir.path() / "run.csv").string();
+  const auto parsed_csv = (dir.path() / "parsed.csv").string();
+  const auto logdir = (dir.path() / "logs").string();
+  std::string out;
+  ASSERT_EQ(run_cli({"run", "--kind", "kron", "--scale", "8", "--systems",
+                     "GAP,GraphMat", "--algorithms", "BFS,PageRank",
+                     "--roots", "2", "--isolate", "--logdir", logdir,
+                     "--csv", run_csv},
+                    &out),
+            0)
+      << out;
+  EXPECT_NE(out.find("wrote 2 raw logs"), std::string::npos) << out;
+  ASSERT_EQ(run_cli({"parse", "--logdir", logdir, "--csv", parsed_csv},
+                    &out),
+            0)
+      << out;
+
+  const auto read_records = [](const std::string& path) {
+    std::ifstream f(path);
+    std::stringstream buf;
+    buf << f.rdbuf();
+    return harness::records_from_csv(buf.str());
+  };
+  const auto run_records = read_records(run_csv);
+  std::size_t successes = 0;
+  for (const auto& r : run_records) {
+    if (r.outcome == Outcome::kSuccess) ++successes;
+  }
+  ASSERT_GT(successes, 0u);
+  EXPECT_EQ(read_records(parsed_csv).size(), successes);
+}
+
 TEST(Cli, ParseRequiresLogdir) {
   std::string out;
   EXPECT_NE(run_cli({"parse"}, &out), 0);

@@ -3,6 +3,7 @@
 #include <gtest/gtest.h>
 
 #include <set>
+#include <vector>
 
 #include "core/error.hpp"
 #include "systems/common/system.hpp"
@@ -54,13 +55,40 @@ TEST(Runner, ConstructionSamplingMatchesPaper) {
 }
 
 TEST(Runner, RawLogsParseAsPhaseLogs) {
-  const auto result = run_experiment(small_config());
-  ASSERT_EQ(result.raw_logs.size(), 5u);
-  for (const auto& [system, text] : result.raw_logs) {
-    EXPECT_NO_THROW({
+  // A system's raw log is the text its successful units' records were
+  // parsed from, whether the units ran in-process or in forked children.
+  for (const bool isolate : {false, true}) {
+    SCOPED_TRACE(isolate ? "isolated" : "in-process");
+    auto cfg = small_config();
+    cfg.supervisor.isolate = isolate;
+    const auto result = run_experiment(cfg);
+    ASSERT_EQ(result.raw_logs.size(), 5u);
+    for (const auto& [system, text] : result.raw_logs) {
+      SCOPED_TRACE(system);
       const auto parsed = PhaseLog::parse_log_text(text);
-      EXPECT_FALSE(parsed.entries().empty()) << system;
-    });
+      std::vector<PhaseEntry> logged;
+      for (const auto& e : parsed.entries()) {
+        if (e.name == phase::kAlgorithm) logged.push_back(e);
+      }
+      std::vector<RunRecord> kernels;
+      for (const auto& r : result.records) {
+        if (r.system == system && r.phase == phase::kAlgorithm &&
+            r.outcome == Outcome::kSuccess) {
+          kernels.push_back(r);
+        }
+      }
+      ASSERT_FALSE(kernels.empty());
+      ASSERT_EQ(logged.size(), kernels.size());
+      for (std::size_t i = 0; i < logged.size(); ++i) {
+        EXPECT_EQ(logged[i].seconds, kernels[i].seconds) << i;
+        EXPECT_EQ(logged[i].work.edges_processed,
+                  kernels[i].work.edges_processed)
+            << i;
+        EXPECT_EQ(logged[i].extra, kernels[i].extra) << i;
+        EXPECT_EQ(logged[i].timeline.size(), kernels[i].timeline.size())
+            << i;
+      }
+    }
   }
 }
 

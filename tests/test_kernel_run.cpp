@@ -304,8 +304,7 @@ TEST(IterTrace, SidecarJsonlMatchesIterationCounts) {
   auto cfg = trace_config();
   cfg.iter_trace_dir = dir.string();
   const auto result = harness::run_experiment(cfg);
-  EXPECT_TRUE(result.iter_trace_warning.empty())
-      << result.iter_trace_warning;
+  EXPECT_TRUE(result.warnings.empty()) << result.warnings.front();
 
   std::size_t expected_rows = 0;
   for (const auto& r : result.records) expected_rows += r.timeline.size();

@@ -6,6 +6,7 @@
 #include <gtest/gtest.h>
 #include <unistd.h>
 
+#include <algorithm>
 #include <filesystem>
 #include <new>
 #include <string>
@@ -76,7 +77,7 @@ TEST(Governor, BadAllocBecomesOomKilledNotRetried) {
   opts.max_retries = 5;
   Xoshiro256 rng(1);
   const auto report = supervise_unit(
-      [](CancellationToken&) -> std::vector<RunRecord> {
+      [](CancellationToken&) -> PhaseLog {
         throw std::bad_alloc();
       },
       opts, rng);
@@ -89,7 +90,7 @@ TEST(Governor, ResourceExhaustedNotRetried) {
   opts.max_retries = 5;
   Xoshiro256 rng(1);
   const auto report = supervise_unit(
-      [](CancellationToken&) -> std::vector<RunRecord> {
+      [](CancellationToken&) -> PhaseLog {
         throw ResourceExhaustedError("write failed for x: ENOSPC");
       },
       opts, rng);
@@ -103,7 +104,7 @@ TEST(Governor, RssWatchdogCancelsOverBudgetUnit) {
   opts.mem_limit_bytes = 1 << 20;  // 1 MiB: this process is far beyond it
   Xoshiro256 rng(1);
   const auto report = supervise_unit(
-      [](CancellationToken& token) -> std::vector<RunRecord> {
+      [](CancellationToken& token) -> PhaseLog {
         for (;;) token.checkpoint();  // cooperative loop, cancelled by RSS
       },
       opts, rng);
@@ -121,11 +122,11 @@ TEST(Governor, IsolatedChildUnderRlimitAsReportsOomKilled) {
   opts.mem_limit_bytes = 256ull << 20;  // RLIMIT_AS in the forked child
   Xoshiro256 rng(1);
   const auto report = supervise_unit(
-      [](CancellationToken&) -> std::vector<RunRecord> {
+      [](CancellationToken&) -> PhaseLog {
         // Far past any plausible gap between current VA and the cap:
         // the allocation must fail inside the child, not kill the parent.
         std::vector<char> hog(4ull << 30);
-        return {RunRecord{}};
+        return {};
       },
       opts, rng);
   EXPECT_EQ(report.outcome, Outcome::kOomKilled);
@@ -138,10 +139,10 @@ TEST_F(GovernorDir, JournalRoundTripsGovernorOutcomes) {
     j.open_fresh(path, "fp");
     TrialReport oom;
     oom.outcome = Outcome::kOomKilled;
-    j.append("GAP|BFS|0", oom);
+    j.append("GAP|BFS|0", oom, {});
     TrialReport disk;
     disk.outcome = Outcome::kResourceExhausted;
-    j.append("GAP|BFS|1", disk);
+    j.append("GAP|BFS|1", disk, {});
     j.close();
   }
   const auto entries = replay_journal(path, "fp");
@@ -162,8 +163,12 @@ TEST_F(GovernorDir, JournalDegradesOnDiskFullSweepContinues) {
   fsx::Scoped armed(plan);
 
   const auto result = run_experiment(cfg);
-  EXPECT_FALSE(result.journal_warning.empty());
-  EXPECT_NE(result.journal_warning.find("journal.txt"), std::string::npos);
+  const auto journal_warning = std::ranges::find_if(
+      result.warnings, [](const std::string& w) {
+        return w.starts_with("journaling stopped mid-sweep");
+      });
+  ASSERT_NE(journal_warning, result.warnings.end());
+  EXPECT_NE(journal_warning->find("journal.txt"), std::string::npos);
   // Every trial still ran and succeeded: journaling died, the sweep not.
   EXPECT_EQ(count_outcome(result.records, Outcome::kSuccess),
             static_cast<int>(result.records.size()));
@@ -183,9 +188,12 @@ TEST_F(GovernorDir, CacheEnospcDegradesToUncachedRun) {
   const auto result = run_experiment(cfg);
   EXPECT_TRUE(result.dataset_degraded);
   EXPECT_FALSE(result.used_dataset_pipeline);
-  EXPECT_TRUE(result.dataset_warning.find("ENOSPC") != std::string::npos ||
-              result.dataset_warning.find("No space") != std::string::npos)
-      << result.dataset_warning;
+  ASSERT_FALSE(result.warnings.empty());
+  const std::string& warning = result.warnings.front();
+  EXPECT_EQ(warning.rfind("dataset cache degraded", 0), 0u) << warning;
+  EXPECT_TRUE(warning.find("ENOSPC") != std::string::npos ||
+              warning.find("No space") != std::string::npos)
+      << warning;
   EXPECT_EQ(count_outcome(result.records, Outcome::kSuccess),
             static_cast<int>(result.records.size()));
   EXPECT_GT(result.records.size(), 0u);

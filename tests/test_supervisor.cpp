@@ -101,21 +101,44 @@ TEST(Supervisor, BackoffGrowsExponentiallyAndClamps) {
   EXPECT_DOUBLE_EQ(backoff_delay(opts, 20, rng), 2.0);
 }
 
-TEST(Supervisor, SuccessPassesRecordsThrough) {
+/// A successful unit's log comes back whole, timeline rows included.
+void expect_log_passes_through(bool isolate) {
   SupervisorOptions opts;
+  opts.isolate = isolate;
   Xoshiro256 rng(1);
   const auto report = supervise_unit(
       [](CancellationToken&) {
-        RunRecord rec;
-        rec.system = "Fake";
-        rec.seconds = 0.5;
-        return std::vector<RunRecord>{rec};
+        PhaseEntry e;
+        e.name = "run algorithm";
+        e.seconds = 0.5;
+        e.work.edges_processed = 42;
+        e.extra = {{"alg", "Fake"}};
+        e.timeline = {IterRecord{.iter = 0, .frontier = 1, .edges = 3}};
+        PhaseLog log;
+        log.add(std::move(e));
+        return log;
       },
       opts, rng);
-  EXPECT_EQ(report.outcome, Outcome::kSuccess);
+  EXPECT_EQ(report.outcome, Outcome::kSuccess) << report.message;
   EXPECT_EQ(report.attempts, 1);
-  ASSERT_EQ(report.records.size(), 1u);
-  EXPECT_EQ(report.records[0].system, "Fake");
+  ASSERT_EQ(report.log.entries().size(), 1u);
+  const PhaseEntry& got = report.log.entries()[0];
+  EXPECT_EQ(got.name, "run algorithm");
+  EXPECT_EQ(got.seconds, 0.5);
+  EXPECT_EQ(got.work.edges_processed, 42u);
+  EXPECT_EQ(got.extra.at("alg"), "Fake");
+  ASSERT_EQ(got.timeline.size(), 1u);
+  EXPECT_EQ(got.timeline[0].edges, 3u);
+  EXPECT_FALSE(got.timeline[0].has_residual());
+}
+
+TEST(Supervisor, SuccessPassesRecordsThrough) {
+  expect_log_passes_through(/*isolate=*/false);
+}
+
+TEST(Supervisor, IsolatedChildPipesItsLogBack) {
+  // The forked child writes the log as text and the parent parses it.
+  expect_log_passes_through(/*isolate=*/true);
 }
 
 TEST(Supervisor, WatchdogCancelsCooperativeLoopAtDeadline) {
@@ -123,7 +146,7 @@ TEST(Supervisor, WatchdogCancelsCooperativeLoopAtDeadline) {
   opts.timeout_seconds = 0.2;
   Xoshiro256 rng(1);
   const auto report = supervise_unit(
-      [](CancellationToken& token) -> std::vector<RunRecord> {
+      [](CancellationToken& token) -> PhaseLog {
         for (;;) {  // cooperative livelock: only the watchdog ends it
           token.checkpoint();
           std::this_thread::sleep_for(std::chrono::milliseconds(1));
@@ -153,7 +176,7 @@ TEST(Supervisor, DeadlineIsPolledWithoutAHelperThread) {
   const auto report = supervise_unit(
       [&](CancellationToken&) {
         during = thread_count();
-        return std::vector<RunRecord>{};
+        return PhaseLog{};
       },
       opts, rng);
   EXPECT_EQ(report.outcome, Outcome::kSuccess);
@@ -216,7 +239,7 @@ TEST_F(SupervisorInterrupt, OutcomeTableNamesTheCauseOfCancellation) {
     opts.backoff_max_seconds = 1e-3;
     Xoshiro256 rng(1);
     const auto report = supervise_unit(
-        [&](CancellationToken& token) -> std::vector<RunRecord> {
+        [&](CancellationToken& token) -> PhaseLog {
           if (c.throw_cancelled) throw CancelledError("no guard fired");
           // Bounded so a broken cancellation path fails, not hangs.
           for (int poll = 0; poll < 20000; ++poll) {
@@ -247,7 +270,7 @@ TEST(Supervisor, TransientRetriedUntilSuccess) {
   Xoshiro256 rng(1);
   int calls = 0;
   const auto report = supervise_unit(
-      [&](CancellationToken&) -> std::vector<RunRecord> {
+      [&](CancellationToken&) -> PhaseLog {
         if (++calls < 3) throw TransientError("flaky");
         return {};
       },
@@ -264,7 +287,7 @@ TEST(Supervisor, TransientExhaustsRetryBudget) {
   Xoshiro256 rng(1);
   int calls = 0;
   const auto report = supervise_unit(
-      [&](CancellationToken&) -> std::vector<RunRecord> {
+      [&](CancellationToken&) -> PhaseLog {
         ++calls;
         throw TransientError("always flaky");
       },
@@ -281,7 +304,7 @@ TEST(Supervisor, NonTransientFailuresAreNotRetried) {
   Xoshiro256 rng(1);
   int calls = 0;
   const auto report = supervise_unit(
-      [&](CancellationToken&) -> std::vector<RunRecord> {
+      [&](CancellationToken&) -> PhaseLog {
         ++calls;
         throw EpgsError("deterministic bug");
       },
@@ -302,7 +325,7 @@ TEST(Supervisor, RetryAllFailuresWidensRetryToCrashes) {
   Xoshiro256 rng(1);
   int calls = 0;
   const auto report = supervise_unit(
-      [&](CancellationToken&) -> std::vector<RunRecord> {
+      [&](CancellationToken&) -> PhaseLog {
         if (++calls < 3) throw EpgsError("chaos-injected fault");
         return {};
       },
@@ -321,7 +344,7 @@ TEST(Supervisor, RetryAllStillTreatsUnsupportedAsTerminal) {
   Xoshiro256 rng(1);
   int calls = 0;
   const auto report = supervise_unit(
-      [&](CancellationToken&) -> std::vector<RunRecord> {
+      [&](CancellationToken&) -> PhaseLog {
         ++calls;
         throw UnsupportedAlgorithm("no BC on Graph500");
       },
@@ -531,12 +554,10 @@ TEST_F(SupervisorDir, JournalRoundTripsUnits) {
   rec.phase = std::string(phase::kAlgorithm);
   rec.seconds = 1.25;
   rec.work.edges_processed = 42;
-  rep.records = {rec};
-  j.append("GAP|BFS|0", rep);
+  j.append("GAP|BFS|0", rep, {rec});
   TrialReport fail;
   fail.outcome = Outcome::kTimeout;
-  fail.records = {};
-  j.append("GAP|BFS|1", fail);
+  j.append("GAP|BFS|1", fail, {});
   j.close();
 
   const auto entries = replay_journal(journal_path(), "fp-1");
@@ -559,7 +580,7 @@ TEST_F(SupervisorDir, JournalEndLineCarriesRetryAndResumeDetail) {
   rep.attempts = 3;
   rep.last_failure = Outcome::kOomKilled;
   rep.resumed_from_iter = 17;
-  j.append("GAP|PageRank|0", rep);
+  j.append("GAP|PageRank|0", rep, {});
   j.close();
 
   const auto entries = replay_journal(journal_path(), "fp");
@@ -609,11 +630,11 @@ TEST_F(SupervisorDir, ReplaySkipsCheckpointBreadcrumbs) {
   Journal j;
   j.open_fresh(journal_path(), "fp");
   TrialReport ok;
-  j.append("GAP|PageRank|0", ok);
+  j.append("GAP|PageRank|0", ok, {});
   j.append_checkpoint("GAP|PageRank|1", 7);
   TrialReport fail;
   fail.outcome = Outcome::kCrash;
-  j.append("GAP|PageRank|1", fail);
+  j.append("GAP|PageRank|1", fail, {});
   j.append_checkpoint("GAP|PageRank|2", 3);
   j.close();
 
@@ -627,7 +648,7 @@ TEST_F(SupervisorDir, ReplayToleratesTornCheckpointTail) {
   Journal j;
   j.open_fresh(journal_path(), "fp");
   TrialReport ok;
-  j.append("GAP|PageRank|0", ok);
+  j.append("GAP|PageRank|0", ok, {});
   j.close();
   {
     // Crash mid-breadcrumb: a half-written ckpt line ends the file.
@@ -646,11 +667,11 @@ TEST_F(SupervisorDir, ReplayDuplicateKeysLastWins) {
   j.open_fresh(journal_path(), "fp");
   TrialReport fail;
   fail.outcome = Outcome::kTimeout;
-  j.append("GAP|PageRank|0", fail);
+  j.append("GAP|PageRank|0", fail, {});
   TrialReport ok;
   ok.attempts = 1;
   ok.resumed_from_iter = 9;
-  j.append("GAP|PageRank|0", ok);
+  j.append("GAP|PageRank|0", ok, {});
   j.close();
 
   const auto entries = replay_journal(journal_path(), "fp");
@@ -674,13 +695,13 @@ TEST_F(SupervisorDir, ResumableFailureWithSnapshotIsRerunOnResume) {
   j.open_fresh(journal_path(), "fp");
   TrialReport crash;
   crash.outcome = Outcome::kCrash;
-  j.append("GAP|PageRank|0", crash);  // snapshot exists -> re-run
+  j.append("GAP|PageRank|0", crash, {});  // snapshot exists -> re-run
   TrialReport timeout;
   timeout.outcome = Outcome::kTimeout;
-  j.append("GAP|PageRank|1", timeout);  // no snapshot -> settled DNF
+  j.append("GAP|PageRank|1", timeout, {});  // no snapshot -> settled DNF
   TrialReport interrupted;
   interrupted.outcome = Outcome::kInterrupted;
-  j.append("GAP|PageRank|2", interrupted);  // always re-run
+  j.append("GAP|PageRank|2", interrupted, {});  // always re-run
   j.close();
   std::ofstream(CheckpointSession::path_for(ckpt_dir, "GAP|PageRank|0"))
       << "placeholder";
@@ -709,7 +730,7 @@ TEST_F(SupervisorDir, ReplayDropsTornTrailingGroup) {
   Journal j;
   j.open_fresh(journal_path(), "fp");
   TrialReport rep;
-  j.append("GAP|BFS|0", rep);
+  j.append("GAP|BFS|0", rep, {});
   j.close();
   {
     // Simulate a crash mid-append: a unit line with no records / "end".
