@@ -6,8 +6,10 @@
 // cost/quality, DCSR construction, and the harness's parsing layers.
 #include <benchmark/benchmark.h>
 
+#include <algorithm>
 #include <numeric>
 #include <ostream>
+#include <random>
 #include <sstream>
 
 #include "core/cancellation.hpp"
@@ -51,10 +53,13 @@ void BM_KroneckerGenerate(benchmark::State& state) {
 }
 BENCHMARK(BM_KroneckerGenerate)->Arg(10)->Arg(12)->Arg(14);
 
-// Kernel 1: the serial counting build, and the counting transpose that
-// gives GAP, Ligra and GraphMat their in-adjacency. Neither reads the
-// thread count (bench/results_kernels.json archives the deleted
-// atomic-scatter build against the serial one).
+// Kernel 1. GAP and Ligra read in-edges from the out-CSR when
+// CSRGraph::is_symmetric() says it is its own transpose, and take the
+// counting transpose only otherwise; GraphMat copies A for A^T when A is
+// symmetric. BM_CsrBuild is the one-pass build of a deduplicated
+// (sorted) list, BM_CsrBuildUnsorted the counting build of the same
+// edges shuffled. bench/results_kernels.json archives the deleted
+// atomic-scatter build against the serial one.
 void BM_CsrBuild(benchmark::State& state) {
   const auto el = bench_graph(static_cast<int>(state.range(0)));
   for (auto _ : state) {
@@ -64,6 +69,18 @@ void BM_CsrBuild(benchmark::State& state) {
                           static_cast<std::int64_t>(el.num_edges()));
 }
 BENCHMARK(BM_CsrBuild)->Arg(10)->Arg(12);
+
+void BM_CsrBuildUnsorted(benchmark::State& state) {
+  auto el = bench_graph(static_cast<int>(state.range(0)));
+  std::mt19937_64 rng(7);
+  std::shuffle(el.edges.begin(), el.edges.end(), rng);
+  for (auto _ : state) {
+    benchmark::DoNotOptimize(CSRGraph::from_edges(el));
+  }
+  state.SetItemsProcessed(state.iterations() *
+                          static_cast<std::int64_t>(el.num_edges()));
+}
+BENCHMARK(BM_CsrBuildUnsorted)->Arg(10)->Arg(12);
 
 void BM_CsrTranspose(benchmark::State& state) {
   const auto g =
@@ -75,6 +92,17 @@ void BM_CsrTranspose(benchmark::State& state) {
                           static_cast<std::int64_t>(g.num_edges()));
 }
 BENCHMARK(BM_CsrTranspose)->Arg(10)->Arg(12);
+
+void BM_CsrIsSymmetric(benchmark::State& state) {
+  const auto g =
+      CSRGraph::from_edges(bench_graph(static_cast<int>(state.range(0))));
+  for (auto _ : state) {
+    benchmark::DoNotOptimize(g.is_symmetric());
+  }
+  state.SetItemsProcessed(state.iterations() *
+                          static_cast<std::int64_t>(g.num_edges()));
+}
+BENCHMARK(BM_CsrIsSymmetric)->Arg(10)->Arg(12);
 
 // Set-up: the radix-sort dedupe of a symmetrized Kronecker edge list
 // (each iteration includes one copy of the input, since dedupe takes its
@@ -210,13 +238,15 @@ BENCHMARK(BM_BitmapCompactParallel)
     ->Args({1 << 22, 1})
     ->Args({1 << 22, 8});
 
-// GraphMat's A^T as its build makes it: out-CSR, counting transpose,
-// then the transpose's arrays moved into the DCSR.
+// GraphMat's A^T as its build makes it: the out-CSR, then a copy of it
+// when it is symmetric (as this graph is) or else its counting
+// transpose, with the arrays moved into the DCSR.
 void BM_DcsrBuild(benchmark::State& state) {
   const auto el = bench_graph(static_cast<int>(state.range(0)));
   for (auto _ : state) {
+    const CSRGraph out = CSRGraph::from_edges(el);
     benchmark::DoNotOptimize(systems::graphmat_detail::DCSR::from_csr(
-        CSRGraph::from_edges(el).transposed()));
+        out.is_symmetric() ? CSRGraph(out) : out.transposed()));
   }
   state.SetItemsProcessed(state.iterations() *
                           static_cast<std::int64_t>(el.num_edges()));

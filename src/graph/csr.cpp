@@ -1,6 +1,7 @@
 #include "graph/csr.hpp"
 
 #include <algorithm>
+#include <atomic>
 #include <cstdint>
 #include <utility>
 #include <vector>
@@ -70,6 +71,101 @@ void sort_unsorted_rows(const CSRGraph::OffsetVector& offsets,
   }
 }
 
+/// Fill CSR entries [lo, hi) of a list in CSR order (see fill_in_order)
+/// and write the row starts that fall inside the range. Returns false
+/// at the first edge out of order. Sets `out_of_range` on an endpoint
+/// outside [0, n), stopping at a source there, since every row start
+/// from it on would be out of the offsets' bounds.
+EPGS_TSAN_NOINLINE bool fill_block(const EdgeList& el, std::size_t lo,
+                                   std::size_t hi,
+                                   CSRGraph::OffsetVector& offsets,
+                                   CSRGraph::TargetVector& targets,
+                                   CSRGraph::WeightVector& weights,
+                                   bool& out_of_range) {
+  const vid_t n = el.num_vertices;
+  const bool weighted = el.weighted;
+  // Edge 0 is its own predecessor: the rows up to its source start at 0,
+  // which the zeroed offsets already say.
+  Edge prev = el.edges[lo == 0 ? 0 : lo - 1];
+  if (prev.src >= n) {
+    out_of_range = true;
+    return true;
+  }
+  bool dst_out_of_range = false;
+  for (std::size_t i = lo; i < hi; ++i) {
+    const Edge e = el.edges[i];
+    targets[i] = e.dst;
+    if (weighted) weights[i] = e.w;
+    dst_out_of_range |= e.dst >= n;
+    if (e.src == prev.src) {
+      if (e.dst < prev.dst || (weighted && e.dst == prev.dst && e.w < prev.w)) {
+        return false;
+      }
+    } else {
+      if (e.src < prev.src) return false;
+      if (e.src >= n) {
+        out_of_range = true;
+        return true;
+      }
+      for (vid_t u = prev.src + 1; u <= e.src; ++u) offsets[u] = i;
+    }
+    prev = e;
+  }
+  out_of_range = out_of_range || dst_out_of_range;
+  return true;
+}
+
+/// Edges a thread copies between two polls of the out-of-order flag.
+constexpr std::size_t kOrderPollBlock = 4096;
+
+/// The one-pass build of a list already in CSR order: sorted by (src,
+/// dst) and, when weighted, by weight among equal pairs (every
+/// deduplicated list is). Edge i becomes CSR entry i, and row u starts
+/// at the first edge whose source is at least u. `offsets` must come in
+/// zeroed and `targets`/`weights` sized but untouched: the pass runs
+/// schedule(static) over blocks of edge index, so it is their first
+/// touch, as the zeroing pass of the counting build is. Returns false,
+/// with the arrays partly written, once any thread meets an edge out of
+/// order (each polls a relaxed flag once per block). Throws on an
+/// endpoint out of range. (The parallel region follows the TSan
+/// discipline of core/parallel.hpp.)
+EPGS_NO_SANITIZE_THREAD bool fill_in_order(const EdgeList& el,
+                                           CSRGraph::OffsetVector& offsets,
+                                           CSRGraph::TargetVector& targets,
+                                           CSRGraph::WeightVector& weights) {
+  const std::size_t m = el.edges.size();
+  const auto blocks =
+      static_cast<std::int64_t>((m + kOrderPollBlock - 1) / kOrderPollBlock);
+  std::atomic<bool> unsorted{false};
+  bool out_of_range = false;
+  OmpHbEdge fork, join;
+  fork.release();
+#pragma omp parallel reduction(|| : out_of_range)
+  {
+    fork.acquire();
+#pragma omp for schedule(static)
+    for (std::int64_t b = 0; b < blocks; ++b) {
+      if (unsorted.load(std::memory_order_relaxed)) continue;
+      const std::size_t lo = static_cast<std::size_t>(b) * kOrderPollBlock;
+      const std::size_t hi = std::min(m, lo + kOrderPollBlock);
+      if (!fill_block(el, lo, hi, offsets, targets, weights, out_of_range)) {
+        unsorted.store(true, std::memory_order_relaxed);
+      }
+    }
+    join.release();
+  }
+  join.acquire();
+  if (unsorted.load(std::memory_order_relaxed)) return false;
+  EPGS_CHECK(!out_of_range, "edge endpoint out of range");
+  if (m > 0) {
+    for (std::size_t u = el.edges.back().src + std::size_t{1};
+         u < offsets.size(); ++u) {
+      offsets[u] = m;
+    }
+  }
+  return true;
+}
+
 }  // namespace
 
 CSRGraph CSRGraph::from_edges(const EdgeList& el) {
@@ -77,6 +173,12 @@ CSRGraph CSRGraph::from_edges(const EdgeList& el) {
   g.n_ = el.num_vertices;
   g.m_ = el.num_edges();
 
+  first_touch_zero(g.offsets_, static_cast<std::size_t>(g.n_) + 1);
+  g.targets_.resize(g.m_);
+  if (el.weighted) g.weights_.resize(g.m_);
+  if (fill_in_order(el, g.offsets_, g.targets_, g.weights_)) return g;
+
+  // The list is out of order: count degrees, then scatter.
   first_touch_zero(g.offsets_, static_cast<std::size_t>(g.n_) + 1);
   for (const auto& e : el.edges) {
     EPGS_CHECK(e.src < g.n_ && e.dst < g.n_, "edge endpoint out of range");
@@ -116,6 +218,34 @@ CSRGraph CSRGraph::transposed() const {
     }
   }
   return t;
+}
+
+bool CSRGraph::is_symmetric() const {
+  // transposed() fills row v with the edges u -> v for u ascending, in
+  // u's row order. So the graph is its own transpose exactly when every
+  // edge u -> v above the diagonal (u < v) finds its reverse, weight
+  // included, in the next unmatched slot of row v, and by the time the
+  // walk reaches row u every slot of it below the diagonal is matched.
+  // A self loop is its own reverse. cursor[v] is row v's first
+  // unmatched slot, so only half the edges cost a random read.
+  if (offsets_.empty()) return false;  // transposed() sizes the offsets
+  std::vector<eid_t> cursor(offsets_.begin(), offsets_.end() - 1);
+  const bool w = weighted();
+  for (vid_t u = 0; u < n_; ++u) {
+    const eid_t end = offsets_[u + 1];
+    eid_t i = cursor[u];
+    if (i < end && targets_[i] < u) return false;  // no reverse for it
+    for (; i < end; ++i) {
+      const vid_t v = targets_[i];
+      if (v == u) continue;
+      const eid_t j = cursor[v]++;
+      if (j == offsets_[v + 1] || targets_[j] != u ||
+          (w && weights_[j] != weights_[i])) {
+        return false;
+      }
+    }
+  }
+  return true;
 }
 
 CSRGraph::Arrays CSRGraph::release() && {

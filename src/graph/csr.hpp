@@ -26,10 +26,12 @@ class CSRGraph {
 
   CSRGraph() = default;
 
-  /// Kernel 1: build the out-neighborhood CSR of an edge list with one
-  /// serial counting pass (degree count, prefix sum, stable scatter),
-  /// then sort the rows that are not already in order. Adjacency of
-  /// every row is sorted by (target, weight).
+  /// Kernel 1: build the out-neighborhood CSR of an edge list.
+  /// Adjacency of every row is sorted by (target, weight). A list
+  /// already sorted by (src, dst, weight), as every deduplicated list
+  /// is, is copied across in one pass; any other list takes one serial
+  /// counting pass (degree count, prefix sum, stable scatter), then a
+  /// sort of the rows that are not already in order.
   static CSRGraph from_edges(const EdgeList& el);
 
   /// The seed's sequential build, kept as the equivalence oracle for
@@ -44,6 +46,12 @@ class CSRGraph {
   /// for a graph from from_edges(el) the result equals
   /// from_edges_serial(el, true) bit for bit.
   [[nodiscard]] CSRGraph transposed() const;
+
+  /// True exactly when transposed() == *this: every edge (u, v, w) has
+  /// its reverse (v, u, w), parallel edges included, so one CSR serves
+  /// both directions. Reads the graph once; returns at the first edge
+  /// whose reverse is missing.
+  [[nodiscard]] bool is_symmetric() const;
 
   /// The adjacency arrays, moved out of a graph that is given up
   /// (GraphMat's DCSR adopts them without a copy).

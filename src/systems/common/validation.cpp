@@ -1,6 +1,8 @@
 #include "systems/common/validation.hpp"
 
 #include <cmath>
+#include <iomanip>
+#include <limits>
 #include <sstream>
 #include <vector>
 
@@ -118,9 +120,14 @@ ValidationError validate_pagerank(const PageRankResult& result, double tol) {
     }
     sum += r;
   }
-  if (std::abs(sum - 1.0) > tol) {
+  const double deviation = std::abs(sum - 1.0);
+  if (deviation > tol) {
+    // Enough digits to tell by how much the sum missed: at the default
+    // six, a sum of 1 + 1.1e-6 prints as "1".
     std::ostringstream os;
-    os << "rank sum " << sum << " deviates from 1 by more than " << tol;
+    os << std::setprecision(std::numeric_limits<double>::max_digits10)
+       << "rank sum " << sum << " deviates from 1 by " << deviation
+       << std::setprecision(6) << ", more than the tolerance " << tol;
     return os.str();
   }
   return std::nullopt;

@@ -26,8 +26,9 @@ void GapSystem::do_build(const EdgeList& edges) {
   } else {
     out_ = CSRGraph::from_edges(edges);
   }
-  in_ = out_.transposed();
-  work_.bytes_touched = out_.bytes() + in_.bytes();
+  in_.reset();
+  if (!out_.is_symmetric()) in_ = out_.transposed();
+  work_.bytes_touched = out_.bytes() + (in_ ? in_->bytes() : 0);
 }
 
 // ---------------------------------------------------------------------
@@ -145,7 +146,7 @@ BfsResult GapSystem::do_bfs(vid_t root) {
     reduction(+ : scanned, woke)
       for (std::int64_t v = 0; v < static_cast<std::int64_t>(n); ++v) {
         if (parent[v].load(std::memory_order_relaxed) != kNoVertex) continue;
-        for (const vid_t u : in_.neighbors(static_cast<vid_t>(v))) {
+        for (const vid_t u : in().neighbors(static_cast<vid_t>(v))) {
           ++scanned;
           if (front_bm.test(u)) {
             parent[v].store(u, std::memory_order_relaxed);
@@ -432,8 +433,8 @@ PageRankResult GapSystem::do_pagerank(const PageRankParams& params) {
   KernelRun run(*this, "pagerank", &ckpt_state);
   run.watch_edges(&edge_work);
   const auto start_it = static_cast<int>(run.resumed());
-  const auto& cols = in_.targets();
-  const auto& offs = in_.offsets();
+  const auto& cols = in().targets();
+  const auto& offs = in().offsets();
 
   for (int it = start_it; it < params.max_iterations; ++it) {
     run.iteration(static_cast<std::uint64_t>(it), n);  // snapshot point
@@ -473,7 +474,7 @@ PageRankResult GapSystem::do_pagerank(const PageRankParams& params) {
         n, [&](std::size_t v) { return std::abs(next[v] - rank[v]); });
     rank.swap(next);
     ++r.iterations;
-    edge_work += in_.num_edges();
+    edge_work += in().num_edges();
     run.residual(l1);
     if (l1 < params.epsilon) break;
   }
@@ -558,7 +559,7 @@ TriangleCountResult GapSystem::do_tc() {
     const auto v = static_cast<vid_t>(vi);
     std::vector<vid_t> nbrs;
     const auto o = out_.neighbors(v);
-    const auto i = in_.neighbors(v);
+    const auto i = in().neighbors(v);
     nbrs.reserve(o.size() + i.size());
     std::merge(o.begin(), o.end(), i.begin(), i.end(),
                std::back_inserter(nbrs));
@@ -668,7 +669,7 @@ BcResult GapSystem::do_bc(vid_t source) {
          ++i) {
       const vid_t v = next[static_cast<std::size_t>(i)];
       double s = 0.0;
-      for (const vid_t u : in_.neighbors(v)) {
+      for (const vid_t u : in().neighbors(v)) {
         if (level[u] != kNoVertex && level[u] + 1 == depth) s += sigma[u];
       }
       sigma[v] = s;

@@ -2,7 +2,9 @@
 //
 // The paper's overall winner. Faithful design elements:
 //  * CSR in both directions, built separately from file I/O (the paper
-//    times GAP's construction phase explicitly in Figs 2/3);
+//    times GAP's construction phase explicitly in Figs 2/3); like GAP's
+//    own builder, it inverts only a graph that is not its own transpose
+//    and otherwise reads in-edges from the out-CSR;
 //  * direction-optimizing BFS (Beamer et al., SC'12) with the default
 //    parameterization alpha = 15, beta = 18 the paper says it did not
 //    tune ("we use the default parameterization of alpha=15 and beta=18");
@@ -12,6 +14,8 @@
 // GAP ships no CDLP or LCC reference implementation, so those throw
 // UnsupportedAlgorithm, exactly as the harness expects.
 #pragma once
+
+#include <optional>
 
 #include "graph/csr.hpp"
 #include "systems/common/system.hpp"
@@ -53,7 +57,7 @@ class GapSystem final : public System {
 
   /// Read-only access to the built CSR (tests compare layouts).
   [[nodiscard]] const CSRGraph& out_csr() const { return out_; }
-  [[nodiscard]] const CSRGraph& in_csr() const { return in_; }
+  [[nodiscard]] const CSRGraph& in_csr() const { return in(); }
 
  protected:
   void do_build(const EdgeList& edges) override;
@@ -65,9 +69,12 @@ class GapSystem final : public System {
   BcResult do_bc(vid_t source) override;
 
  private:
+  /// In-edges: the transpose, or the out-CSR when it is symmetric.
+  [[nodiscard]] const CSRGraph& in() const { return in_ ? *in_ : out_; }
+
   Options opts_;
   CSRGraph out_;
-  CSRGraph in_;
+  std::optional<CSRGraph> in_;  // empty when out_ is its own transpose
 };
 
 }  // namespace epgs::systems

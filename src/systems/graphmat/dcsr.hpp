@@ -21,9 +21,10 @@ class DCSR {
   DCSR() = default;
 
   /// Compress a CSR: row u of `g` becomes a stored row with id u unless
-  /// it is empty. Pass the out-CSR for A, its transposed() for A^T (the
-  /// orientation SpMV-style message gathering needs). The columns,
-  /// values and offsets are taken over by move, not copied.
+  /// it is empty. Pass the out-CSR for A, and for A^T its transposed(),
+  /// or a copy when it is symmetric (the orientation SpMV-style message
+  /// gathering needs). The columns, values and offsets are taken over by
+  /// move, not copied.
   static DCSR from_csr(CSRGraph&& g);
 
   [[nodiscard]] vid_t num_vertices() const { return n_; }
@@ -48,6 +49,8 @@ class DCSR {
   [[nodiscard]] std::size_t find_row(vid_t v) const;
 
   [[nodiscard]] std::size_t bytes() const;
+
+  friend bool operator==(const DCSR&, const DCSR&) = default;
 
  private:
   vid_t n_ = 0;

@@ -19,8 +19,9 @@ using ligra_detail::VertexSubset;
 
 void LigraSystem::do_build(const EdgeList& edges) {
   out_ = CSRGraph::from_edges(edges);
-  in_ = out_.transposed();
-  work_.bytes_touched = out_.bytes() + in_.bytes();
+  in_.reset();
+  if (!out_.is_symmetric()) in_ = out_.transposed();
+  work_.bytes_touched = out_.bytes() + (in_ ? in_->bytes() : 0);
 }
 
 // ---------------------------------------------------------------------
@@ -127,7 +128,7 @@ BfsResult LigraSystem::do_bfs(vid_t root) {
   while (!frontier.empty()) {
     // edgeMap round boundary (snapshot point).
     run.iteration(round, frontier.size());
-    frontier = edge_map(out_, in_, frontier, BfsF{parent.data()},
+    frontier = edge_map(out_, in(), frontier, BfsF{parent.data()},
                         examined);
     ++round;
   }
@@ -188,7 +189,7 @@ SsspResult LigraSystem::do_sssp(vid_t root) {
   while (!frontier.empty() && rounds <= static_cast<int>(n)) {
     // Bellman-Ford round boundary (snapshot point).
     run.iteration(static_cast<std::uint64_t>(rounds), frontier.size());
-    frontier = edge_map(out_, in_, frontier, SsspF{dist.data()}, examined);
+    frontier = edge_map(out_, in(), frontier, SsspF{dist.data()}, examined);
     ++rounds;
   }
   run.finish();
@@ -267,7 +268,7 @@ PageRankResult LigraSystem::do_pagerank(const PageRankParams& params) {
     // (scheduling rule in core/numa_alloc.hpp).
 #pragma omp parallel for schedule(dynamic, 1024)
     for (std::int64_t v = 0; v < static_cast<std::int64_t>(n); ++v) {
-      const auto nbrs = in_.neighbors(static_cast<vid_t>(v));
+      const auto nbrs = in().neighbors(static_cast<vid_t>(v));
       double sum = 0.0;
       for (std::size_t i = 0; i < nbrs.size(); ++i) {
         if (i + kPrefetchDistance < nbrs.size()) {
@@ -281,7 +282,7 @@ PageRankResult LigraSystem::do_pagerank(const PageRankParams& params) {
         n, [&](std::size_t v) { return std::abs(next[v] - rank[v]); });
     rank.swap(next);
     ++r.iterations;
-    edge_work += in_.num_edges();
+    edge_work += in().num_edges();
     run.residual(l1);
     if (l1 < params.epsilon) break;
   }
@@ -336,8 +337,8 @@ WccResult LigraSystem::do_wcc() {
     // WCC round boundary (snapshot point).
     run.iteration(static_cast<std::uint64_t>(guard), frontier.size());
     ++guard;
-    auto fwd = edge_map(out_, in_, frontier, WccF{comp.data()}, examined);
-    auto bwd = edge_map(in_, out_, frontier, WccF{comp.data()}, examined);
+    auto fwd = edge_map(out_, in(), frontier, WccF{comp.data()}, examined);
+    auto bwd = edge_map(in(), out_, frontier, WccF{comp.data()}, examined);
     std::vector<vid_t> merged;
     merged.reserve(fwd.size() + bwd.size());
     merged.insert(merged.end(), fwd.vertices().begin(),
@@ -454,7 +455,7 @@ BcResult LigraSystem::do_bc(vid_t source) {
     run.iteration(round, frontier.size());
     ++round;
     frontier =
-        edge_map(out_, in_, frontier, VisitF{visited.data()}, examined);
+        edge_map(out_, in(), frontier, VisitF{visited.data()}, examined);
     if (frontier.empty()) break;
     const auto depth = static_cast<vid_t>(levels.size());
     for (const vid_t v : frontier.vertices()) level[v] = depth;
@@ -463,7 +464,7 @@ BcResult LigraSystem::do_bc(vid_t source) {
          i < static_cast<std::int64_t>(frontier.size()); ++i) {
       const vid_t v = frontier.vertices()[static_cast<std::size_t>(i)];
       double s = 0.0;
-      for (const vid_t u : in_.neighbors(v)) {
+      for (const vid_t u : in().neighbors(v)) {
         if (level[u] != kNoVertex && level[u] + 1 == depth) s += sigma[u];
       }
       sigma[v] = s;

@@ -8,6 +8,8 @@
 // propagation; PageRank its dense edgeMap iteration.
 #pragma once
 
+#include <optional>
+
 #include "graph/csr.hpp"
 #include "systems/common/system.hpp"
 
@@ -31,6 +33,10 @@ class LigraSystem final : public System {
     return GraphFormat::kLigraAdj;
   }
 
+  /// Read-only access to the built CSR (tests compare layouts).
+  [[nodiscard]] const CSRGraph& out_csr() const { return out_; }
+  [[nodiscard]] const CSRGraph& in_csr() const { return in(); }
+
  protected:
   void do_build(const EdgeList& edges) override;
   BfsResult do_bfs(vid_t root) override;
@@ -40,8 +46,12 @@ class LigraSystem final : public System {
   BcResult do_bc(vid_t source) override;
 
  private:
+  /// In-edges: the transpose, or the out-CSR when it is symmetric (as
+  /// Ligra keeps one adjacency for a symmetric graph).
+  [[nodiscard]] const CSRGraph& in() const { return in_ ? *in_ : out_; }
+
   CSRGraph out_;
-  CSRGraph in_;
+  std::optional<CSRGraph> in_;  // empty when out_ is its own transpose
 };
 
 }  // namespace epgs::systems

@@ -17,6 +17,7 @@
 #include "systems/common/validation.hpp"
 #include "systems/gap/gap_system.hpp"
 #include "systems/graphmat/graphmat_system.hpp"
+#include "systems/ligra/ligra_system.hpp"
 #include "systems/powergraph/powergraph_system.hpp"
 #include "test_util.hpp"
 
@@ -209,6 +210,34 @@ std::vector<std::tuple<std::string, std::size_t>> all_cases() {
     }
   }
   return cases;
+}
+
+// Kernel 1's in-adjacency: GAP and Ligra read in-edges from the out-CSR
+// itself when it is symmetric (so the build holds and reports one CSR),
+// and GraphMat's A^T is whatever the counting transpose would give.
+template <typename S>
+void expect_in_csr_is_transpose(const S& sys, const PhaseLog& log) {
+  const CSRGraph& out = sys.out_csr();
+  EXPECT_TRUE(sys.in_csr() == out.transposed());
+  if (out.is_symmetric()) {
+    EXPECT_EQ(&sys.in_csr(), &out);
+    EXPECT_EQ(log.find(phase::kBuild)->work.bytes_touched, out.bytes());
+  }
+}
+
+TEST_P(CrossSystem, InAdjacencyIsTheTranspose) {
+  if (const auto* gap = dynamic_cast<const systems::GapSystem*>(sys_.get())) {
+    expect_in_csr_is_transpose(*gap, sys_->log());
+  } else if (const auto* ligra =
+                 dynamic_cast<const systems::LigraSystem*>(sys_.get())) {
+    expect_in_csr_is_transpose(*ligra, sys_->log());
+  } else if (const auto* gm =
+                 dynamic_cast<const systems::GraphMatSystem*>(sys_.get())) {
+    EXPECT_TRUE(gm->matrix_t() ==
+                systems::graphmat_detail::DCSR::from_csr(out_.transposed()));
+  } else {
+    GTEST_SKIP() << "no in-adjacency of its own";
+  }
 }
 
 INSTANTIATE_TEST_SUITE_P(

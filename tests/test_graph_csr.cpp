@@ -3,12 +3,14 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <optional>
 #include <random>
 #include <string>
 #include <vector>
 
 #include "core/error.hpp"
 #include "core/parallel.hpp"
+#include "gen/datasets.hpp"
 #include "gen/kronecker.hpp"
 #include "graph/transforms.hpp"
 #include "test_util.hpp"
@@ -109,11 +111,13 @@ TEST(Csr, ParallelEdgesPreserved) {
   EXPECT_EQ(g.degree(0), 2u);
 }
 
-// Inputs the counting build and the transpose must reproduce exactly:
-// a shuffled Kronecker multigraph, the same graph sorted and deduped, a
-// weighted one whose parallel edges tie on target with different
-// weights, and a small graph with self loops, parallel edges and
-// isolated vertices.
+// Inputs the build and the transpose must reproduce exactly: a shuffled
+// Kronecker multigraph, the same graph sorted and deduped (the one-pass
+// build), a weighted one whose parallel edges tie on target with
+// different weights, a small graph with self loops, parallel edges and
+// isolated vertices, a sorted list with empty first and last rows, a
+// sorted list that repeats one pair with descending weights (the
+// one-pass build must fall back to counting), and an empty list.
 std::vector<EdgeList> build_inputs() {
   gen::KroneckerParams p;
   p.scale = 9;
@@ -128,8 +132,21 @@ std::vector<EdgeList> build_inputs() {
                   Edge{0, 1, 7.0f}, Edge{3, 1, 2.0f}, Edge{0, 0, 1.0f},
                   Edge{3, 0, 9.0f}, Edge{1, 3, 3.0f}, Edge{1, 3, 3.0f},
                   Edge{5, 6, 8.0f}, Edge{4, 4, 6.0f}, Edge{1, 3, 0.5f}};
-  return {shuffled, dedupe(symmetrize(shuffled)),
-          with_random_weights(shuffled, 1, 15), corner};
+  EdgeList sparse_ends;
+  sparse_ends.num_vertices = 9;  // rows 0, 1, 5, 7 and 8 are empty
+  sparse_ends.edges = {Edge{2, 0, 1.0f}, Edge{2, 6, 1.0f}, Edge{3, 3, 1.0f},
+                       Edge{4, 1, 1.0f}, Edge{4, 1, 1.0f}, Edge{6, 8, 1.0f}};
+  EdgeList descending;
+  descending.num_vertices = 4;
+  descending.weighted = true;
+  descending.edges = {Edge{0, 1, 1.0f}, Edge{1, 2, 9.0f}, Edge{1, 2, 4.0f},
+                      Edge{1, 3, 2.0f}, Edge{3, 0, 5.0f}};
+  EdgeList empty;
+  empty.num_vertices = 5;
+  return {shuffled,    dedupe(symmetrize(shuffled)),
+          with_random_weights(shuffled, 1, 15),
+          corner,      sparse_ends,
+          descending,  empty};
 }
 
 void expect_same(const CSRGraph& got, const CSRGraph& want) {
@@ -140,11 +157,11 @@ void expect_same(const CSRGraph& got, const CSRGraph& want) {
 }
 
 TEST(Csr, CountingBuildMatchesSerialBuild) {
-  // The counting build and the counting transpose must be bit-identical
-  // to the seed's sequential build: same offsets, same sorted targets,
-  // and weights ordered identically (rows sort on (target, weight)
-  // pairs). Only the first-touch passes fork a team, so 4 threads must
-  // not change a bit either.
+  // The build (one pass or counting) and the counting transpose must be
+  // bit-identical to the seed's sequential build: same offsets, same
+  // sorted targets, and weights ordered identically (rows sort on
+  // (target, weight) pairs). 4 threads split the one-pass build and the
+  // first-touch passes, and must not change a bit either.
   const auto inputs = build_inputs();
   for (const int threads : {1, 4}) {
     ThreadScope scope(threads);
@@ -174,6 +191,55 @@ TEST(Csr, BuildsRejectOutOfRange) {
     EXPECT_THROW(CSRGraph::from_edges(el), EpgsError);
     EXPECT_THROW(CSRGraph::from_edges_serial(el), EpgsError);
     EXPECT_THROW(CSRGraph::from_edges_serial(el, true), EpgsError);
+  }
+  // A sorted list long enough to split across threads, whose last edge
+  // leaves the range: the one-pass build must still throw.
+  EdgeList sorted = build_inputs()[1];
+  sorted.edges.push_back(Edge{sorted.num_vertices, 0, 1.0f});
+  for (const int threads : {1, 4}) {
+    ThreadScope scope(threads);
+    EXPECT_THROW(CSRGraph::from_edges(sorted), EpgsError);
+  }
+}
+
+TEST(Csr, IsSymmetricIffOwnTranspose) {
+  gen::KroneckerParams p;
+  p.scale = 8;
+  p.edgefactor = 8;
+  const EdgeList raw = gen::kronecker(p);
+  const EdgeList sym = dedupe(symmetrize(raw));
+  gen::DotaLikeParams dota;
+  dota.fraction = 0.004;
+  EdgeList missing_reverse = sym;  // drop the last row's last edge only
+  missing_reverse.edges.pop_back();
+  EdgeList doubled_reverse;  // 0 -> 1 once, 1 -> 0 twice
+  doubled_reverse.num_vertices = 2;
+  doubled_reverse.edges = {Edge{0, 1, 1.0f}, Edge{1, 0, 1.0f},
+                           Edge{1, 0, 1.0f}};
+
+  struct Case {
+    const char* name;
+    EdgeList el;
+    std::optional<bool> symmetric;  // nullopt: only the identity is checked
+  };
+  std::vector<Case> cases = {
+      {"dedupe(symmetrize)", sym, true},
+      {"symmetrize with parallel edges", symmetrize(raw), true},
+      {"dota_like", gen::dota_like(dota), true},
+      {"weights differ by direction", with_random_weights(sym, 3, 15), false},
+      {"one reverse edge missing", missing_reverse, false},
+      {"one reverse edge doubled", doubled_reverse, false},
+  };
+  for (auto& el : build_inputs()) {
+    cases.push_back({"build input", std::move(el), std::nullopt});
+  }
+  for (const auto& c : cases) {
+    SCOPED_TRACE(c.name);
+    const auto g = CSRGraph::from_edges(c.el);
+    EXPECT_EQ(g.is_symmetric(), g.transposed() == g);
+    if (c.symmetric) {
+      EXPECT_EQ(g.is_symmetric(), *c.symmetric);
+    }
   }
 }
 

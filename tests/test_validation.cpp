@@ -216,6 +216,17 @@ TEST(ValidatePagerank, RejectsBadSumOrSign) {
   EXPECT_TRUE(validate_pagerank(r).has_value());
 }
 
+TEST(ValidatePagerank, MessageSaysByHowMuchTheSumMissed) {
+  // At six digits a sum of 1 + 2^-19 would print as "1".
+  PageRankResult r;
+  r.rank = {0.5, 0.5 + 0x1p-19};
+  const auto err = validate_pagerank(r);
+  ASSERT_TRUE(err.has_value());
+  EXPECT_NE(err->find("rank sum 1.0000019073486328"), std::string::npos)
+      << *err;
+  EXPECT_NE(err->find("by 1.9073486328125e-06"), std::string::npos) << *err;
+}
+
 TEST(ValidateWcc, AcceptsReference) {
   const auto el = test::two_triangles();
   EXPECT_FALSE(validate_wcc(el, ref::wcc(el)).has_value());
