@@ -173,7 +173,7 @@ int cmd_run(const Args& args, std::ostream& out) {
                      "threads", "validate", "csv", "logdir",
                      "no-reconstruct", "timeout", "retries", "isolate",
                      "journal", "resume", "allow-dnf", "cache-dir",
-                     "no-cache", "mem-limit", "min-free-disk",
+                     "mem-limit", "min-free-disk",
                      "lock-timeout", "pin", "checkpoint-dir",
                      "checkpoint-every", "checkpoint-every-seconds",
                      "iter-trace", "retry-all", "crash-dir"});
@@ -217,7 +217,6 @@ int cmd_run(const Args& args, std::ostream& out) {
       args.get_double("checkpoint-every-seconds", 0.25);
   cfg.iter_trace_dir = args.get("iter-trace");
   cfg.dataset.cache_dir = args.get("cache-dir");
-  cfg.dataset.use_cache = !args.has("no-cache");
   cfg.dataset.lock_timeout_seconds = args.get_double("lock-timeout", 60.0);
   cfg.dataset.min_free_disk_bytes =
       args.get_u64("min-free-disk", 0) << 20;  // MiB -> bytes
@@ -692,7 +691,7 @@ std::string usage() {
       "              snapshots: killed/timed-out units resume mid-kernel\n"
       "              (SIGINT/SIGTERM stop gracefully, exit 128+sig)\n"
       "              [--iter-trace DIR]  per-iteration telemetry JSONL\n"
-      "              [--cache-dir DIR [--no-cache]]\n"
+      "              [--cache-dir DIR]\n"
       "              [--lock-timeout SEC] [--min-free-disk MIB]\n"
       "              exit 3 when any trial DNFs (unless --allow-dnf)\n"
       "              [--retry-all]  retry every recoverable failure\n"

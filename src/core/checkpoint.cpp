@@ -18,7 +18,7 @@ namespace {
 //   u64 payload_len| payload bytes| u32 crc32(payload)
 //
 // meta is a StateWriter blob: unit key, stage, config fingerprint,
-// completed-iteration count. payload is the Checkpointable's blob.
+// completed-iteration count. payload is the kernel's StateFields blob.
 constexpr std::string_view kMagic = "epgs-ckpt-v1\n";
 
 std::array<std::uint32_t, 256> make_crc_table() {
@@ -84,6 +84,13 @@ void set_snapshot_publish_hook(SnapshotPublishHook hook) noexcept {
   g_publish_hook.store(hook, std::memory_order_release);
 }
 
+void StateFields::commit() {
+  EPGS_CHECK(reader_->at_end(),
+             "snapshot payload holds fields past the declared state");
+  for (auto& set : setters_) set();
+  for (auto& hook : hooks_) hook();
+}
+
 std::uint32_t crc32(const void* data, std::size_t n, std::uint32_t seed) {
   static const std::array<std::uint32_t, 256> table = make_crc_table();
   const auto* p = static_cast<const unsigned char*>(data);
@@ -130,17 +137,17 @@ CheckpointSession::CheckpointSession(CheckpointConfig cfg)
 }
 
 std::uint64_t CheckpointSession::begin(std::string_view stage,
-                                       Checkpointable& state) {
+                                       StateDecl state) {
   resumed_from_ = -1;
   current_iter_ = 0;
   last_saved_iter_ = 0;
   have_saved_ = false;
   stage_ = std::string(stage);
-  state_ = &state;
+  state_ = std::move(state);
   if (!enabled_) return 0;
   last_save_time_ = std::chrono::steady_clock::now();
   if (!snapshot_exists()) return 0;
-  if (!try_restore(stage, state)) {
+  if (!try_restore(stage)) {
     // Invalid snapshot (warning_ explains why): delete it and restart.
     remove_snapshot();
     return 0;
@@ -151,8 +158,7 @@ std::uint64_t CheckpointSession::begin(std::string_view stage,
   return current_iter_;
 }
 
-bool CheckpointSession::try_restore(std::string_view stage,
-                                    Checkpointable& state) {
+bool CheckpointSession::try_restore(std::string_view stage) {
   std::string frame;
   try {
     frame = slurp(path_);
@@ -199,7 +205,9 @@ bool CheckpointSession::try_restore(std::string_view stage,
                "configuration");
 
     StateReader pr(payload);
-    state.restore_state(pr);
+    StateFields fields(pr);
+    state_(fields);
+    fields.commit();
     current_iter_ = m.iteration;
     return true;
   } catch (const std::exception& e) {
@@ -238,7 +246,8 @@ bool CheckpointSession::write_snapshot() {
     meta.put_str(cfg_.fingerprint);
     meta.put_u64(current_iter_);
     StateWriter payload;
-    state_->save_state(payload);
+    StateFields fields(payload);
+    state_(fields);
 
     std::string frame;
     frame.reserve(kMagic.size() + meta.buffer().size() +

@@ -5,9 +5,9 @@
 // before this layer the unit restarted from iteration 0 or settled as DNF.
 // Ammar & Özsu (VLDB'18) single out checkpoint-based recovery as what
 // separates usable long-running evaluations from lost nights. This layer
-// lets each system adapter register its serializable iteration state
-// (rank/distance/parent arrays, frontier contents, work counters) behind a
-// small Checkpointable interface; the CheckpointSession persists that
+// lets each system adapter declare its serializable iteration state
+// (rank/distance/parent arrays, frontier contents, work counters) as one
+// StateFields list; the CheckpointSession persists that
 // state at iteration boundaries and restores it on retry or --resume so
 // the kernel continues from iteration N — bit-identically, because the
 // snapshot holds the exact arrays the remaining iterations consume.
@@ -20,6 +20,7 @@
 // falls back to a full restart — never trusted, never fatal.
 #pragma once
 
+#include <atomic>
 #include <chrono>
 #include <cstdint>
 #include <cstring>
@@ -46,7 +47,7 @@ namespace epgs {
 // loudly as a typed error instead of silently misreading bytes. The
 // session treats any such error as "snapshot invalid: full restart".
 
-/// Serializer for a Checkpointable's state. Appends tagged fields to an
+/// Serializer for a kernel's snapshot state. Appends tagged fields to an
 /// in-memory buffer; the session frames and persists the buffer.
 class StateWriter {
  public:
@@ -60,23 +61,27 @@ class StateWriter {
     buf_.append(s.data(), s.size());
   }
 
-  /// `count` trivially-copyable elements starting at `data`. Works for
-  /// std::vector<T>::data(), FirstTouchVector storage, and staging copies
-  /// of atomic arrays alike.
-  template <typename T>
-  void put_array(const T* data, std::size_t count) {
+  /// `count` trivially-copyable elements, element i produced by
+  /// `get(i)` — a vector's data, a staging of atomics, or one member of
+  /// each array-of-structs object alike — written straight into the
+  /// buffer.
+  template <typename T, typename Get>
+  void put_each(std::size_t count, Get get) {
     static_assert(std::is_trivially_copyable_v<T>);
     buf_.push_back('v');
     put_raw_u64(sizeof(T));
     put_raw_u64(count);
-    if (count > 0) {
-      buf_.append(reinterpret_cast<const char*>(data), count * sizeof(T));
+    const std::size_t at = buf_.size();
+    buf_.resize(at + count * sizeof(T));
+    for (std::size_t i = 0; i < count; ++i) {
+      const T x = get(i);
+      std::memcpy(buf_.data() + at + i * sizeof(T), &x, sizeof(T));
     }
   }
 
   template <typename T>
   void put_vec(const std::vector<T>& v) {
-    put_array(v.data(), v.size());
+    put_each<T>(v.size(), [&v](std::size_t i) { return v[i]; });
   }
 
   [[nodiscard]] const std::string& buffer() const { return buf_; }
@@ -118,10 +123,11 @@ class StateReader {
     return std::string(take(len));
   }
 
-  /// Restore an array written by put_array/put_vec. Throws when the
+  /// The element bytes of an array written by put_each/put_vec, viewed
+  /// in place (valid while the reader's buffer is). Throws when the
   /// recorded element size differs from sizeof(T).
   template <typename T>
-  [[nodiscard]] std::vector<T> get_vec() {
+  [[nodiscard]] std::string_view get_array_bytes() {
     static_assert(std::is_trivially_copyable_v<T>);
     expect_tag('v');
     const std::uint64_t elem = get_raw_u64();
@@ -130,9 +136,16 @@ class StateReader {
                    std::to_string(elem) + ", expected " +
                    std::to_string(sizeof(T)));
     const std::uint64_t count = get_raw_u64();
-    const std::string_view raw = take(count * sizeof(T));
-    std::vector<T> out(count);
-    if (count > 0) std::memcpy(out.data(), raw.data(), raw.size());
+    EPGS_CHECK(count <= (buf_.size() - pos_) / sizeof(T),
+               "snapshot payload truncated");
+    return take(count * sizeof(T));
+  }
+
+  template <typename T>
+  [[nodiscard]] std::vector<T> get_vec() {
+    const std::string_view raw = get_array_bytes<T>();
+    std::vector<T> out(raw.size() / sizeof(T));
+    if (!out.empty()) std::memcpy(out.data(), raw.data(), raw.size());
     return out;
   }
 
@@ -173,102 +186,164 @@ class StateReader {
   std::size_t pos_ = 0;
 };
 
-/// What a kernel registers at its snapshot points: how to serialize the
-/// iteration state and how to load it back. restore_state() may throw
-/// (EpgsError preferred) when the recorded state does not fit the live
-/// structures; the session converts that into a full restart.
-class Checkpointable {
+/// A kernel's snapshot state, declared once. The kernel hands the session
+/// one function that names every field in frame order:
+///
+///   [&](StateFields& f) {
+///     f.per_vertex(rank);       // one value per vertex
+///     f.list(frontier);         // variable-length vertex list
+///     f.u64(iterations);        // scalars
+///   }
+///
+/// The session runs it over a StateWriter to save and over a StateReader
+/// to restore. A restore is two-phase: running the declaration only
+/// parses each field into staging; commit() then requires the payload to
+/// be fully consumed before any setter touches the kernel. A snapshot
+/// rejected anywhere — wrong tag, wrong vertex count, fields missing or
+/// left over — therefore leaves the kernel's fresh state as it was.
+class StateFields {
  public:
-  virtual ~Checkpointable() = default;
-  virtual void save_state(StateWriter& w) const = 0;
-  virtual void restore_state(StateReader& r) = 0;
-};
+  explicit StateFields(StateWriter& w) : writer_(&w) {}
+  explicit StateFields(StateReader& r) : reader_(&r) {}
 
-/// Lambda adapter so kernels can register local state without a named
-/// class per algorithm.
-class FnCheckpointable final : public Checkpointable {
- public:
-  FnCheckpointable(std::function<void(StateWriter&)> save,
-                   std::function<void(StateReader&)> restore)
-      : save_(std::move(save)), restore_(std::move(restore)) {}
+  /// Integral or bool scalar, stored under the 'u' tag.
+  template <typename T>
+  void u64(T& v) {
+    if (writer_ != nullptr) {
+      writer_->put_u64(static_cast<std::uint64_t>(v));
+    } else {
+      setters_.emplace_back(
+          [&v, x = reader_->get_u64()] { v = static_cast<T>(x); });
+    }
+  }
 
-  void save_state(StateWriter& w) const override { save_(w); }
-  void restore_state(StateReader& r) override { restore_(r); }
+  /// Signed scalar, stored under the 'i' tag.
+  template <typename T>
+  void i64(T& v) {
+    if (writer_ != nullptr) {
+      writer_->put_i64(static_cast<std::int64_t>(v));
+    } else {
+      setters_.emplace_back(
+          [&v, x = reader_->get_i64()] { v = static_cast<T>(x); });
+    }
+  }
+
+  /// `n` values, one per vertex: `get(v)` reads vertex v's value and
+  /// `set(v, x)` writes it back, so atomics, array-of-structs vertex
+  /// objects and swapped buffers all fit. A restore rejects a snapshot
+  /// whose count is not `n` (one taken on another graph).
+  template <typename Get, typename Set>
+  void per_vertex(std::size_t n, Get get, Set set) {
+    using T = std::decay_t<decltype(get(std::size_t{0}))>;
+    if (writer_ != nullptr) {
+      writer_->put_each<T>(n, get);
+      return;
+    }
+    const std::string_view raw = reader_->get_array_bytes<T>();
+    EPGS_CHECK(raw.size() == n * sizeof(T),
+               "snapshot holds " + std::to_string(raw.size() / sizeof(T)) +
+                   " per-vertex values, graph has " + std::to_string(n) +
+                   " vertices (vertex count mismatch)");
+    setters_.emplace_back([raw, n, set] {
+      for (std::size_t v = 0; v < n; ++v) {
+        T x;
+        std::memcpy(&x, raw.data() + v * sizeof(T), sizeof(T));
+        set(v, x);
+      }
+    });
+  }
+
+  /// Every element of an indexable container (std::vector,
+  /// FirstTouchVector, NumaArray); atomic elements are loaded and stored
+  /// relaxed. The declaration runs afresh at every save, so a buffer the
+  /// kernel swaps is bound as it is at that moment.
+  template <typename C>
+  void per_vertex(C& c) {
+    if constexpr (requires { c[0].load(); }) {
+      per_vertex(
+          c.size(),
+          [&c](std::size_t v) { return c[v].load(std::memory_order_relaxed); },
+          [&c](std::size_t v, auto x) {
+            c[v].store(x, std::memory_order_relaxed);
+          });
+    } else {
+      per_vertex(
+          c.size(), [&c](std::size_t v) { return c[v]; },
+          [&c](std::size_t v, auto x) { c[v] = x; });
+    }
+  }
+
+  /// A variable-length list — a frontier, a bitmap's members, a queue
+  /// window — read through `get()` and handed back through `set(list)`.
+  /// A list of lists (delta-stepping buckets, BC level sets) is stored as
+  /// its length followed by each inner list.
+  template <typename Get, typename Set>
+  void list(Get get, Set set) {
+    using L = std::decay_t<decltype(get())>;
+    if (writer_ != nullptr) {
+      put_list(get());
+    } else {
+      setters_.emplace_back([set, staged = get_list<L>()]() mutable {
+        set(std::move(staged));
+      });
+    }
+  }
+
+  /// A list held in a plain std::vector.
+  template <typename T>
+  void list(std::vector<T>& v) {
+    list([&v]() -> const std::vector<T>& { return v; },
+         [&v](std::vector<T> x) { v = std::move(x); });
+  }
+
+  /// Runs on restore after every field's setter, for state rebuilt from
+  /// several fields (e.g. a frontier whose representation depends on a
+  /// direction flag). Ignored on save.
+  template <typename Fn>
+  void after_restore(Fn fn) {
+    if (reader_ != nullptr) hooks_.emplace_back(std::move(fn));
+  }
+
+  /// Second restore phase: require the payload to be consumed exactly,
+  /// then apply every staged field in declaration order and run the
+  /// after_restore hooks. Must run while the reader's buffer is alive.
+  void commit();
 
  private:
-  std::function<void(StateWriter&)> save_;
-  std::function<void(StateReader&)> restore_;
+  template <typename T>
+  void put_list(const std::vector<T>& l) {
+    if constexpr (std::is_trivially_copyable_v<T>) {
+      writer_->put_vec(l);
+    } else {
+      writer_->put_u64(l.size());
+      for (const T& inner : l) put_list(inner);
+    }
+  }
+
+  template <typename L>
+  [[nodiscard]] L get_list() {
+    using T = typename L::value_type;
+    if constexpr (std::is_trivially_copyable_v<T>) {
+      return reader_->get_vec<T>();
+    } else {
+      // Grown one inner list at a time: a corrupt count fails at the
+      // first missing list instead of allocating up front.
+      const std::uint64_t count = reader_->get_u64();
+      L out;
+      for (std::uint64_t i = 0; i < count; ++i) out.push_back(get_list<T>());
+      return out;
+    }
+  }
+
+  StateWriter* writer_ = nullptr;
+  StateReader* reader_ = nullptr;
+  std::vector<std::function<void()>> setters_;
+  std::vector<std::function<void()>> hooks_;
 };
 
-// --- Shared kernel-state shapes ---------------------------------------
-//
-// Five adapters' PageRank kernels snapshot the same state shape — the
-// rank vector, the completed-iteration counter, and the accumulated edge
-// work — and previously each spelled out the same StateWriter/StateReader
-// lambda pair by hand. These helpers build that Checkpointable once.
-// `extra_save`/`extra_restore` append kernel-specific trailing fields
-// (e.g. PowerGraph's engine counters) after the common prefix.
-
-/// Checkpointable over a contiguous scalar array (std::vector data(),
-/// FirstTouchVector storage, ...) plus an iteration counter and an edge
-/// work counter. The restore validates the element count, so a snapshot
-/// from a different graph is rejected as invalid instead of misread.
-template <typename T, typename IterT>
-[[nodiscard]] inline FnCheckpointable ckpt_scalar_vector(
-    T* data, std::size_t count, IterT* iterations, std::uint64_t* edge_work,
-    std::string what = "kernel",
-    std::function<void(StateWriter&)> extra_save = {},
-    std::function<void(StateReader&)> extra_restore = {}) {
-  static_assert(std::is_trivially_copyable_v<T>);
-  return FnCheckpointable(
-      [=, extra = std::move(extra_save)](StateWriter& w) {
-        w.put_array(data, count);
-        w.put_u64(static_cast<std::uint64_t>(*iterations));
-        w.put_u64(*edge_work);
-        if (extra) extra(w);
-      },
-      [=, extra = std::move(extra_restore)](StateReader& r) {
-        const auto v = r.get_vec<T>();
-        EPGS_CHECK(v.size() == count,
-                   what + " snapshot vertex count mismatch");
-        for (std::size_t i = 0; i < count; ++i) data[i] = v[i];
-        *iterations = static_cast<IterT>(r.get_u64());
-        *edge_work = r.get_u64();
-        if (extra) extra(r);
-      });
-}
-
-/// Accessor flavour of ckpt_scalar_vector for non-contiguous per-vertex
-/// state (GraphBIG's AoS vertex objects, PowerGraph's VData structs):
-/// `get(i)` reads and `set(i, value)` writes vertex i's scalar. The save
-/// stages through a temporary vector so the frame layout is identical to
-/// the contiguous flavour.
-template <typename T, typename IterT, typename GetFn, typename SetFn>
-[[nodiscard]] inline FnCheckpointable ckpt_scalar_field(
-    std::size_t count, GetFn get, SetFn set, IterT* iterations,
-    std::uint64_t* edge_work, std::string what = "kernel",
-    std::function<void(StateWriter&)> extra_save = {},
-    std::function<void(StateReader&)> extra_restore = {}) {
-  static_assert(std::is_trivially_copyable_v<T>);
-  return FnCheckpointable(
-      [=, extra = std::move(extra_save)](StateWriter& w) {
-        std::vector<T> staged(count);
-        for (std::size_t i = 0; i < count; ++i) staged[i] = get(i);
-        w.put_vec(staged);
-        w.put_u64(static_cast<std::uint64_t>(*iterations));
-        w.put_u64(*edge_work);
-        if (extra) extra(w);
-      },
-      [=, extra = std::move(extra_restore)](StateReader& r) {
-        const auto v = r.get_vec<T>();
-        EPGS_CHECK(v.size() == count,
-                   what + " snapshot vertex count mismatch");
-        for (std::size_t i = 0; i < count; ++i) set(i, v[i]);
-        *iterations = static_cast<IterT>(r.get_u64());
-        *edge_work = r.get_u64();
-        if (extra) extra(r);
-      });
-}
+/// What a kernel registers at its snapshot points: the one function that
+/// names its state (see StateFields).
+using StateDecl = std::function<void(StateFields&)>;
 
 /// Test hook fired between a snapshot's durable tmp write and the rename
 /// that publishes it — the exact window where a process death leaves a
@@ -308,9 +383,10 @@ class CheckpointSession {
   /// stage, and fingerprint exists it is restored into `state` and the
   /// number of completed iterations is returned; otherwise 0. An invalid
   /// snapshot (bad magic, CRC, truncation, wrong fingerprint/key/stage,
-  /// restore_state throw) is deleted, recorded in warning(), and treated
-  /// as absent.
-  std::uint64_t begin(std::string_view stage, Checkpointable& state);
+  /// payload that does not match the declared fields) is deleted,
+  /// recorded in warning(), and treated as absent; the kernel's state is
+  /// then untouched.
+  std::uint64_t begin(std::string_view stage, StateDecl state);
 
   /// Iteration-boundary snapshot point: `completed` iterations are done
   /// and the registered state is consistent. Saves when the cadence says
@@ -368,13 +444,13 @@ class CheckpointSession {
       const std::filesystem::path& path) noexcept;
 
  private:
-  bool try_restore(std::string_view stage, Checkpointable& state);
+  bool try_restore(std::string_view stage);
   bool write_snapshot();
 
   CheckpointConfig cfg_;
   std::filesystem::path path_;
   bool enabled_ = false;
-  Checkpointable* state_ = nullptr;
+  StateDecl state_;
   std::string stage_;
   std::uint64_t current_iter_ = 0;
   std::uint64_t last_saved_iter_ = 0;

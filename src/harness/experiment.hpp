@@ -53,11 +53,10 @@ EdgeList materialize(const GraphSpec& spec);
 /// graph through the content-addressed dataset cache (generation +
 /// homogenization happen at most once per content fingerprint) and routes
 /// every system's load through its homogenized native file, so "file
-/// read" phases time real zero-copy I/O. Disabled (the default, and what
-/// --no-cache forces) the runner stages edges from RAM as before.
+/// read" phases time real zero-copy I/O. Disabled (the default: no cache
+/// dir) the runner stages edges from RAM.
 struct DatasetOptions {
   std::string cache_dir;  ///< cache root; empty disables the pipeline
-  bool use_cache = true;  ///< false = legacy in-memory data path
   /// How long to wait on another process's cache builder lock before
   /// degrading to uncached generation (see graph/cache_lock.hpp).
   double lock_timeout_seconds = 60.0;
@@ -65,9 +64,7 @@ struct DatasetOptions {
   /// than this; 0 disables the preflight.
   std::uint64_t min_free_disk_bytes = 0;
 
-  [[nodiscard]] bool enabled() const {
-    return use_cache && !cache_dir.empty();
-  }
+  [[nodiscard]] bool enabled() const { return !cache_dir.empty(); }
 };
 
 /// Fault-tolerance knobs for the trial supervisor. The defaults disable
@@ -92,7 +89,6 @@ struct SupervisorOptions {
   /// clamped to backoff_max_seconds.
   double backoff_base_seconds = 0.05;
   double backoff_max_seconds = 2.0;
-  std::uint64_t backoff_seed = 1;  ///< jitter RNG seed (deterministic tests)
   /// fork() every unit into a throwaway child so aborts/corruption cannot
   /// take down the sweep. Children run single-threaded: libgomp's thread
   /// pool does not survive fork(), so a multi-threaded OpenMP region in

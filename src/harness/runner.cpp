@@ -445,7 +445,7 @@ ExperimentResult run_experiment(const ExperimentConfig& cfg,
   }
 
   // Execute.
-  Xoshiro256 backoff_rng(sup.backoff_seed);
+  Xoshiro256 backoff_rng(1);  // fixed seed: deterministic jitter
   for (const SystemPlan& sp : plan.systems) {
     if (interrupt_requested()) break;  // flush what finished, stop cleanly
     execute_system_plan(cfg, fingerprint, plan, sp, el, result.roots,

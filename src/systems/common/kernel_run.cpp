@@ -2,18 +2,33 @@
 
 #include <utility>
 
+#include "core/bitmap.hpp"
 #include "core/crash_report.hpp"
 #include "systems/common/fault_injection.hpp"
 #include "systems/common/system.hpp"
 
 namespace epgs {
 
-KernelRun::KernelRun(System& sys, std::string_view stage,
-                     Checkpointable* state)
+void bitmap_field(StateFields& f, Bitmap& bits) {
+  f.list(
+      [&bits] {
+        std::vector<vid_t> members;
+        for (std::size_t v = 0; v < bits.size(); ++v) {
+          if (bits.test(v)) members.push_back(static_cast<vid_t>(v));
+        }
+        return members;
+      },
+      [&bits](const std::vector<vid_t>& members) {
+        bits.reset();
+        for (const vid_t v : members) bits.set(v);
+      });
+}
+
+KernelRun::KernelRun(System& sys, std::string_view stage, StateDecl state)
     : sys_(sys) {
   // Unsupervised (no session attached), the kernel starts fresh.
-  if (state != nullptr && sys_.ckpt_ != nullptr) {
-    resumed_ = sys_.ckpt_->begin(stage, *state);
+  if (state && sys_.ckpt_ != nullptr) {
+    resumed_ = sys_.ckpt_->begin(stage, std::move(state));
     registered_ = true;
   }
 }

@@ -14,8 +14,11 @@
 //
 // Usage shape (the only pattern adapters use):
 //
-//   FnCheckpointable state(...);            // optional
-//   KernelRun run(*this, "pagerank", &state);
+//   KernelRun run(*this, "pagerank", [&](StateFields& f) {  // state optional
+//     f.per_vertex(rank);                   // each snapshot field, once
+//     f.u64(iterations);
+//     f.u64(edge_work);
+//   });
 //   run.watch_edges(&edge_work);            // optional edge-delta source
 //   for (it = run.resumed(); it < max; ++it) {
 //     run.iteration(it, active_count);      // boundary: may throw Cancelled
@@ -42,17 +45,21 @@
 
 namespace epgs {
 
+class Bitmap;
 class System;
+
+/// A bitmap as a snapshot list field: the list of its set bits (bitmap
+/// words are not part of the frame format).
+void bitmap_field(StateFields& f, Bitmap& bits);
 
 class KernelRun {
  public:
-  /// Opens the scope: registers `state` with the system's checkpoint
-  /// session (when supervised) and restores a valid snapshot into it.
-  /// A null `state` means the kernel is single-pass or keeps no
-  /// serializable state; it still gets fault hooks, cancellation polling,
-  /// and telemetry.
-  KernelRun(System& sys, std::string_view stage,
-            Checkpointable* state = nullptr);
+  /// Opens the scope: registers the `state` declaration with the
+  /// system's checkpoint session (when supervised) and restores a valid
+  /// snapshot into the fields it names. An empty `state` means the
+  /// kernel is single-pass or keeps no serializable state; it still gets
+  /// fault hooks, cancellation polling, and telemetry.
+  KernelRun(System& sys, std::string_view stage, StateDecl state = {});
 
   KernelRun(const KernelRun&) = delete;
   KernelRun& operator=(const KernelRun&) = delete;

@@ -74,55 +74,40 @@ BfsResult GapSystem::do_bfs(vid_t root) {
 
   // Snapshot state: the claimed-parent array, the live frontier (queue
   // window or bitmap, whichever representation is current), and the
-  // direction/accounting scalars the alpha-beta heuristic needs.
-  FnCheckpointable ckpt_state(
-      [&](StateWriter& w) {
-        std::vector<vid_t> par(n);
-        for (vid_t v = 0; v < n; ++v) {
-          par[v] = parent[v].load(std::memory_order_relaxed);
-        }
-        w.put_vec(par);
-        std::vector<vid_t> frontier;
-        if (bottom_up) {
-          for (vid_t v = 0; v < n; ++v) {
-            if (front_bm.test(v)) frontier.push_back(v);
+  // direction/accounting scalars the alpha-beta heuristic needs. The
+  // frontier is rebuilt once the direction flag is restored.
+  std::vector<vid_t> restored_frontier;
+  KernelRun run(*this, "bfs", [&](StateFields& f) {
+    f.per_vertex(parent);
+    f.list(
+        [&] {
+          std::vector<vid_t> frontier;
+          if (bottom_up) {
+            for (vid_t v = 0; v < n; ++v) {
+              if (front_bm.test(v)) frontier.push_back(v);
+            }
+          } else {
+            frontier.assign(queue.begin(), queue.begin() + queue.size());
           }
-        } else {
-          frontier.assign(queue.begin(), queue.begin() + queue.size());
-        }
-        w.put_vec(frontier);
-        w.put_u64(bottom_up ? 1 : 0);
-        w.put_u64(awake);
-        w.put_i64(edges_remaining);
-        w.put_u64(edges_scanned);
-      },
-      [&](StateReader& rd) {
-        const auto par = rd.get_vec<vid_t>();
-        EPGS_CHECK(par.size() == static_cast<std::size_t>(n),
-                   "BFS snapshot vertex count mismatch");
-        const auto frontier = rd.get_vec<vid_t>();
-        const bool bu = rd.get_u64() != 0;
-        const std::uint64_t aw = rd.get_u64();
-        const std::int64_t er = rd.get_i64();
-        const std::uint64_t es = rd.get_u64();
-        for (vid_t v = 0; v < n; ++v) {
-          parent[v].store(par[v], std::memory_order_relaxed);
-        }
-        front_bm.reset();
-        next_bm.reset();
-        queue.reset();  // zeroes the lifetime-append counter too
-        if (bu) {
-          for (const vid_t v : frontier) front_bm.set(v);
-        } else {
-          for (const vid_t v : frontier) queue.push_back(v);
-          queue.slide_window();
-        }
-        bottom_up = bu;
-        awake = aw;
-        edges_remaining = er;
-        edges_scanned = es;
-      });
-  KernelRun run(*this, "bfs", &ckpt_state);
+          return frontier;
+        },
+        [&](std::vector<vid_t> l) { restored_frontier = std::move(l); });
+    f.u64(bottom_up);
+    f.u64(awake);
+    f.i64(edges_remaining);
+    f.u64(edges_scanned);
+    f.after_restore([&] {
+      front_bm.reset();
+      next_bm.reset();
+      queue.reset();  // zeroes the lifetime-append counter too
+      if (bottom_up) {
+        for (const vid_t v : restored_frontier) front_bm.set(v);
+      } else {
+        for (const vid_t v : restored_frontier) queue.push_back(v);
+        queue.slide_window();
+      }
+    });
+  });
   run.watch_edges(&edges_scanned);
   std::uint64_t round = run.resumed();
 
@@ -273,31 +258,11 @@ SsspResult GapSystem::do_sssp(vid_t root) {
   // Snapshot state at an epoch boundary: tentative distances, every
   // not-yet-settled bucket, and the relaxation counter. The epoch index
   // itself is the session's iteration number.
-  FnCheckpointable ckpt_state(
-      [&](StateWriter& w) {
-        std::vector<weight_t> d(n);
-        for (vid_t v = 0; v < n; ++v) {
-          d[v] = dist[v].load(std::memory_order_relaxed);
-        }
-        w.put_vec(d);
-        w.put_u64(buckets.size());
-        for (const auto& b : buckets) w.put_vec(b);
-        w.put_u64(relaxations);
-      },
-      [&](StateReader& rd) {
-        const auto d = rd.get_vec<weight_t>();
-        EPGS_CHECK(d.size() == static_cast<std::size_t>(n),
-                   "SSSP snapshot vertex count mismatch");
-        const auto nb = rd.get_u64();
-        std::vector<std::vector<vid_t>> bk(nb);
-        for (auto& b : bk) b = rd.get_vec<vid_t>();
-        relaxations = rd.get_u64();
-        for (vid_t v = 0; v < n; ++v) {
-          dist[v].store(d[v], std::memory_order_relaxed);
-        }
-        buckets = std::move(bk);
-      });
-  KernelRun run(*this, "sssp", &ckpt_state);
+  KernelRun run(*this, "sssp", [&](StateFields& f) {
+    f.per_vertex(dist);
+    f.list(buckets);
+    f.u64(relaxations);
+  });
   run.watch_edges(&relaxations);
   const std::uint64_t start_epoch = run.resumed();
 
@@ -424,13 +389,11 @@ PageRankResult GapSystem::do_pagerank(const PageRankParams& params) {
   // the two counters the result reports. contrib/next are rebuilt every
   // iteration, so restoring ranks alone reproduces the remaining
   // iterations bit-identically (the kernel is a pure function of rank).
-  // Accessor form because rank/next swap buffers every iteration — a
-  // pointer captured here would go stale after the first swap.
-  FnCheckpointable ckpt_state = ckpt_scalar_field<double, int>(
-      static_cast<std::size_t>(n), [&](std::size_t v) { return rank[v]; },
-      [&](std::size_t v, double x) { rank[v] = x; }, &r.iterations,
-      &edge_work, "PageRank");
-  KernelRun run(*this, "pagerank", &ckpt_state);
+  KernelRun run(*this, "pagerank", [&](StateFields& f) {
+    f.per_vertex(rank);
+    f.u64(r.iterations);
+    f.u64(edge_work);
+  });
   run.watch_edges(&edge_work);
   const auto start_it = static_cast<int>(run.resumed());
   const auto& cols = in().targets();
@@ -506,9 +469,11 @@ WccResult GapSystem::do_wcc() {
   // Snapshot state: the component array is the whole fixpoint state —
   // restoring it reproduces the remaining hook-and-shortcut rounds.
   std::uint64_t round = 0;
-  FnCheckpointable ckpt_state = ckpt_scalar_vector<vid_t, std::uint64_t>(
-      &comp[0], static_cast<std::size_t>(n), &round, &edge_work, "WCC");
-  KernelRun run(*this, "wcc", &ckpt_state);
+  KernelRun run(*this, "wcc", [&](StateFields& f) {
+    f.per_vertex(comp);
+    f.u64(round);
+    f.u64(edge_work);
+  });
   run.watch_edges(&edge_work);
   round = run.resumed();
 
@@ -620,30 +585,12 @@ BcResult GapSystem::do_bc(vid_t source) {
   // Snapshot state for the forward phase: path counts, per-vertex depth,
   // the level sets discovered so far, and the scan counter. The backward
   // sweep is derived wholly from these.
-  FnCheckpointable ckpt_state(
-      [&](StateWriter& w) {
-        w.put_vec(sigma);
-        w.put_vec(level);
-        w.put_u64(levels.size());
-        for (const auto& l : levels) w.put_vec(l);
-        w.put_u64(scanned);
-      },
-      [&](StateReader& rd) {
-        auto sg = rd.get_vec<double>();
-        EPGS_CHECK(sg.size() == static_cast<std::size_t>(n),
-                   "BC snapshot vertex count mismatch");
-        auto lv = rd.get_vec<vid_t>();
-        EPGS_CHECK(lv.size() == static_cast<std::size_t>(n),
-                   "BC snapshot vertex count mismatch");
-        const auto nl = rd.get_u64();
-        std::vector<std::vector<vid_t>> ls(nl);
-        for (auto& l : ls) l = rd.get_vec<vid_t>();
-        scanned = rd.get_u64();
-        sigma = std::move(sg);
-        level = std::move(lv);
-        levels = std::move(ls);
-      });
-  KernelRun run(*this, "bc", &ckpt_state);
+  KernelRun run(*this, "bc", [&](StateFields& f) {
+    f.per_vertex(sigma);
+    f.per_vertex(level);
+    f.list(levels);
+    f.u64(scanned);
+  });
   run.watch_edges(&scanned);
   std::uint64_t round = run.resumed();
 

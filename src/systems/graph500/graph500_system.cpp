@@ -44,38 +44,21 @@ BfsResult Graph500System::do_bfs(vid_t root) {
   // Snapshot state: parent claims, the visited set (as a vertex list —
   // bitmap words are not part of the format), the current frontier, and
   // the scan counter.
-  FnCheckpointable ckpt_state(
-      [&](StateWriter& w) {
-        std::vector<vid_t> par(n);
-        std::vector<vid_t> vis;
-        for (vid_t v = 0; v < n; ++v) {
-          par[v] = parent[v].load(std::memory_order_relaxed);
-          if (visited.test(v)) vis.push_back(v);
-        }
-        w.put_vec(par);
-        w.put_vec(vis);
-        std::vector<vid_t> frontier(queue.begin(),
+  KernelRun run(*this, "bfs", [&](StateFields& f) {
+    f.per_vertex(parent);
+    bitmap_field(f, visited);
+    f.list(
+        [&] {
+          return std::vector<vid_t>(queue.begin(),
                                     queue.begin() + queue.size());
-        w.put_vec(frontier);
-        w.put_u64(edges_scanned);
-      },
-      [&](StateReader& rd) {
-        const auto par = rd.get_vec<vid_t>();
-        EPGS_CHECK(par.size() == static_cast<std::size_t>(n),
-                   "BFS snapshot vertex count mismatch");
-        const auto vis = rd.get_vec<vid_t>();
-        const auto frontier = rd.get_vec<vid_t>();
-        edges_scanned = rd.get_u64();
-        for (vid_t v = 0; v < n; ++v) {
-          parent[v].store(par[v], std::memory_order_relaxed);
-        }
-        visited.reset();
-        for (const vid_t v : vis) visited.set(v);
-        queue.reset();  // zeroes the lifetime-append counter too
-        for (const vid_t v : frontier) queue.push_back(v);
-        queue.slide_window();
-      });
-  KernelRun run(*this, "bfs", &ckpt_state);
+        },
+        [&](const std::vector<vid_t>& frontier) {
+          queue.reset();  // zeroes the lifetime-append counter too
+          for (const vid_t v : frontier) queue.push_back(v);
+          queue.slide_window();
+        });
+    f.u64(edges_scanned);
+  });
   run.watch_edges(&edges_scanned);
   std::uint64_t level = run.resumed();
 

@@ -14,6 +14,25 @@ using graphbig_detail::EdgeObj;
 using graphbig_detail::EdgeVisitor;
 using graphbig_detail::VertexObj;
 
+namespace {
+
+/// One property of every vertex object as a per-vertex snapshot field;
+/// `prop` projects an object onto the property.
+template <typename Prop>
+void object_field(StateFields& f, graphbig_detail::PropertyGraph& g,
+                  Prop prop) {
+  f.per_vertex(
+      g.num_vertices(),
+      [&g, prop](std::size_t v) {
+        return prop(g.vertex(static_cast<vid_t>(v)));
+      },
+      [&g, prop](std::size_t v, auto x) {
+        prop(g.vertex(static_cast<vid_t>(v))) = x;
+      });
+}
+
+}  // namespace
+
 void GraphBigSystem::do_build(const EdgeList& edges) {
   g_.load(edges);
   work_.bytes_touched = g_.bytes();
@@ -93,34 +112,12 @@ BfsResult GraphBigSystem::do_bfs(vid_t root) {
 
   // Snapshot state: the per-object status/parent properties, the live
   // frontier, and the edge counter.
-  FnCheckpointable ckpt_state(
-      [&](StateWriter& w) {
-        std::vector<std::uint32_t> status(n);
-        std::vector<vid_t> par(n);
-        for (vid_t v = 0; v < n; ++v) {
-          const auto& obj = g_.vertex(v);
-          status[v] = obj.status;
-          par[v] = obj.parent;
-        }
-        w.put_vec(status);
-        w.put_vec(par);
-        w.put_vec(frontier);
-        w.put_u64(examined);
-      },
-      [&](StateReader& rd) {
-        const auto status = rd.get_vec<std::uint32_t>();
-        EPGS_CHECK(status.size() == static_cast<std::size_t>(n),
-                   "BFS snapshot vertex count mismatch");
-        const auto par = rd.get_vec<vid_t>();
-        frontier = rd.get_vec<vid_t>();
-        examined = rd.get_u64();
-        for (vid_t v = 0; v < n; ++v) {
-          auto& obj = g_.vertex(v);
-          obj.status = status[v];
-          obj.parent = par[v];
-        }
-      });
-  KernelRun run(*this, "bfs", &ckpt_state);
+  KernelRun run(*this, "bfs", [&](StateFields& f) {
+    object_field(f, g_, [](VertexObj& o) -> auto& { return o.status; });
+    object_field(f, g_, [](VertexObj& o) -> auto& { return o.parent; });
+    f.list(frontier);
+    f.u64(examined);
+  });
   run.watch_edges(&examined);
   std::uint64_t round = run.resumed();
 
@@ -159,36 +156,13 @@ SsspResult GraphBigSystem::do_sssp(vid_t root) {
   // uses them to deduplicate frontier insertions, so they must survive
   // a resume), the live frontier, the round counter, and edge work.
   std::uint32_t round = 0;
-  FnCheckpointable ckpt_state(
-      [&](StateWriter& w) {
-        std::vector<float> dist(n);
-        std::vector<std::uint32_t> status(n);
-        for (vid_t v = 0; v < n; ++v) {
-          const auto& obj = g_.vertex(v);
-          dist[v] = obj.fprop;
-          status[v] = obj.status;
-        }
-        w.put_vec(dist);
-        w.put_vec(status);
-        w.put_vec(frontier);
-        w.put_u64(round);
-        w.put_u64(examined);
-      },
-      [&](StateReader& rd) {
-        const auto dist = rd.get_vec<float>();
-        EPGS_CHECK(dist.size() == static_cast<std::size_t>(n),
-                   "SSSP snapshot vertex count mismatch");
-        const auto status = rd.get_vec<std::uint32_t>();
-        frontier = rd.get_vec<vid_t>();
-        round = static_cast<std::uint32_t>(rd.get_u64());
-        examined = rd.get_u64();
-        for (vid_t v = 0; v < n; ++v) {
-          auto& obj = g_.vertex(v);
-          obj.fprop = dist[v];
-          obj.status = status[v];
-        }
-      });
-  KernelRun run(*this, "sssp", &ckpt_state);
+  KernelRun run(*this, "sssp", [&](StateFields& f) {
+    object_field(f, g_, [](VertexObj& o) -> auto& { return o.fprop; });
+    object_field(f, g_, [](VertexObj& o) -> auto& { return o.status; });
+    f.list(frontier);
+    f.u64(round);
+    f.u64(examined);
+  });
   run.watch_edges(&examined);
 
   while (!frontier.empty()) {
@@ -257,15 +231,11 @@ PageRankResult GraphBigSystem::do_pagerank(const PageRankParams& params) {
   // Snapshot state: the vprop[0] ranks plus the result/work counters.
   // At the iteration boundary vprop[1] (accumulator) is zero and
   // vprop[2] (contribution cache) is recomputed, so neither is saved.
-  FnCheckpointable ckpt_state = ckpt_scalar_field<double, int>(
-      n, [&](std::size_t v) { return g_.vertex(static_cast<vid_t>(v)).vprop[0]; },
-      [&](std::size_t v, double x) {
-        auto& obj = g_.vertex(static_cast<vid_t>(v));
-        obj.vprop[0] = x;
-        obj.vprop[1] = 0.0;
-      },
-      &r.iterations, &edge_work, "PageRank");
-  KernelRun run(*this, "pagerank", &ckpt_state);
+  KernelRun run(*this, "pagerank", [&](StateFields& f) {
+    object_field(f, g_, [](VertexObj& o) -> auto& { return o.vprop[0]; });
+    f.u64(r.iterations);
+    f.u64(edge_work);
+  });
   run.watch_edges(&edge_work);
   const int start_it = static_cast<int>(run.resumed());
 
@@ -357,11 +327,11 @@ CdlpResult GraphBigSystem::do_cdlp(int max_iterations) {
   CdlpResult r;
 
   // Snapshot state: the per-object labels plus the result/work counters.
-  FnCheckpointable ckpt_state = ckpt_scalar_field<vid_t, int>(
-      n, [&](std::size_t v) { return g_.vertex(static_cast<vid_t>(v)).label; },
-      [&](std::size_t v, vid_t x) { g_.vertex(static_cast<vid_t>(v)).label = x; },
-      &r.iterations, &edge_work, "CDLP");
-  KernelRun run(*this, "cdlp", &ckpt_state);
+  KernelRun run(*this, "cdlp", [&](StateFields& f) {
+    object_field(f, g_, [](VertexObj& o) -> auto& { return o.label; });
+    f.u64(r.iterations);
+    f.u64(edge_work);
+  });
   run.watch_edges(&edge_work);
   const int start_it = static_cast<int>(run.resumed());
 
@@ -476,11 +446,11 @@ WccResult GraphBigSystem::do_wcc() {
   // Snapshot state: the per-object labels plus a round counter and the
   // work tally.
   std::uint64_t round = 0;
-  FnCheckpointable ckpt_state = ckpt_scalar_field<vid_t, std::uint64_t>(
-      n, [&](std::size_t v) { return g_.vertex(static_cast<vid_t>(v)).label; },
-      [&](std::size_t v, vid_t x) { g_.vertex(static_cast<vid_t>(v)).label = x; },
-      &round, &edge_work, "WCC");
-  KernelRun run(*this, "wcc", &ckpt_state);
+  KernelRun run(*this, "wcc", [&](StateFields& f) {
+    object_field(f, g_, [](VertexObj& o) -> auto& { return o.label; });
+    f.u64(round);
+    f.u64(edge_work);
+  });
   run.watch_edges(&edge_work);
   round = run.resumed();
 
@@ -591,36 +561,12 @@ BcResult GraphBigSystem::do_bc(vid_t source) {
   // Snapshot state: sigma (vprop[0]) and level (label) per object, the
   // per-level vertex lists, and the scan counter. Dependencies are only
   // written by the backward sweep, which runs after the scope closes.
-  FnCheckpointable ckpt_state(
-      [&](StateWriter& w) {
-        std::vector<double> sigma(n);
-        std::vector<vid_t> level(n);
-        for (vid_t v = 0; v < n; ++v) {
-          const auto& obj = g_.vertex(v);
-          sigma[v] = obj.vprop[0];
-          level[v] = obj.label;
-        }
-        w.put_vec(sigma);
-        w.put_vec(level);
-        w.put_u64(levels.size());
-        for (const auto& l : levels) w.put_vec(l);
-        w.put_u64(scanned);
-      },
-      [&](StateReader& rd) {
-        const auto sigma = rd.get_vec<double>();
-        EPGS_CHECK(sigma.size() == static_cast<std::size_t>(n),
-                   "BC snapshot vertex count mismatch");
-        const auto level = rd.get_vec<vid_t>();
-        levels.resize(rd.get_u64());
-        for (auto& l : levels) l = rd.get_vec<vid_t>();
-        scanned = rd.get_u64();
-        for (vid_t v = 0; v < n; ++v) {
-          auto& obj = g_.vertex(v);
-          obj.vprop[0] = sigma[v];
-          obj.label = level[v];
-        }
-      });
-  KernelRun run(*this, "bc", &ckpt_state);
+  KernelRun run(*this, "bc", [&](StateFields& f) {
+    object_field(f, g_, [](VertexObj& o) -> auto& { return o.vprop[0]; });
+    object_field(f, g_, [](VertexObj& o) -> auto& { return o.label; });
+    f.list(levels);
+    f.u64(scanned);
+  });
   run.watch_edges(&scanned);
   std::uint64_t round = run.resumed();
 

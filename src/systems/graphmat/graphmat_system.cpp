@@ -104,33 +104,17 @@ BfsResult GraphMatSystem::do_bfs(vid_t root) {
 
   // Snapshot state: the per-vertex program state, the active set (as a
   // vertex list), and the engine counters the epoch loop resumes from.
-  FnCheckpointable ckpt_state(
-      [&](StateWriter& w) {
-        std::vector<vid_t> depth(n), parent(n), act;
-        for (vid_t v = 0; v < n; ++v) {
-          depth[v] = states[v].depth;
-          parent[v] = states[v].parent;
-          if (active.test(v)) act.push_back(v);
-        }
-        w.put_vec(depth);
-        w.put_vec(parent);
-        w.put_vec(act);
-        w.put_u64(static_cast<std::uint64_t>(stats.iterations));
-        w.put_u64(stats.edges_scanned);
-      },
-      [&](StateReader& rd) {
-        const auto depth = rd.get_vec<vid_t>();
-        EPGS_CHECK(depth.size() == static_cast<std::size_t>(n),
-                   "BFS snapshot vertex count mismatch");
-        const auto parent = rd.get_vec<vid_t>();
-        const auto act = rd.get_vec<vid_t>();
-        stats.iterations = static_cast<int>(rd.get_u64());
-        stats.edges_scanned = rd.get_u64();
-        for (vid_t v = 0; v < n; ++v) states[v] = {depth[v], parent[v]};
-        active.reset();
-        for (const vid_t v : act) active.set(v);
-      });
-  KernelRun run(*this, "bfs", &ckpt_state);
+  KernelRun run(*this, "bfs", [&](StateFields& f) {
+    f.per_vertex(
+        n, [&](std::size_t v) { return states[v].depth; },
+        [&](std::size_t v, vid_t x) { states[v].depth = x; });
+    f.per_vertex(
+        n, [&](std::size_t v) { return states[v].parent; },
+        [&](std::size_t v, vid_t x) { states[v].parent = x; });
+    bitmap_field(f, active);
+    f.u64(stats.iterations);
+    f.u64(stats.edges_scanned);
+  });
   run.watch_edges(&stats.edges_scanned);
 
   // Each SpMV epoch ticks the scope: checkpoint boundary + one
@@ -165,31 +149,14 @@ SsspResult GraphMatSystem::do_sssp(vid_t root) {
   graphmat_detail::EngineResult stats;
 
   // Snapshot state: distances, the active set, and the engine counters.
-  FnCheckpointable ckpt_state(
-      [&](StateWriter& w) {
-        std::vector<weight_t> dist(n);
-        std::vector<vid_t> act;
-        for (vid_t v = 0; v < n; ++v) {
-          dist[v] = states[v].dist;
-          if (active.test(v)) act.push_back(v);
-        }
-        w.put_vec(dist);
-        w.put_vec(act);
-        w.put_u64(static_cast<std::uint64_t>(stats.iterations));
-        w.put_u64(stats.edges_scanned);
-      },
-      [&](StateReader& rd) {
-        const auto dist = rd.get_vec<weight_t>();
-        EPGS_CHECK(dist.size() == static_cast<std::size_t>(n),
-                   "SSSP snapshot vertex count mismatch");
-        const auto act = rd.get_vec<vid_t>();
-        stats.iterations = static_cast<int>(rd.get_u64());
-        stats.edges_scanned = rd.get_u64();
-        for (vid_t v = 0; v < n; ++v) states[v].dist = dist[v];
-        active.reset();
-        for (const vid_t v : act) active.set(v);
-      });
-  KernelRun run(*this, "sssp", &ckpt_state);
+  KernelRun run(*this, "sssp", [&](StateFields& f) {
+    f.per_vertex(
+        n, [&](std::size_t v) { return states[v].dist; },
+        [&](std::size_t v, weight_t x) { states[v].dist = x; });
+    bitmap_field(f, active);
+    f.u64(stats.iterations);
+    f.u64(stats.edges_scanned);
+  });
   run.watch_edges(&stats.edges_scanned);
 
   const std::function<void(int, std::uint64_t)> epoch_hook =
@@ -239,13 +206,11 @@ PageRankResult GraphMatSystem::do_pagerank(const PageRankParams& params) {
 
   // Snapshot state: the single-precision rank vector plus the
   // result/work counters. contrib/next are per-iteration scratch.
-  // Accessor form because rank/next swap buffers every iteration — a
-  // pointer captured here would go stale after the first swap.
-  FnCheckpointable ckpt_state = ckpt_scalar_field<float, int>(
-      n, [&](std::size_t v) { return rank[v]; },
-      [&](std::size_t v, float x) { rank[v] = x; },
-      &r.iterations, &edge_work, "PageRank");
-  KernelRun run(*this, "pagerank", &ckpt_state);
+  KernelRun run(*this, "pagerank", [&](StateFields& f) {
+    f.per_vertex(rank);
+    f.u64(r.iterations);
+    f.u64(edge_work);
+  });
   run.watch_edges(&edge_work);
   const int start_it = static_cast<int>(run.resumed());
 
@@ -316,13 +281,13 @@ CdlpResult GraphMatSystem::do_cdlp(int max_iterations) {
   std::vector<vid_t> next(n);
   std::uint64_t edge_work = 0;
 
-  // Snapshot state: labels (accessor form — r.label swaps with the
-  // scratch buffer each round) plus the result/work counters.
-  FnCheckpointable ckpt_state = ckpt_scalar_field<vid_t, int>(
-      n, [&](std::size_t v) { return r.label[v]; },
-      [&](std::size_t v, vid_t x) { r.label[v] = x; }, &r.iterations,
-      &edge_work, "CDLP");
-  KernelRun run(*this, "cdlp", &ckpt_state);
+  // Snapshot state: labels (r.label swaps with the scratch buffer each
+  // round) plus the result/work counters.
+  KernelRun run(*this, "cdlp", [&](StateFields& f) {
+    f.per_vertex(r.label);
+    f.u64(r.iterations);
+    f.u64(edge_work);
+  });
   run.watch_edges(&edge_work);
   const int start_it = static_cast<int>(run.resumed());
 
@@ -435,14 +400,14 @@ WccResult GraphMatSystem::do_wcc() {
   std::vector<vid_t> next(n);
   std::uint64_t edge_work = 0;
 
-  // Snapshot state: component labels (accessor form — r.component swaps
-  // with the scratch buffer each round), a round counter, and the tally.
+  // Snapshot state: component labels (r.component swaps with the scratch
+  // buffer each round), a round counter, and the tally.
   std::uint64_t round = 0;
-  FnCheckpointable ckpt_state = ckpt_scalar_field<vid_t, std::uint64_t>(
-      n, [&](std::size_t v) { return r.component[v]; },
-      [&](std::size_t v, vid_t x) { r.component[v] = x; }, &round,
-      &edge_work, "WCC");
-  KernelRun run(*this, "wcc", &ckpt_state);
+  KernelRun run(*this, "wcc", [&](StateFields& f) {
+    f.per_vertex(r.component);
+    f.u64(round);
+    f.u64(edge_work);
+  });
   run.watch_edges(&edge_work);
   round = run.resumed();
 
@@ -570,23 +535,12 @@ BcResult GraphMatSystem::do_bc(vid_t source) {
   // Snapshot state: sigma, levels, the sweep depth, and the scan
   // counter. Dependencies are written only by the backward phase, which
   // runs after the scope closes.
-  FnCheckpointable ckpt_state(
-      [&](StateWriter& w) {
-        w.put_vec(sigma);
-        w.put_vec(level);
-        w.put_u64(depth);
-        w.put_u64(scanned);
-      },
-      [&](StateReader& rd) {
-        const auto s = rd.get_vec<double>();
-        EPGS_CHECK(s.size() == static_cast<std::size_t>(n),
-                   "BC snapshot vertex count mismatch");
-        level = rd.get_vec<vid_t>();
-        depth = static_cast<vid_t>(rd.get_u64());
-        scanned = rd.get_u64();
-        std::copy(s.begin(), s.end(), sigma.begin());
-      });
-  KernelRun run(*this, "bc", &ckpt_state);
+  KernelRun run(*this, "bc", [&](StateFields& f) {
+    f.per_vertex(sigma);
+    f.per_vertex(level);
+    f.u64(depth);
+    f.u64(scanned);
+  });
   run.watch_edges(&scanned);
 
   // Forward: each pass scans every compressed row of A^T (dense SpMV),

@@ -17,6 +17,18 @@ using ligra_detail::edge_map;
 using ligra_detail::vertex_map;
 using ligra_detail::VertexSubset;
 
+namespace {
+
+/// A vertexSubset as a snapshot list field: it is just its vertex list.
+void subset_field(StateFields& f, VertexSubset& subset, vid_t n) {
+  f.list([&subset]() -> const auto& { return subset.vertices(); },
+         [&subset, n](std::vector<vid_t> l) {
+           subset = VertexSubset::from_sparse(n, std::move(l));
+         });
+}
+
+}  // namespace
+
 void LigraSystem::do_build(const EdgeList& edges) {
   out_ = CSRGraph::from_edges(edges);
   in_.reset();
@@ -100,28 +112,11 @@ BfsResult LigraSystem::do_bfs(vid_t root) {
 
   // Snapshot state: the parent claims, the sparse frontier (a
   // vertexSubset is just its vertex list), and the edge counter.
-  FnCheckpointable ckpt_state(
-      [&](StateWriter& w) {
-        std::vector<vid_t> par(n);
-        for (vid_t v = 0; v < n; ++v) {
-          par[v] = parent[v].load(std::memory_order_relaxed);
-        }
-        w.put_vec(par);
-        w.put_vec(frontier.vertices());
-        w.put_u64(examined);
-      },
-      [&](StateReader& rd) {
-        const auto par = rd.get_vec<vid_t>();
-        EPGS_CHECK(par.size() == static_cast<std::size_t>(n),
-                   "BFS snapshot vertex count mismatch");
-        auto front = rd.get_vec<vid_t>();
-        examined = rd.get_u64();
-        for (vid_t v = 0; v < n; ++v) {
-          parent[v].store(par[v], std::memory_order_relaxed);
-        }
-        frontier = VertexSubset::from_sparse(n, std::move(front));
-      });
-  KernelRun run(*this, "bfs", &ckpt_state);
+  KernelRun run(*this, "bfs", [&](StateFields& f) {
+    f.per_vertex(parent);
+    subset_field(f, frontier, n);
+    f.u64(examined);
+  });
   run.watch_edges(&examined);
   std::uint64_t round = run.resumed();
 
@@ -160,30 +155,12 @@ SsspResult LigraSystem::do_sssp(vid_t root) {
   // Snapshot state: tentative distances, the improved-vertex frontier,
   // and the round/edge counters — a killed Bellman-Ford resumes from its
   // last completed round instead of restarting.
-  FnCheckpointable ckpt_state(
-      [&](StateWriter& w) {
-        std::vector<weight_t> d(n);
-        for (vid_t v = 0; v < n; ++v) {
-          d[v] = dist[v].load(std::memory_order_relaxed);
-        }
-        w.put_vec(d);
-        w.put_vec(frontier.vertices());
-        w.put_u64(static_cast<std::uint64_t>(rounds));
-        w.put_u64(examined);
-      },
-      [&](StateReader& rd) {
-        const auto d = rd.get_vec<weight_t>();
-        EPGS_CHECK(d.size() == static_cast<std::size_t>(n),
-                   "SSSP snapshot vertex count mismatch");
-        auto front = rd.get_vec<vid_t>();
-        rounds = static_cast<int>(rd.get_u64());
-        examined = rd.get_u64();
-        for (vid_t v = 0; v < n; ++v) {
-          dist[v].store(d[v], std::memory_order_relaxed);
-        }
-        frontier = VertexSubset::from_sparse(n, std::move(front));
-      });
-  KernelRun run(*this, "sssp", &ckpt_state);
+  KernelRun run(*this, "sssp", [&](StateFields& f) {
+    f.per_vertex(dist);
+    subset_field(f, frontier, n);
+    f.u64(rounds);
+    f.u64(examined);
+  });
   run.watch_edges(&examined);
 
   while (!frontier.empty() && rounds <= static_cast<int>(n)) {
@@ -238,13 +215,11 @@ PageRankResult LigraSystem::do_pagerank(const PageRankParams& params) {
   // resumed trial reports the same iteration and edge totals as an
   // uninterrupted one. `next` and `contrib` are scratch recomputed every
   // iteration.
-  // Accessor form because rank/next swap buffers every iteration — a
-  // pointer captured here would go stale after the first swap.
-  FnCheckpointable ckpt_state = ckpt_scalar_field<double, int>(
-      n, [&](std::size_t v) { return rank[v]; },
-      [&](std::size_t v, double x) { rank[v] = x; }, &r.iterations,
-      &edge_work, "PageRank");
-  KernelRun run(*this, "pagerank", &ckpt_state);
+  KernelRun run(*this, "pagerank", [&](StateFields& f) {
+    f.per_vertex(rank);
+    f.u64(r.iterations);
+    f.u64(edge_work);
+  });
   run.watch_edges(&edge_work);
   const int start_it = static_cast<int>(run.resumed());
 
@@ -307,30 +282,12 @@ WccResult LigraSystem::do_wcc() {
 
   // Snapshot state: component labels, the active frontier, and the
   // guard/edge counters.
-  FnCheckpointable ckpt_state(
-      [&](StateWriter& w) {
-        std::vector<vid_t> c(n);
-        for (vid_t v = 0; v < n; ++v) {
-          c[v] = comp[v].load(std::memory_order_relaxed);
-        }
-        w.put_vec(c);
-        w.put_vec(frontier.vertices());
-        w.put_u64(static_cast<std::uint64_t>(guard));
-        w.put_u64(examined);
-      },
-      [&](StateReader& rd) {
-        const auto c = rd.get_vec<vid_t>();
-        EPGS_CHECK(c.size() == static_cast<std::size_t>(n),
-                   "WCC snapshot vertex count mismatch");
-        auto front = rd.get_vec<vid_t>();
-        guard = static_cast<int>(rd.get_u64());
-        examined = rd.get_u64();
-        for (vid_t v = 0; v < n; ++v) {
-          comp[v].store(c[v], std::memory_order_relaxed);
-        }
-        frontier = VertexSubset::from_sparse(n, std::move(front));
-      });
-  KernelRun run(*this, "wcc", &ckpt_state);
+  KernelRun run(*this, "wcc", [&](StateFields& f) {
+    f.per_vertex(comp);
+    subset_field(f, frontier, n);
+    f.u64(guard);
+    f.u64(examined);
+  });
   run.watch_edges(&examined);
 
   while (!frontier.empty() && guard <= 2 * static_cast<int>(n)) {
@@ -409,44 +366,14 @@ BcResult LigraSystem::do_bc(vid_t source) {
   // Snapshot state for the forward sweep: visit claims, path counts,
   // per-vertex depth, the recorded level sets, the live frontier, and
   // the edge counter. The backward sweep derives from these alone.
-  FnCheckpointable ckpt_state(
-      [&](StateWriter& w) {
-        std::vector<vid_t> vis(n);
-        for (vid_t v = 0; v < n; ++v) {
-          vis[v] = visited[v].load(std::memory_order_relaxed);
-        }
-        w.put_vec(vis);
-        w.put_array(&sigma[0], n);
-        w.put_array(&level[0], n);
-        w.put_u64(levels.size());
-        for (const auto& l : levels) w.put_vec(l);
-        w.put_vec(frontier.vertices());
-        w.put_u64(examined);
-      },
-      [&](StateReader& rd) {
-        const auto vis = rd.get_vec<vid_t>();
-        EPGS_CHECK(vis.size() == static_cast<std::size_t>(n),
-                   "BC snapshot vertex count mismatch");
-        const auto sg = rd.get_vec<double>();
-        EPGS_CHECK(sg.size() == static_cast<std::size_t>(n),
-                   "BC snapshot vertex count mismatch");
-        const auto lv = rd.get_vec<vid_t>();
-        EPGS_CHECK(lv.size() == static_cast<std::size_t>(n),
-                   "BC snapshot vertex count mismatch");
-        const auto nl = rd.get_u64();
-        std::vector<std::vector<vid_t>> ls(nl);
-        for (auto& l : ls) l = rd.get_vec<vid_t>();
-        auto front = rd.get_vec<vid_t>();
-        examined = rd.get_u64();
-        for (vid_t v = 0; v < n; ++v) {
-          visited[v].store(vis[v], std::memory_order_relaxed);
-        }
-        std::copy(sg.begin(), sg.end(), &sigma[0]);
-        std::copy(lv.begin(), lv.end(), &level[0]);
-        levels = std::move(ls);
-        frontier = VertexSubset::from_sparse(n, std::move(front));
-      });
-  KernelRun run(*this, "bc", &ckpt_state);
+  KernelRun run(*this, "bc", [&](StateFields& f) {
+    f.per_vertex(visited);
+    f.per_vertex(sigma);
+    f.per_vertex(level);
+    f.list(levels);
+    subset_field(f, frontier, n);
+    f.u64(examined);
+  });
   run.watch_edges(&examined);
   std::uint64_t round = run.resumed();
 

@@ -14,6 +14,19 @@ namespace epgs::systems {
 using powergraph_detail::GasEngine;
 using powergraph_detail::VertexCut;
 
+namespace {
+
+/// The GAS engine's work counters as snapshot fields, so a resumed trial
+/// reports the same totals as an uninterrupted one.
+void counter_fields(StateFields& f, powergraph_detail::EngineCounters& c) {
+  f.u64(c.gather_edges);
+  f.u64(c.scatter_signals);
+  f.u64(c.sync_copies);
+  f.u64(c.supersteps);
+}
+
+}  // namespace
+
 const VertexCut& PowerGraphSystem::partitioning() const {
   EPGS_CHECK(cut_ != nullptr, "PowerGraph: graph not built");
   return *cut_;
@@ -169,33 +182,14 @@ SsspResult PowerGraphSystem::do_sssp(vid_t root) {
     // counters already include the seed scatter above; a fresh init is
     // fully overwritten on restore.
     int iters = 0;
-    FnCheckpointable ckpt_state(
-        [&](StateWriter& w) {
-          std::vector<weight_t> dist(n);
-          for (vid_t v = 0; v < n; ++v) dist[v] = engine.data()[v].dist;
-          w.put_vec(dist);
-          w.put_vec(active);
-          w.put_u64(static_cast<std::uint64_t>(iters));
-          const auto& c = engine.counters();
-          w.put_u64(c.gather_edges);
-          w.put_u64(c.scatter_signals);
-          w.put_u64(c.sync_copies);
-          w.put_u64(static_cast<std::uint64_t>(c.supersteps));
-        },
-        [&](StateReader& rd) {
-          const auto dist = rd.get_vec<weight_t>();
-          EPGS_CHECK(dist.size() == static_cast<std::size_t>(n),
-                     "SSSP snapshot vertex count mismatch");
-          active = rd.get_vec<vid_t>();
-          iters = static_cast<int>(rd.get_u64());
-          auto& c = engine.counters();
-          c.gather_edges = rd.get_u64();
-          c.scatter_signals = rd.get_u64();
-          c.sync_copies = rd.get_u64();
-          c.supersteps = static_cast<int>(rd.get_u64());
-          for (vid_t v = 0; v < n; ++v) engine.data()[v].dist = dist[v];
-        });
-    KernelRun run(*this, "sssp", &ckpt_state);
+    KernelRun run(*this, "sssp", [&](StateFields& f) {
+      f.per_vertex(
+          n, [&](std::size_t v) { return engine.data()[v].dist; },
+          [&](std::size_t v, weight_t x) { engine.data()[v].dist = x; });
+      f.list(active);
+      f.u64(iters);
+      counter_fields(f, engine.counters());
+    });
     run.watch_edges(&engine.counters().gather_edges);
     const int max_iters = static_cast<int>(n) + 1;
     while (!active.empty() && iters < max_iters) {
@@ -243,36 +237,14 @@ PageRankResult PowerGraphSystem::do_pagerank(const PageRankParams& params) {
   // Snapshot state: master ranks, the previous-iteration ranks (the L1
   // convergence reference), the result counter, and the engine's work
   // counters, so a resumed trial reports identical totals.
-  FnCheckpointable ckpt_state(
-      [&](StateWriter& w) {
-        std::vector<double> rank(n);
-        for (vid_t v = 0; v < n; ++v) rank[v] = data[v].rank;
-        w.put_vec(rank);
-        w.put_vec(prev);
-        w.put_u64(static_cast<std::uint64_t>(r.iterations));
-        const auto& c = engine.counters();
-        w.put_u64(c.gather_edges);
-        w.put_u64(c.scatter_signals);
-        w.put_u64(c.sync_copies);
-        w.put_u64(static_cast<std::uint64_t>(c.supersteps));
-      },
-      [&](StateReader& rd) {
-        const auto rank = rd.get_vec<double>();
-        EPGS_CHECK(rank.size() == static_cast<std::size_t>(n),
-                   "PageRank snapshot vertex count mismatch");
-        auto saved_prev = rd.get_vec<double>();
-        EPGS_CHECK(saved_prev.size() == static_cast<std::size_t>(n),
-                   "PageRank snapshot vertex count mismatch");
-        r.iterations = static_cast<int>(rd.get_u64());
-        auto& c = engine.counters();
-        c.gather_edges = rd.get_u64();
-        c.scatter_signals = rd.get_u64();
-        c.sync_copies = rd.get_u64();
-        c.supersteps = static_cast<int>(rd.get_u64());
-        for (vid_t v = 0; v < n; ++v) data[v].rank = rank[v];
-        prev = std::move(saved_prev);
-      });
-  KernelRun run(*this, "pagerank", &ckpt_state);
+  KernelRun run(*this, "pagerank", [&](StateFields& f) {
+    f.per_vertex(
+        n, [&](std::size_t v) { return data[v].rank; },
+        [&](std::size_t v, double x) { data[v].rank = x; });
+    f.per_vertex(prev);
+    f.u64(r.iterations);
+    counter_fields(f, engine.counters());
+  });
   run.watch_edges(&engine.counters().gather_edges);
   const int start_it = static_cast<int>(run.resumed());
 
@@ -323,33 +295,14 @@ CdlpResult PowerGraphSystem::do_cdlp(int max_iterations) {
 
   // Snapshot state: master labels, the active list, the round count,
   // and the engine's work counters.
-  FnCheckpointable ckpt_state(
-      [&](StateWriter& w) {
-        std::vector<vid_t> labels(n);
-        for (vid_t v = 0; v < n; ++v) labels[v] = data[v].label;
-        w.put_vec(labels);
-        w.put_vec(active);
-        w.put_u64(static_cast<std::uint64_t>(r.iterations));
-        const auto& c = engine.counters();
-        w.put_u64(c.gather_edges);
-        w.put_u64(c.scatter_signals);
-        w.put_u64(c.sync_copies);
-        w.put_u64(static_cast<std::uint64_t>(c.supersteps));
-      },
-      [&](StateReader& rd) {
-        const auto labels = rd.get_vec<vid_t>();
-        EPGS_CHECK(labels.size() == static_cast<std::size_t>(n),
-                   "CDLP snapshot vertex count mismatch");
-        active = rd.get_vec<vid_t>();
-        r.iterations = static_cast<int>(rd.get_u64());
-        auto& c = engine.counters();
-        c.gather_edges = rd.get_u64();
-        c.scatter_signals = rd.get_u64();
-        c.sync_copies = rd.get_u64();
-        c.supersteps = static_cast<int>(rd.get_u64());
-        for (vid_t v = 0; v < n; ++v) data[v].label = labels[v];
-      });
-  KernelRun run(*this, "cdlp", &ckpt_state);
+  KernelRun run(*this, "cdlp", [&](StateFields& f) {
+    f.per_vertex(
+        n, [&](std::size_t v) { return data[v].label; },
+        [&](std::size_t v, vid_t x) { data[v].label = x; });
+    f.list(active);
+    f.u64(r.iterations);
+    counter_fields(f, engine.counters());
+  });
   run.watch_edges(&engine.counters().gather_edges);
   while (!active.empty() && r.iterations < max_iterations) {
     run.iteration(static_cast<std::uint64_t>(r.iterations), active.size());
@@ -384,33 +337,14 @@ WccResult PowerGraphSystem::do_wcc() {
     // and the engine's work counters.
     auto active = engine.all_vertices();
     int iters = 0;
-    FnCheckpointable ckpt_state(
-        [&](StateWriter& w) {
-          std::vector<vid_t> labels(n);
-          for (vid_t v = 0; v < n; ++v) labels[v] = data[v].label;
-          w.put_vec(labels);
-          w.put_vec(active);
-          w.put_u64(static_cast<std::uint64_t>(iters));
-          const auto& c = engine.counters();
-          w.put_u64(c.gather_edges);
-          w.put_u64(c.scatter_signals);
-          w.put_u64(c.sync_copies);
-          w.put_u64(static_cast<std::uint64_t>(c.supersteps));
-        },
-        [&](StateReader& rd) {
-          const auto labels = rd.get_vec<vid_t>();
-          EPGS_CHECK(labels.size() == static_cast<std::size_t>(n),
-                     "WCC snapshot vertex count mismatch");
-          active = rd.get_vec<vid_t>();
-          iters = static_cast<int>(rd.get_u64());
-          auto& c = engine.counters();
-          c.gather_edges = rd.get_u64();
-          c.scatter_signals = rd.get_u64();
-          c.sync_copies = rd.get_u64();
-          c.supersteps = static_cast<int>(rd.get_u64());
-          for (vid_t v = 0; v < n; ++v) data[v].label = labels[v];
-        });
-    KernelRun run(*this, "wcc", &ckpt_state);
+    KernelRun run(*this, "wcc", [&](StateFields& f) {
+      f.per_vertex(
+          n, [&](std::size_t v) { return data[v].label; },
+          [&](std::size_t v, vid_t x) { data[v].label = x; });
+      f.list(active);
+      f.u64(iters);
+      counter_fields(f, engine.counters());
+    });
     run.watch_edges(&engine.counters().gather_edges);
     const int max_iters = static_cast<int>(n) + 1;
     while (!active.empty() && iters < max_iters) {

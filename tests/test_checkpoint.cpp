@@ -105,17 +105,15 @@ class CheckpointDir : public ::testing::Test {
 };
 
 /// A toy kernel state: a counter and a vector.
-struct ToyState final : Checkpointable {
+struct ToyState {
   std::uint64_t sum = 0;
   std::vector<double> vals;
 
-  void save_state(StateWriter& w) const override {
-    w.put_u64(sum);
-    w.put_vec(vals);
-  }
-  void restore_state(StateReader& r) override {
-    sum = r.get_u64();
-    vals = r.get_vec<double>();
+  [[nodiscard]] StateDecl fields() {
+    return [this](StateFields& f) {
+      f.u64(sum);
+      f.list(vals);
+    };
   }
 };
 
@@ -123,7 +121,7 @@ TEST_F(CheckpointDir, SnapshotRoundTripsAcrossSessions) {
   {
     CheckpointSession s(config());
     ToyState state;
-    EXPECT_EQ(s.begin("toy", state), 0u);  // fresh start
+    EXPECT_EQ(s.begin("toy", state.fields()), 0u);  // fresh start
     state.sum = 10;
     state.vals = {1.0, 2.0};
     EXPECT_TRUE(s.tick(3));  // cadence 1: saves at iteration 3
@@ -132,7 +130,7 @@ TEST_F(CheckpointDir, SnapshotRoundTripsAcrossSessions) {
   }
   CheckpointSession s(config());
   ToyState state;
-  EXPECT_EQ(s.begin("toy", state), 3u);
+  EXPECT_EQ(s.begin("toy", state.fields()), 3u);
   EXPECT_EQ(s.resumed_from(), 3);
   EXPECT_EQ(state.sum, 10u);
   EXPECT_EQ(state.vals, (std::vector<double>{1.0, 2.0}));
@@ -142,7 +140,7 @@ TEST_F(CheckpointDir, SnapshotRoundTripsAcrossSessions) {
 TEST_F(CheckpointDir, EndDeletesTheSnapshot) {
   CheckpointSession s(config());
   ToyState state;
-  (void)s.begin("toy", state);
+  (void)s.begin("toy", state.fields());
   EXPECT_TRUE(s.tick(1));
   EXPECT_TRUE(s.snapshot_exists());
   s.end();
@@ -152,7 +150,7 @@ TEST_F(CheckpointDir, EndDeletesTheSnapshot) {
 TEST_F(CheckpointDir, CadenceSkipsIntermediateIterations) {
   CheckpointSession s(config("u|0", /*every=*/3));
   ToyState state;
-  (void)s.begin("toy", state);
+  (void)s.begin("toy", state.fields());
   EXPECT_FALSE(s.tick(0));  // nothing completed: never save
   EXPECT_FALSE(s.tick(1));
   EXPECT_FALSE(s.tick(2));
@@ -166,7 +164,7 @@ TEST_F(CheckpointDir, CadenceSkipsIntermediateIterations) {
 TEST_F(CheckpointDir, SaveNowSkipsWhenIterationAlreadyOnDisk) {
   CheckpointSession s(config());
   ToyState state;
-  (void)s.begin("toy", state);
+  (void)s.begin("toy", state.fields());
   EXPECT_TRUE(s.tick(2));
   s.save_now();  // iteration 2 already durable: no second write
   EXPECT_EQ(s.saves(), 1);
@@ -176,7 +174,7 @@ TEST_F(CheckpointDir, CorruptSnapshotInvalidatedWithWarning) {
   {
     CheckpointSession s(config());
     ToyState state;
-    (void)s.begin("toy", state);
+    (void)s.begin("toy", state.fields());
     state.sum = 5;
     EXPECT_TRUE(s.tick(2));
     s.detach();
@@ -191,17 +189,44 @@ TEST_F(CheckpointDir, CorruptSnapshotInvalidatedWithWarning) {
   }
   CheckpointSession s(config());
   ToyState state;
-  EXPECT_EQ(s.begin("toy", state), 0u);  // full restart
+  EXPECT_EQ(s.begin("toy", state.fields()), 0u);  // full restart
   EXPECT_EQ(state.sum, 0u);              // nothing restored
   EXPECT_FALSE(s.warning().empty());
   EXPECT_FALSE(fs::exists(p)) << "invalid snapshot must be deleted";
+}
+
+TEST_F(CheckpointDir, TrailingFieldInvalidatedWithoutRestoring) {
+  // A snapshot from a build of the kernel that declared one field more:
+  // the fields it shares parse, but the leftover bytes must reject it
+  // before any of them reaches the kernel.
+  {
+    CheckpointSession s(config());
+    ToyState state;
+    state.sum = 7;
+    state.vals = {2.0};
+    std::uint64_t extra = 1;
+    const StateDecl toy = state.fields();
+    (void)s.begin("toy", [&](StateFields& f) {
+      toy(f);
+      f.u64(extra);
+    });
+    EXPECT_TRUE(s.tick(2));
+    s.detach();
+  }
+  CheckpointSession s(config());
+  ToyState state;
+  EXPECT_EQ(s.begin("toy", state.fields()), 0u);
+  EXPECT_EQ(s.resumed_from(), -1);
+  EXPECT_EQ(state.sum, 0u);
+  EXPECT_TRUE(state.vals.empty());
+  EXPECT_FALSE(s.warning().empty());
 }
 
 TEST_F(CheckpointDir, TornSnapshotInvalidated) {
   {
     CheckpointSession s(config());
     ToyState state;
-    (void)s.begin("toy", state);
+    (void)s.begin("toy", state.fields());
     state.vals.assign(64, 1.0);
     EXPECT_TRUE(s.tick(1));
     s.detach();
@@ -210,7 +235,7 @@ TEST_F(CheckpointDir, TornSnapshotInvalidated) {
   fs::resize_file(p, fs::file_size(p) / 2);
   CheckpointSession s(config());
   ToyState state;
-  EXPECT_EQ(s.begin("toy", state), 0u);
+  EXPECT_EQ(s.begin("toy", state.fields()), 0u);
   EXPECT_FALSE(s.warning().empty());
 }
 
@@ -218,7 +243,7 @@ TEST_F(CheckpointDir, FingerprintMismatchForcesFullRestart) {
   {
     CheckpointSession s(config());
     ToyState state;
-    (void)s.begin("toy", state);
+    (void)s.begin("toy", state.fields());
     EXPECT_TRUE(s.tick(4));
     s.detach();
   }
@@ -226,7 +251,7 @@ TEST_F(CheckpointDir, FingerprintMismatchForcesFullRestart) {
   cfg.fingerprint = "different-experiment";
   CheckpointSession s(cfg);
   ToyState state;
-  EXPECT_EQ(s.begin("toy", state), 0u);
+  EXPECT_EQ(s.begin("toy", state.fields()), 0u);
   EXPECT_NE(s.warning().find("fingerprint"), std::string::npos)
       << "warning was: " << s.warning();
 }
@@ -235,13 +260,13 @@ TEST_F(CheckpointDir, StageMismatchForcesFullRestart) {
   {
     CheckpointSession s(config());
     ToyState state;
-    (void)s.begin("pagerank", state);
+    (void)s.begin("pagerank", state.fields());
     EXPECT_TRUE(s.tick(4));
     s.detach();
   }
   CheckpointSession s(config());
   ToyState state;
-  EXPECT_EQ(s.begin("bfs", state), 0u);
+  EXPECT_EQ(s.begin("bfs", state.fields()), 0u);
   EXPECT_FALSE(s.warning().empty());
 }
 
@@ -260,7 +285,7 @@ TEST_F(CheckpointDir, KillAtFirstPublishLeavesNoSnapshot) {
     fault::arm_kill_at_publish({1, {}});
     CheckpointSession s(cfg);
     ToyState state;
-    (void)s.begin("toy", state);
+    (void)s.begin("toy", state.fields());
     state.sum = 1;
     (void)s.tick(1);  // dies between the tmp fsync and the rename
     ::_exit(0);       // unreachable: the hook SIGKILLed us
@@ -275,7 +300,8 @@ TEST_F(CheckpointDir, KillAtFirstPublishLeavesNoSnapshot) {
       << "the unpublished tmp write must not be visible as a snapshot";
   CheckpointSession s(cfg);
   ToyState state;
-  EXPECT_EQ(s.begin("toy", state), 0u) << "restart must be from scratch";
+  EXPECT_EQ(s.begin("toy", state.fields()), 0u)
+      << "restart must be from scratch";
 }
 
 TEST_F(CheckpointDir, KillAtSecondPublishKeepsPriorValidSnapshot) {
@@ -285,7 +311,7 @@ TEST_F(CheckpointDir, KillAtSecondPublishKeepsPriorValidSnapshot) {
     fault::arm_kill_at_publish({2, {}});
     CheckpointSession s(cfg);
     ToyState state;
-    (void)s.begin("toy", state);
+    (void)s.begin("toy", state.fields());
     state.sum = 1;
     state.vals = {1.5};
     (void)s.tick(1);  // publish 1 lands
@@ -304,7 +330,7 @@ TEST_F(CheckpointDir, KillAtSecondPublishKeepsPriorValidSnapshot) {
       << "the previous published snapshot must survive the torn publish";
   CheckpointSession s(cfg);
   ToyState state;
-  EXPECT_EQ(s.begin("toy", state), 1u);
+  EXPECT_EQ(s.begin("toy", state.fields()), 1u);
   EXPECT_EQ(state.sum, 1u);
   EXPECT_EQ(state.vals, (std::vector<double>{1.5}))
       << "restored state must be the iteration-1 frame, not the torn one";
@@ -404,6 +430,51 @@ TEST_F(KillResume, PageRankBitIdenticalOnEverySystem) {
               0)
         << system << ": resumed PageRank is not bit-identical";
     expect_same_work(base_work, resumed_work, system);
+  }
+}
+
+TEST_F(CheckpointDir, RejectedPageRankSnapshotLeavesFreshStateOnEverySystem) {
+  // A CRC-valid snapshot under the kernel's own unit, stage and
+  // fingerprint whose rank vector fits but whose next field carries the
+  // wrong tag: it must be rejected before the ranks reach the kernel, so
+  // the full restart equals an uninterrupted run.
+  ThreadScope scope(1);
+  const EdgeList el = test::line_graph(96);
+  const auto alg = [](System& s) { return s.pagerank(); };
+  for (const std::string system :
+       {"GAP", "Ligra", "GraphMat", "GraphBIG", "PowerGraph"}) {
+    const auto [base, base_work] = run_uninterrupted(system, el, alg);
+    const CheckpointConfig cfg = config("tag|" + system);
+    {
+      CheckpointSession planter(cfg);
+      std::vector<double> ranks(base.rank.size(), 0.5);
+      std::vector<float> float_ranks(base.rank.size(), 0.5f);
+      std::int64_t iterations = 3;  // 'i' where the kernel declares 'u'
+      (void)planter.begin("pagerank", [&](StateFields& f) {
+        if (system == "GraphMat") {
+          f.per_vertex(float_ranks);
+        } else {
+          f.per_vertex(ranks);
+        }
+        f.i64(iterations);
+      });
+      ASSERT_TRUE(planter.tick(3)) << system;
+      planter.detach();
+    }
+    auto sys = make_system(system);
+    sys->set_edges(el);
+    sys->build();
+    CheckpointSession session(cfg);
+    sys->set_checkpoint_session(&session);
+    const PageRankResult r = alg(*sys);
+    EXPECT_EQ(session.resumed_from(), -1) << system;
+    EXPECT_FALSE(session.warning().empty()) << system;
+    EXPECT_EQ(r.iterations, base.iterations) << system;
+    ASSERT_EQ(r.rank.size(), base.rank.size()) << system;
+    EXPECT_EQ(std::memcmp(r.rank.data(), base.rank.data(),
+                          base.rank.size() * sizeof(double)),
+              0)
+        << system << ": a rejected snapshot leaked into the restart";
   }
 }
 

@@ -3,7 +3,8 @@
 // round-trip through the text log grammar and the fork-isolation pipe,
 // land in the --iter-trace JSONL sidecar, and every capability-advertised
 // iterative kernel is checkpointable (cancelled mid-kernel -> resumes
-// from the snapshot) while single-pass kernels stay snapshot-free.
+// from the snapshot to the uninterrupted result) while single-pass
+// kernels stay snapshot-free.
 #include "systems/common/kernel_run.hpp"
 
 #include <gtest/gtest.h>
@@ -12,15 +13,20 @@
 #include <cmath>
 #include <filesystem>
 #include <fstream>
+#include <iterator>
 #include <limits>
 #include <memory>
 #include <string>
+#include <tuple>
 #include <vector>
 
 #include "core/cancellation.hpp"
 #include "core/error.hpp"
 #include "core/parallel.hpp"
+#include "gen/kronecker.hpp"
+#include "graph/transforms.hpp"
 #include "harness/analysis.hpp"
+#include "harness/experiment.hpp"
 #include "harness/runner.hpp"
 #include "systems/common/fault_injection.hpp"
 #include "systems/common/registry.hpp"
@@ -133,10 +139,42 @@ TEST(KernelRunTelemetry, TimelineRoundTripsThroughLogText) {
 //
 // The regression bar behind the KernelRun refactor: every iterative
 // kernel a system advertises must leave a resumable snapshot when
-// cancelled mid-kernel and continue from it — including the kernels that
-// previously only polled bare cancellation (Ligra SSSP and friends).
+// cancelled mid-kernel and continue from it to the same result, bit for
+// bit, and the same work counters as an uninterrupted run — including
+// the kernels that previously only polled bare cancellation (Ligra SSSP
+// and friends). One test per (system, input), so `ctest -j` spreads the
+// sweep.
 
-class KernelCheckpointSweep : public ::testing::Test {
+/// The bytes of `v`, so results compare bit for bit.
+template <typename T>
+std::string bytes_of(const std::vector<T>& v) {
+  return std::string(reinterpret_cast<const char*>(v.data()),
+                     v.size() * sizeof(T));
+}
+
+struct SweepInput {
+  std::string name;
+  EdgeList el;
+  vid_t root;
+};
+
+/// "line96": a long line, many iterations per kernel. "kron10": a
+/// Kronecker s10 graph, dense enough for GAP BFS's bottom-up frontier.
+/// Both weighted.
+SweepInput sweep_input(const std::string& name) {
+  if (name == "line96") {
+    return {name, test::line_graph(96, /*weighted=*/true), 0};
+  }
+  gen::KroneckerParams p;
+  p.scale = 10;
+  EdgeList kron = with_random_weights(dedupe(symmetrize(gen::kronecker(p))),
+                                      /*seed=*/7, /*max_weight=*/15);
+  const vid_t root = harness::select_roots(kron, 1, /*seed=*/1)[0];
+  return {name, std::move(kron), root};
+}
+
+class KernelCheckpointSweep
+    : public ::testing::TestWithParam<std::tuple<std::string, std::string>> {
  protected:
   void SetUp() override {
     dir_ = fs::temp_directory_path() /
@@ -157,69 +195,113 @@ class KernelCheckpointSweep : public ::testing::Test {
     return cfg;
   }
 
-  /// Cancel `alg` on `system` at completed iteration 1, assert a snapshot
-  /// was left, then resume it on a fresh instance and assert the resume
-  /// actually started from the snapshot.
+  /// Run `alg` (which returns its result's bytes) uninterrupted; then for
+  /// each kill point the kernel reaches, cancel it at that completed
+  /// iteration, assert a snapshot was left, resume on a fresh instance,
+  /// and require the resume to start from the snapshot and to end with
+  /// the uninterrupted result and work counters.
   template <typename Alg>
-  void expect_kill_resume(const std::string& system, const EdgeList& el,
+  void expect_kill_resume(const std::string& system, const SweepInput& in,
                           const std::string& alg_name, Alg&& alg) {
-    const std::string key = system + "|" + alg_name;
+    const std::string kernel = system + "|" + alg_name + "|" + in.name;
+    std::string base;
+    WorkStats base_work;
+    std::size_t boundaries = 0;
     {
-      auto sys = built(system, el);
-      CancellationToken token;
-      sys->set_cancellation(&token);
+      auto sys = built(system, in.el);
+      base = alg(*sys);
+      base_work = algorithm_entry(*sys).work;
+      boundaries = algorithm_entry(*sys).timeline.size();
+    }
+    ASSERT_GT(boundaries, 1u) << kernel << " ends before the first kill point";
+    for (const std::uint64_t kill : {1u, 2u}) {
+      if (boundaries <= kill) continue;  // the kernel ends before `kill`
+      const std::string key = kernel + "|" + std::to_string(kill);
+      {
+        auto sys = built(system, in.el);
+        CancellationToken token;
+        sys->set_cancellation(&token);
+        CheckpointSession session(config(key));
+        sys->set_checkpoint_session(&session);
+        fault::arm_cancel_at_iteration({system, kill});
+        EXPECT_THROW(alg(*sys), CancelledError) << key;
+        fault::disarm_cancel_at_iteration();
+        session.detach();
+        EXPECT_TRUE(session.snapshot_exists())
+            << key << " left no snapshot behind";
+      }
+      auto sys = built(system, in.el);
       CheckpointSession session(config(key));
       sys->set_checkpoint_session(&session);
-      fault::arm_cancel_at_iteration({system, /*at_iteration=*/1});
-      EXPECT_THROW(alg(*sys), CancelledError) << key;
-      fault::disarm_cancel_at_iteration();
-      session.detach();
-      EXPECT_TRUE(session.snapshot_exists())
-          << key << " left no snapshot behind";
+      std::string resumed;
+      EXPECT_NO_THROW(resumed = alg(*sys)) << key;
+      EXPECT_EQ(session.resumed_from(), static_cast<std::int64_t>(kill))
+          << key << " did not resume";
+      EXPECT_FALSE(session.snapshot_exists())
+          << key << " must delete the snapshot after completing";
+      EXPECT_TRUE(resumed == base)
+          << key << ": resumed result is not bit-identical";
+      const WorkStats& work = algorithm_entry(*sys).work;
+      EXPECT_EQ(work.edges_processed, base_work.edges_processed) << key;
+      EXPECT_EQ(work.vertex_updates, base_work.vertex_updates) << key;
+      EXPECT_EQ(work.bytes_touched, base_work.bytes_touched) << key;
     }
-    auto sys = built(system, el);
-    CheckpointSession session(config(key));
-    sys->set_checkpoint_session(&session);
-    EXPECT_NO_THROW(alg(*sys)) << key;
-    EXPECT_EQ(session.resumed_from(), 1) << key << " did not resume";
-    EXPECT_FALSE(session.snapshot_exists())
-        << key << " must delete the snapshot after completing";
   }
 
   fs::path dir_;
 };
 
-TEST_F(KernelCheckpointSweep, EveryAdvertisedIterativeKernelResumes) {
+TEST_P(KernelCheckpointSweep, EveryAdvertisedIterativeKernelResumes) {
+  // Single-threaded: only the 1-thread BFS tree and floating-point
+  // accumulation orders are deterministic across runs.
   ThreadScope scope(1);
-  const EdgeList el = test::line_graph(96, /*weighted=*/true);
-  for (const std::string system : kAllSystems) {
-    const Capabilities caps = make_system(system)->capabilities();
-    if (caps.bfs) {
-      expect_kill_resume(system, el, "bfs",
-                         [](System& s) { (void)s.bfs(0); });
-    }
-    if (caps.sssp) {
-      expect_kill_resume(system, el, "sssp",
-                         [](System& s) { (void)s.sssp(0); });
-    }
-    if (caps.pagerank) {
-      expect_kill_resume(system, el, "pagerank",
-                         [](System& s) { (void)s.pagerank(); });
-    }
-    if (caps.cdlp) {
-      expect_kill_resume(system, el, "cdlp",
-                         [](System& s) { (void)s.cdlp(); });
-    }
-    if (caps.wcc) {
-      expect_kill_resume(system, el, "wcc",
-                         [](System& s) { (void)s.wcc(); });
-    }
-    if (caps.bc) {
-      expect_kill_resume(system, el, "bc",
-                         [](System& s) { (void)s.bc(0); });
-    }
+  const std::string& system = std::get<0>(GetParam());
+  const SweepInput in = sweep_input(std::get<1>(GetParam()));
+  const vid_t root = in.root;
+  const Capabilities caps = make_system(system)->capabilities();
+  if (caps.bfs) {
+    expect_kill_resume(system, in, "bfs", [root](System& s) {
+      return bytes_of(s.bfs(root).parent);
+    });
+  }
+  if (caps.sssp) {
+    expect_kill_resume(system, in, "sssp", [root](System& s) {
+      return bytes_of(s.sssp(root).dist);
+    });
+  }
+  if (caps.pagerank) {
+    expect_kill_resume(system, in, "pagerank", [](System& s) {
+      const PageRankResult r = s.pagerank();
+      return bytes_of(r.rank) + "|" + std::to_string(r.iterations);
+    });
+  }
+  if (caps.cdlp) {
+    expect_kill_resume(system, in, "cdlp", [](System& s) {
+      const CdlpResult r = s.cdlp();
+      return bytes_of(r.label) + "|" + std::to_string(r.iterations);
+    });
+  }
+  if (caps.wcc) {
+    expect_kill_resume(system, in, "wcc", [](System& s) {
+      return bytes_of(s.wcc().component);
+    });
+  }
+  if (caps.bc) {
+    expect_kill_resume(system, in, "bc", [root](System& s) {
+      return bytes_of(s.bc(root).dependency);
+    });
   }
 }
+
+INSTANTIATE_TEST_SUITE_P(
+    PerSystem, KernelCheckpointSweep,
+    ::testing::Combine(::testing::ValuesIn(std::vector<std::string>(
+                           std::begin(kAllSystems), std::end(kAllSystems))),
+                       ::testing::Values(std::string("line96"),
+                                         std::string("kron10"))),
+    [](const auto& info) {
+      return std::get<0>(info.param) + "_" + std::get<1>(info.param);
+    });
 
 TEST_F(KernelCheckpointSweep, SinglePassKernelsLeaveNoSnapshot) {
   // LCC and TC are single-pass: they run to completion under a session
