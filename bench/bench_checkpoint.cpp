@@ -1,17 +1,22 @@
 // Checkpoint overhead microbenchmark.
 //
-// The ISSUE's acceptance bar: snapshotting at the default cadence must
-// cost < 5% on a PageRank sweep at Kronecker scale 14. The default is
-// time-based (0.25 s between saves) precisely because per-iteration
-// fsyncs dwarf sub-millisecond iterations; this bench quantifies both.
-// Times four cadences per system — no session at all (the baseline), the
-// 0.25 s time default, snapshot every iteration, and snapshot every 4
-// iterations — and reports per-cadence medians plus the relative
-// overhead. Writes a JSON summary (argv[1], default
-// results_checkpoint.json) for the non-blocking perf smoke. Knobs:
-// EPGS_SCALE, EPGS_ROOTS, EPGS_THREADS.
+// The acceptance bar: snapshotting at the default cadence (one save per
+// 0.25 s) must cost < 5% on a PageRank sweep at Kronecker scale 14. A
+// scale-14 PageRank finishes inside 0.25 s on every system, so the
+// default cadence itself saves nothing there, and comparing its time
+// with no session at all measures host noise. Instead each system's
+// per-save cost comes from a cadence that does save: (every-1 median -
+// off median) / saves at every-1, and the overhead that cost implies at
+// one save per 0.25 s is what the budget checks. Times four cadences
+// per system — no session at all (the baseline), the 0.25 s time
+// default, snapshot every iteration, and snapshot every 4 iterations —
+// and reports per-cadence medians and relative overheads, the per-save
+// cost and the implied default overhead. Writes a JSON summary (argv[1],
+// default results_checkpoint.json) for the non-blocking perf smoke.
+// Knobs: EPGS_SCALE, EPGS_ROOTS, EPGS_THREADS.
 #include <cstdio>
 #include <filesystem>
+#include <optional>
 #include <string>
 #include <vector>
 
@@ -36,6 +41,9 @@ struct CadenceResult {
 /// Median PageRank kernel time over `trials` runs; `every` and
 /// `every_seconds` both 0 means no checkpoint session at all (the
 /// uninstrumented baseline).
+/// Seconds between saves at the default time cadence.
+constexpr double kDefaultEverySeconds = 0.25;
+
 CadenceResult time_cadence(System& sys, const fs::path& dir,
                            const std::string& label, int every,
                            double every_seconds, int trials) {
@@ -86,6 +94,14 @@ int main(int argc, char** argv) {
   struct SystemRow {
     std::string system;
     std::vector<CadenceResult> cadences;
+    /// Seconds per save, from the every-1 cadence; empty when it saved
+    /// nothing (a kernel that ends in one iteration).
+    std::optional<double> save_seconds;
+
+    /// Overhead the per-save cost implies at one save per 0.25 s.
+    [[nodiscard]] double implied_default_pct() const {
+      return *save_seconds / kDefaultEverySeconds * 100.0;
+    }
   };
   std::vector<SystemRow> rows;
   for (const std::string system :
@@ -97,20 +113,31 @@ int main(int argc, char** argv) {
     row.system = system;
     row.cadences.push_back(time_cadence(*sys, dir, "off", 0, 0.0, trials));
     row.cadences.push_back(
-        time_cadence(*sys, dir, "default", 0, 0.25, trials));
+        time_cadence(*sys, dir, "default", 0, kDefaultEverySeconds, trials));
     row.cadences.push_back(
         time_cadence(*sys, dir, "every-1", 1, 0.0, trials));
     row.cadences.push_back(
         time_cadence(*sys, dir, "every-4", 4, 0.0, trials));
     const double base = row.cadences[0].median_seconds;
+    const CadenceResult& every1 = row.cadences[2];
+    if (every1.saves > 0) {
+      row.save_seconds = (every1.median_seconds - base) / every1.saves;
+    }
     std::printf("%s (%d iterations, %d snapshots at cadence 1):\n",
-                system.c_str(), row.cadences[2].iterations,
-                row.cadences[2].saves);
+                system.c_str(), every1.iterations, every1.saves);
     for (const auto& c : row.cadences) {
       const double overhead =
           base > 0 ? (c.median_seconds / base - 1.0) * 100.0 : 0.0;
-      std::printf("  cadence %-8s median=%.5fs overhead=%+.2f%%\n",
-                  c.label.c_str(), c.median_seconds, overhead);
+      std::printf("  cadence %-8s median=%.5fs saves=%d overhead=%+.2f%%\n",
+                  c.label.c_str(), c.median_seconds, c.saves, overhead);
+    }
+    if (row.save_seconds) {
+      std::printf(
+          "  per save %.3f ms -> %.2f%% at one save per %.2f s (budget 5%%)\n",
+          *row.save_seconds * 1e3, row.implied_default_pct(),
+          kDefaultEverySeconds);
+    } else {
+      std::printf("  per save: unknown (cadence 1 saved nothing)\n");
     }
     rows.push_back(std::move(row));
   }
@@ -127,6 +154,16 @@ int main(int argc, char** argv) {
     const double base = row.cadences[0].median_seconds;
     std::fprintf(f, "    {\"system\": \"%s\", \"iterations\": %d, ",
                  row.system.c_str(), row.cadences[2].iterations);
+    if (row.save_seconds) {
+      std::fprintf(f,
+                   "\"save_ms\": %.4f, \"implied_default_overhead_pct\": "
+                   "%.2f, ",
+                   *row.save_seconds * 1e3, row.implied_default_pct());
+    } else {
+      std::fprintf(f,
+                   "\"save_ms\": null, \"implied_default_overhead_pct\": "
+                   "null, ");
+    }
     std::fprintf(f, "\"cadences\": [\n");
     for (std::size_t j = 0; j < row.cadences.size(); ++j) {
       const auto& c = row.cadences[j];

@@ -14,21 +14,6 @@ namespace {
 using harness::Algorithm;
 using harness::algorithm_name;
 
-bool system_supports(const Capabilities& caps, Algorithm alg) {
-  switch (alg) {
-    case Algorithm::kBfs: return caps.bfs;
-    case Algorithm::kSssp: return caps.sssp;
-    case Algorithm::kPageRank: return caps.pagerank;
-    case Algorithm::kCdlp: return caps.cdlp;
-    case Algorithm::kLcc: return caps.lcc;
-    case Algorithm::kWcc: return caps.wcc;
-    // Graphalytics supports neither (paper Section V): cells render N/A.
-    case Algorithm::kTc: return false;
-    case Algorithm::kBc: return false;
-  }
-  return false;
-}
-
 std::vector<std::string> graphmat_excerpt(const PhaseLog& log,
                                           const std::string& dataset) {
   std::vector<std::string> lines;
@@ -101,13 +86,17 @@ Report run(const harness::GraphSpec& spec, const Options& opts) {
     for (const Algorithm alg : opts.algorithms) {
       Cell cell;
       // Graphalytics "by default does not perform SSSP on unweighted
-      // graphs" — render N/A, as in Table I's cit-Patents row.
-      const bool skip_sssp = alg == Algorithm::kSssp && !el.weighted;
+      // graphs" — render N/A, as in Table I's cit-Patents row — and
+      // supports neither TC nor BC (paper Section V).
+      const bool graphalytics_na =
+          (alg == Algorithm::kSssp && !el.weighted) ||
+          alg == Algorithm::kTc || alg == Algorithm::kBc;
 
       // Fresh process per run, as Graphalytics launches each benchmark
       // separately (one trial only).
       auto sys = make_system(system_name);
-      if (!skip_sssp && system_supports(sys->capabilities(), alg)) {
+      if (!graphalytics_na &&
+          harness::algorithm_supported(sys->capabilities(), alg)) {
         ThreadScope scope(report.threads);
         sys->load_file(files.path(sys->native_format()));
         sys->build();

@@ -113,7 +113,7 @@ struct TrajectoryPoint {
 /// The per-iteration trajectory of one (system, algorithm): KernelRun
 /// timelines of every successful "run algorithm" record, averaged per
 /// iteration index. Empty when no matching record carries telemetry
-/// (journal-replayed units lose their timelines). This is the data behind
+/// (journal-replayed units keep theirs). This is the data behind
 /// a convergence plot (residual vs iteration) or a BFS frontier curve.
 std::vector<TrajectoryPoint> iteration_trajectory(
     const ExperimentResult& result, std::string_view system,

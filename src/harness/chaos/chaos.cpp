@@ -257,11 +257,11 @@ RoundReport run_round(const ExperimentConfig& base, const ChaosOptions& opts,
       rep.detail = "journal replayed empty";
     }
     for (const JournalEntry& en : entries) {
-      if (en.outcome != Outcome::kSuccess) {
+      if (en.report.outcome != Outcome::kSuccess) {
         rep.journal_clean = false;
         if (rep.detail.empty()) {
           rep.detail = "journal records non-success unit " + en.key + " (" +
-                       std::string(outcome_name(en.outcome)) + ")";
+                       std::string(outcome_name(en.report.outcome)) + ")";
         }
         break;
       }

@@ -56,9 +56,9 @@ std::string json_escape(const std::string& s) {
 /// other recoverable failures re-run only when the unit left a resumable
 /// snapshot behind, so --resume continues it mid-kernel.
 bool should_rerun(const JournalEntry& e, const SupervisorOptions& sup) {
-  if (e.outcome == Outcome::kInterrupted) return true;
+  if (e.report.outcome == Outcome::kInterrupted) return true;
   if (sup.checkpoint_dir.empty()) return false;
-  switch (e.outcome) {
+  switch (e.report.outcome) {
     case Outcome::kTimeout:
     case Outcome::kCrash:
     case Outcome::kOomKilled:
@@ -107,43 +107,29 @@ RecordCollector::RecordCollector(const SupervisorOptions& sup,
   }
 }
 
-void RecordCollector::emit_replayed(
-    const std::vector<std::string>& systems) {
-  for (const auto& [key, entry] : journaled_) {
-    const std::string sys_of_key = key.substr(0, key.find('|'));
-    bool configured = false;
-    for (const auto& s : systems) configured |= (s == sys_of_key);
-    if (!configured) continue;
-    for (RunRecord rec : entry.records) {
-      // Re-attach forensics from the journal's "crash" line: the CSV row
-      // format has no column for them, so replayed records would
-      // otherwise lose the fingerprint the outcome table groups by.
-      if (!entry.crash_fingerprint.empty() &&
-          rec.outcome != Outcome::kSuccess) {
-        rec.extra["crash_fingerprint"] = entry.crash_fingerprint;
-        if (!entry.crash_report_path.empty()) {
-          rec.extra["crash_report"] = entry.crash_report_path;
-        }
-      }
-      records_.push_back(std::move(rec));
-    }
+void RecordCollector::emit_replayed(const SweepPlan& plan) {
+  const auto emit = [&](const std::string& key) {
+    const auto it = journaled_.find(key);
+    if (it != journaled_.end()) add(unit_records(plan, key, it->second.report));
+  };
+  for (const SystemPlan& sp : plan.systems) {
+    emit(sp.load_key);
+    emit(sp.build_key);
+    for (const PlannedTrial& t : sp.trials) emit(t.key);
   }
 }
 
 void RecordCollector::store(const std::string& key,
                             std::vector<RunRecord> recs,
                             const TrialReport& rep) {
-  journal_.append(key, rep, recs);
+  journal_.append(key, rep);
   write_timelines(recs);
-  records_.insert(records_.end(), std::make_move_iterator(recs.begin()),
-                  std::make_move_iterator(recs.end()));
+  add(std::move(recs));
 }
 
-void RecordCollector::add(RunRecord rec) {
-  if (!rec.timeline.empty()) {
-    write_timelines({rec});
-  }
-  records_.push_back(std::move(rec));
+void RecordCollector::add(std::vector<RunRecord> recs) {
+  records_.insert(records_.end(), std::make_move_iterator(recs.begin()),
+                  std::make_move_iterator(recs.end()));
 }
 
 void RecordCollector::write_timelines(const std::vector<RunRecord>& recs) {
@@ -178,11 +164,6 @@ void RecordCollector::write_timelines(const std::vector<RunRecord>& recs) {
                      e.what() + "); telemetry stopped";
     trace_.reset();
   }
-}
-
-void RecordCollector::note_checkpoint(const std::string& key,
-                                      std::uint64_t iteration) {
-  journal_.append_checkpoint(key, iteration);
 }
 
 }  // namespace epgs::harness

@@ -10,7 +10,9 @@
 #include <vector>
 
 #include "core/fs_shim.hpp"
+#include "harness/records.hpp"
 #include "harness/supervisor.hpp"
+#include "harness/sweep_plan.hpp"
 
 namespace epgs::harness {
 
@@ -25,7 +27,7 @@ class RecordCollector {
   /// name + FNV tag, same scheme as checkpoint files): one JSON object
   /// per KernelRun iteration row, appended as units finish. Opened for
   /// append on --resume so a continued sweep extends the same file;
-  /// journal-replayed units carry no timelines, so their rows are the
+  /// journal-replayed units are not written again, so their rows are the
   /// ones written before the interruption. Sidecar I/O errors degrade to
   /// trace_warning(), never fail the sweep.
   RecordCollector(const SupervisorOptions& sup, std::string fingerprint,
@@ -41,23 +43,19 @@ class RecordCollector {
     return journaled_.count(key) != 0;
   }
 
-  /// Emit the replayed records up front, but only for systems still
-  /// configured (the fingerprint deliberately omits the system list, so a
-  /// resumed sweep may add or drop systems).
-  void emit_replayed(const std::vector<std::string>& systems);
+  /// Emit the replayed units' records up front, in plan order and built
+  /// by unit_records like a live unit's, for the planned systems only
+  /// (the fingerprint deliberately omits the system list, so a resumed
+  /// sweep may add or drop systems).
+  void emit_replayed(const SweepPlan& plan);
 
-  /// Durably journal one finished unit and append its records.
+  /// Durably journal one finished unit's report and append its records.
   void store(const std::string& key, std::vector<RunRecord> recs,
              const TrialReport& rep);
 
-  /// Append a record without journaling (config failures, failed builds —
-  /// a resume should retry those).
-  void add(RunRecord rec);
-
-  /// Journal a "ckpt" breadcrumb: `key` failed but left a resumable
-  /// snapshot covering `iteration` completed iterations, so a --resume
-  /// will re-run it from there rather than trust the journaled failure.
-  void note_checkpoint(const std::string& key, std::uint64_t iteration);
+  /// Append records without journaling (config failures, failed loads
+  /// and builds — a resume should retry those).
+  void add(std::vector<RunRecord> recs);
 
   [[nodiscard]] std::vector<RunRecord> take() { return std::move(records_); }
 
@@ -69,11 +67,6 @@ class RecordCollector {
   /// Why the iter-trace sidecar stopped (empty while healthy/disabled).
   [[nodiscard]] const std::string& trace_warning() const {
     return trace_warning_;
-  }
-
-  /// Sidecar path (empty when tracing is disabled).
-  [[nodiscard]] const std::filesystem::path& trace_path() const {
-    return trace_path_;
   }
 
  private:

@@ -39,6 +39,20 @@ Algorithm algorithm_from_name(std::string_view name) {
   throw EpgsError("unknown algorithm: '" + std::string(name) + "'");
 }
 
+bool algorithm_supported(const Capabilities& caps, Algorithm alg) {
+  switch (alg) {
+    case Algorithm::kBfs: return caps.bfs;
+    case Algorithm::kSssp: return caps.sssp;
+    case Algorithm::kPageRank: return caps.pagerank;
+    case Algorithm::kCdlp: return caps.cdlp;
+    case Algorithm::kLcc: return caps.lcc;
+    case Algorithm::kWcc: return caps.wcc;
+    case Algorithm::kTc: return caps.tc;
+    case Algorithm::kBc: return caps.bc;
+  }
+  return false;
+}
+
 std::string GraphSpec::name() const {
   std::ostringstream os;
   switch (kind) {

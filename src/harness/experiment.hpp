@@ -21,6 +21,10 @@ enum class Algorithm { kBfs, kSssp, kPageRank, kCdlp, kLcc, kWcc, kTc, kBc };
 [[nodiscard]] std::string_view algorithm_name(Algorithm a);
 [[nodiscard]] Algorithm algorithm_from_name(std::string_view name);
 
+/// Whether a system with these capabilities implements `alg`.
+[[nodiscard]] bool algorithm_supported(const Capabilities& caps,
+                                       Algorithm alg);
+
 /// Which graph to run on. Kronecker mirrors the Graph500 generator the
 /// paper uses for synthetic experiments; the *Like kinds are this repo's
 /// stand-ins for the two real-world datasets; SnapFile accepts "any

@@ -2,6 +2,7 @@
 
 #include <cstdio>
 
+#include "core/csv.hpp"
 #include "core/error.hpp"
 #include "core/text_scan.hpp"
 
@@ -25,36 +26,6 @@ const CsvRow& csv_header() {
 template <class T>
 T parse_or_zero(const std::string& s, std::string_view col) {
   return s.empty() ? T{} : text::parse<T>(s, kCtx, col, 0);
-}
-
-}  // namespace
-
-std::vector<double> ExperimentResult::seconds_of(
-    std::string_view system, std::string_view phase,
-    std::string_view algorithm) const {
-  std::vector<double> out;
-  for (const auto& r : records) {
-    if (r.outcome != Outcome::kSuccess) continue;
-    if (r.system != system || r.phase != phase) continue;
-    if (!algorithm.empty() && r.algorithm != algorithm) continue;
-    out.push_back(r.seconds);
-  }
-  return out;
-}
-
-std::vector<double> ExperimentResult::iterations_of(
-    std::string_view system, std::string_view algorithm) const {
-  std::vector<double> out;
-  for (const auto& r : records) {
-    if (r.outcome != Outcome::kSuccess) continue;
-    if (r.system != system || r.algorithm != algorithm) continue;
-    const auto it = r.extra.find("iterations");
-    if (it != r.extra.end()) {
-      out.push_back(
-          text::parse<double>(it->second, "RunRecord", "iterations", 0));
-    }
-  }
-  return out;
 }
 
 CsvRow record_to_csv_row(const RunRecord& r) {
@@ -100,6 +71,36 @@ RunRecord record_from_csv_row(const CsvRow& row) {
   if (!row[12].empty()) r.extra["attempts"] = row[12];
   if (!row[13].empty()) r.extra["resumed_from_iter"] = row[13];
   return r;
+}
+
+}  // namespace
+
+std::vector<double> ExperimentResult::seconds_of(
+    std::string_view system, std::string_view phase,
+    std::string_view algorithm) const {
+  std::vector<double> out;
+  for (const auto& r : records) {
+    if (r.outcome != Outcome::kSuccess) continue;
+    if (r.system != system || r.phase != phase) continue;
+    if (!algorithm.empty() && r.algorithm != algorithm) continue;
+    out.push_back(r.seconds);
+  }
+  return out;
+}
+
+std::vector<double> ExperimentResult::iterations_of(
+    std::string_view system, std::string_view algorithm) const {
+  std::vector<double> out;
+  for (const auto& r : records) {
+    if (r.outcome != Outcome::kSuccess) continue;
+    if (r.system != system || r.algorithm != algorithm) continue;
+    const auto it = r.extra.find("iterations");
+    if (it != r.extra.end()) {
+      out.push_back(
+          text::parse<double>(it->second, "RunRecord", "iterations", 0));
+    }
+  }
+  return out;
 }
 
 std::string records_to_csv(const std::vector<RunRecord>& records) {

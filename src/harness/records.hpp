@@ -1,5 +1,5 @@
 // Phase-4 record types: the flat rows every downstream consumer
-// (supervisor journal, CSV emitter, analysis) shares. Kept free of
+// (runner, CSV emitter, analysis) shares. Kept free of
 // runner/supervisor dependencies so the collect layer can be included by
 // both without cycles.
 #pragma once
@@ -8,7 +8,6 @@
 #include <string>
 #include <vector>
 
-#include "core/csv.hpp"
 #include "core/error.hpp"
 #include "core/phase_log.hpp"
 #include "core/types.hpp"
@@ -29,10 +28,10 @@ struct RunRecord {
   WorkStats work;
   std::map<std::string, std::string> extra;  ///< e.g. iterations
   Outcome outcome = Outcome::kSuccess;
-  /// Per-iteration telemetry (KernelRun rows). In-memory only: the CSV
-  /// row format deliberately omits it (kill/resume byte-identity), so it
-  /// reaches downstream consumers via the --iter-trace sidecar instead.
-  /// Units replayed from the journal come back with an empty timeline.
+  /// Per-iteration telemetry (KernelRun rows). The CSV row format
+  /// deliberately omits it (kill/resume byte-identity), so it reaches
+  /// downstream consumers via the --iter-trace sidecar instead. Units
+  /// replayed from the journal keep it: the journal stores their logs.
   std::vector<IterRecord> timeline;
 };
 
@@ -76,11 +75,6 @@ std::string records_to_csv(const std::vector<RunRecord>& records);
 /// EpgsError on an unrecognised header, a wrong column count, or a field
 /// that fails to parse as its column's type.
 std::vector<RunRecord> records_from_csv(const std::string& csv);
-
-/// Single-row forms, shared by records_to_csv/records_from_csv and the
-/// supervisor's journal (which stores one CSV row per journaled record).
-CsvRow record_to_csv_row(const RunRecord& r);
-RunRecord record_from_csv_row(const CsvRow& row);
 
 /// CSV with the volatile columns removed — seconds(6), attempts(12),
 /// resumed_from(13), 0-based. This is the byte-identity currency shared

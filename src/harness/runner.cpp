@@ -33,32 +33,6 @@ struct TokenGuard {
   }
 };
 
-RunRecord failure_record(const SweepPlan& plan,
-                         const std::string& system_name, std::string alg,
-                         int trial, std::string_view phase,
-                         const TrialReport& rep) {
-  RunRecord rec;
-  rec.dataset = plan.dataset;
-  rec.system = system_name;
-  rec.algorithm = std::move(alg);
-  rec.threads = plan.threads;
-  rec.trial = trial;
-  rec.phase = std::string(phase);
-  rec.seconds = rep.elapsed_seconds;
-  rec.outcome = rep.outcome;
-  if (!rep.message.empty()) rec.extra["error"] = rep.message;
-  if (rep.attempts > 1) {
-    rec.extra["attempts"] = std::to_string(rep.attempts);
-  }
-  if (!rep.crash_fingerprint.empty()) {
-    rec.extra["crash_fingerprint"] = rep.crash_fingerprint;
-  }
-  if (!rep.crash_report_path.empty()) {
-    rec.extra["crash_report"] = rep.crash_report_path;
-  }
-  return rec;
-}
-
 /// What --validate checks results against, built once per sweep: every
 /// system runs from the same roots, so each root's reference answer is
 /// computed once and every system's result is checked against it. Built
@@ -101,86 +75,66 @@ void execute_system_plan(const ExperimentConfig& cfg,
   const SupervisorOptions& sup = cfg.supervisor;
   const bool file_mode = plan.data_path == DataPath::kNativeFile;
 
+  // Every finished unit's rows come from unit_records, as a replayed
+  // unit's do. A journaled success's log text also joins the system's
+  // raw log, so the raw log holds exactly the text its rows came from.
+  const auto store = [&](const std::string& key, const TrialReport& rep) {
+    if (rep.outcome == Outcome::kSuccess) {
+      raw_logs[sp.system] += rep.log.to_log_text();
+    }
+    collector.store(key, unit_records(plan, key, rep), rep);
+  };
+  // Failed configuration, load and build units are not journaled: a
+  // resume should retry them.
+  const auto add = [&](const std::string& key, const TrialReport& rep) {
+    collector.add(unit_records(plan, key, rep));
+  };
+
   if (!sp.config_error.empty()) {
     TrialReport rep;
     rep.outcome = Outcome::kConfig;
     rep.message = sp.config_error;
-    collector.add(failure_record(plan, sp.system, "", -1, "configure", rep));
+    add(sp.config_key, rep);
+    return;
+  }
+  // A system whose trials were all replayed is neither staged nor built.
+  if (!sp.trials.empty() &&
+      std::ranges::all_of(sp.trials, &PlannedTrial::replayed)) {
     return;
   }
   const std::unique_ptr<System> sys = make_system(sp.system);
   ThreadScope scope(plan.threads);
 
-  // Phase 4 in miniature, per successful unit: write the log the unit
-  // returned as text, append that text to the system's raw log, and parse
-  // it back into records (the AWK idiom). In-process and isolated units
-  // take the same path, so the raw log holds exactly the text every
-  // successful unit's records came from.
-  auto unit_records = [&](const PhaseLog& log, const std::string& alg,
-                          int trial) {
-    const std::string text = log.to_log_text();
-    raw_logs[sp.system] += text;
-    const PhaseLog parsed = PhaseLog::parse_log_text(text);
-    std::vector<RunRecord> recs;
-    for (const auto& e : parsed.entries()) {
-      RunRecord rec;
-      rec.dataset = plan.dataset;
-      rec.system = sp.system;
-      rec.algorithm = alg;
-      rec.threads = plan.threads;
-      rec.trial = trial;
-      rec.phase = e.name;
-      rec.seconds = e.seconds;
-      rec.work = e.work;
-      rec.extra = e.extra;
-      rec.timeline = e.timeline;
-      recs.push_back(std::move(rec));
-    }
-    return recs;
-  };
-
   // Stage the data. On the native-file path, separate-construction
   // systems get a supervised in-parent "file read" unit so the phase
   // times real zero-copy I/O; fused systems (GraphBIG, PowerGraph) only
   // record the path here — build() reads it, timed as one fused phase.
-  if (file_mode) {
-    if (sp.separate_construction) {
-      SupervisorOptions load_opts = sup;
-      load_opts.isolate = false;  // the staged edges must live in-parent
-      const TrialReport rep = supervise_unit(
-          [&](CancellationToken& token) {
-            sys->set_cancellation(&token);
-            TokenGuard guard{sys.get()};
-            sys->log().clear();
-            sys->load_file(sp.native_file);
-            return sys->log();
-          },
-          load_opts, backoff_rng);
-      if (rep.outcome != Outcome::kSuccess) {
-        // Not journaled: a resume should retry the load.
-        collector.add(failure_record(plan, sp.system, "", -1,
-                                     phase::kFileRead, rep));
-        return;
-      }
-      // On resume the journal already holds this load's records; the
-      // reload only restores the staged edges and is not re-journaled.
-      if (!sp.load_replayed) {
-        collector.store(sp.load_key, unit_records(rep.log, "", -1), rep);
-      }
-    } else {
-      sys->load_file(sp.native_file);
-    }
-  }
-
-  // On the in-RAM path, stage the edges once, untimed, for every build
-  // below: the staged copy persists across builds (as the load unit's
-  // does on the file path) and forked children inherit it. A system
-  // whose units were all replayed is never built, so it is not staged.
-  if (!file_mode && std::any_of(sp.trials.begin(), sp.trials.end(),
-                                [](const PlannedTrial& t) {
-                                  return !t.replayed;
-                                })) {
+  // On the in-RAM path the edges are staged once, untimed, for every
+  // build below: the staged copy persists across builds (as the load
+  // unit's does on the file path) and forked children inherit it.
+  if (!file_mode) {
     sys->set_edges(el);
+  } else if (sp.separate_construction) {
+    SupervisorOptions load_opts = sup;
+    load_opts.isolate = false;  // the staged edges must live in-parent
+    const TrialReport rep = supervise_unit(
+        [&](CancellationToken& token) {
+          sys->set_cancellation(&token);
+          TokenGuard guard{sys.get()};
+          sys->log().clear();
+          sys->load_file(sp.native_file);
+          return sys->log();
+        },
+        load_opts, backoff_rng);
+    if (rep.outcome != Outcome::kSuccess) {
+      add(sp.load_key, rep);
+      return;
+    }
+    // On resume the journal already holds this load's records; the
+    // reload only restores the staged edges and is not re-journaled.
+    if (!sp.load_replayed) store(sp.load_key, rep);
+  } else {
+    sys->load_file(sp.native_file);
   }
 
   // Build-once systems (Graph500 "only constructs its graph once",
@@ -207,14 +161,10 @@ void execute_system_plan(const ExperimentConfig& cfg,
       // On resume the journal already holds (and replay already emitted)
       // this build's records; the rebuild only restores the in-memory
       // structure and is not re-journaled.
-      if (!sp.build_replayed) {
-        collector.store(sp.build_key, unit_records(rep.log, "", -1), rep);
-      }
+      if (!sp.build_replayed) store(sp.build_key, rep);
     } else {
       build_failed = true;
-      // Not journaled: a failed build should be retried by a resume.
-      collector.add(
-          failure_record(plan, sp.system, "", -1, phase::kBuild, rep));
+      add(sp.build_key, rep);
     }
     return once_built;
   };
@@ -318,46 +268,22 @@ void execute_system_plan(const ExperimentConfig& cfg,
 
     TrialReport rep = supervise_unit(unit, unit_opts, backoff_rng,
                                      session ? &*session : nullptr);
-    if (rep.outcome == Outcome::kSuccess) {
-      std::vector<RunRecord> recs =
-          unit_records(rep.log, t.alg_name, t.trial);
-      for (auto& rec : recs) {
-        if (rep.attempts > 1) {
-          rec.extra["attempts"] = std::to_string(rep.attempts);
-          rec.extra["last_failure"] = std::string(outcome_name(rep.last_failure));
-          // A unit that crashed, then recovered on retry, keeps the
-          // forensic fingerprint of the crash it survived. In-memory
-          // only: these extras have no CSV column, so chaos byte-identity
-          // is unaffected.
-          if (!rep.crash_fingerprint.empty()) {
-            rec.extra["crash_fingerprint"] = rep.crash_fingerprint;
-          }
-        }
-        if (rep.resumed_from_iter >= 0) {
-          rec.extra["resumed_from_iter"] =
-              std::to_string(rep.resumed_from_iter);
-        }
-      }
-      collector.store(t.key, std::move(recs), rep);
-    } else {
-      // A failure that left a snapshot behind is resumable: breadcrumb it
-      // so --resume re-runs this unit from the snapshot instead of
-      // trusting the journaled failure. Peek the file for the iteration —
-      // a SIGKILLed fork child wrote it, so this process's in-memory
-      // counter never saw the save.
-      if (session && session->snapshot_exists()) {
-        const std::int64_t iter =
-            CheckpointSession::peek_iteration(session->snapshot_path());
-        collector.note_checkpoint(
-            t.key, iter >= 0 ? static_cast<std::uint64_t>(iter)
-                             : session->last_saved_iteration());
-      }
-      collector.store(t.key,
-                      {failure_record(plan, sp.system, t.alg_name, t.trial,
-                                      phase::kAlgorithm, rep)},
-                      rep);
-      if (rep.outcome == Outcome::kInterrupted) break;
+    // A failure that left a snapshot behind is resumable: its report
+    // names the snapshot's iteration, and --resume re-runs the unit from
+    // there instead of trusting the journaled failure. Peek the file — a
+    // SIGKILLed fork child wrote it, so this process's in-memory counter
+    // never saw the save.
+    if (rep.outcome != Outcome::kSuccess && session &&
+        session->snapshot_exists()) {
+      const std::int64_t iter =
+          CheckpointSession::peek_iteration(session->snapshot_path());
+      rep.snapshot_iter =
+          iter >= 0 ? iter
+                    : static_cast<std::int64_t>(
+                          session->last_saved_iteration());
     }
+    store(t.key, rep);
+    if (rep.outcome == Outcome::kInterrupted) break;
   }
 }
 
@@ -426,11 +352,11 @@ ExperimentResult run_experiment(const ExperimentConfig& cfg,
   // plan can mark every already-finished unit.
   const std::string fingerprint = config_fingerprint(cfg);
   RecordCollector collector(sup, fingerprint, cfg.iter_trace_dir);
-  collector.emit_replayed(cfg.systems);
 
   // Plan: every unit and every data-path/rebuild/replay decision, up
-  // front.
+  // front. The replayed units' rows lead, in plan order.
   const SweepPlan plan = plan_sweep(cfg, staged.files, collector.journaled());
+  collector.emit_replayed(plan);
 
   // Pin the worker team before any kernel runs. OpenMP pools its team
   // threads, so binds applied here stick for every later parallel

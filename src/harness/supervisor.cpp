@@ -7,8 +7,10 @@
 #include <sys/wait.h>
 #include <unistd.h>
 
+#include <algorithm>
 #include <atomic>
 #include <cerrno>
+#include <charconv>
 #include <chrono>
 #include <condition_variable>
 #include <csignal>
@@ -20,7 +22,6 @@
 #include <thread>
 
 #include "core/crash_report.hpp"
-#include "core/csv.hpp"
 #include "core/parallel.hpp"
 #include "core/proc_stats.hpp"
 #include "core/text_scan.hpp"
@@ -145,18 +146,6 @@ TrialReport run_attempt(const UnitFn& fn, const SupervisorOptions& opts,
 
 // --- fork() isolation ----------------------------------------------------
 
-// The payload: three header lines, then the attempt's PhaseLog text.
-//   outcome <name>
-//   message <one line>
-//   resumed <iteration or -1>
-//   log
-//   <PhaseLog::to_log_text() through EOF>
-constexpr std::string_view kPayloadOutcome = "outcome ";
-constexpr std::string_view kPayloadMessage = "message ";
-constexpr std::string_view kPayloadResumed = "resumed ";
-constexpr std::string_view kPayloadLog = "log";
-constexpr std::string_view kPayloadCtx = "isolated child payload";
-
 void write_all(int fd, std::string_view data) {
   while (!data.empty()) {
     const ssize_t n = ::write(fd, data.data(), data.size());
@@ -191,40 +180,9 @@ void write_all(int fd, std::string_view data) {
     rl.rlim_cur = rl.rlim_max = opts.mem_limit_bytes;
     (void)::setrlimit(RLIMIT_AS, &rl);
   }
-  TrialReport r = run_attempt(fn, opts, session);
-  std::ostringstream os;
-  os << kPayloadOutcome << outcome_name(r.outcome) << '\n'
-     << kPayloadMessage << one_line(r.message) << '\n'
-     << kPayloadResumed << r.resumed_from_iter << '\n'
-     << kPayloadLog << '\n'
-     << r.log.to_log_text();
-  write_all(fd, os.str());
+  write_all(fd, run_attempt(fn, opts, session).to_report_text());
   ::close(fd);
   ::_exit(0);  // skip atexit/static destructors: this is not our process
-}
-
-TrialReport parse_child_payload(std::string_view payload) {
-  // Consume one "<prefix><value>" header line and return its value.
-  const auto header = [&payload](std::string_view prefix) {
-    const std::size_t eol = payload.find('\n');
-    EPGS_CHECK(eol != std::string_view::npos && payload.starts_with(prefix),
-               "isolated child payload: missing " +
-                   std::string(prefix.substr(0, prefix.find(' '))) +
-                   " line");
-    const std::string_view value =
-        payload.substr(prefix.size(), eol - prefix.size());
-    payload.remove_prefix(eol + 1);
-    return value;
-  };
-  TrialReport r;
-  r.outcome = outcome_from_name(header(kPayloadOutcome));
-  r.message = std::string(header(kPayloadMessage));
-  r.resumed_from_iter = text::parse<std::int64_t>(
-      header(kPayloadResumed), kPayloadCtx, "resumed", 0);
-  EPGS_CHECK(header(kPayloadLog).empty(),
-             "isolated child payload: malformed log marker");
-  r.log = PhaseLog::parse_log_text(payload);
-  return r;
 }
 
 TrialReport run_isolated_attempt(const UnitFn& fn,
@@ -330,16 +288,64 @@ TrialReport run_isolated_attempt(const UnitFn& fn,
     return r;
   }
   try {
-    return parse_child_payload(payload);
+    return TrialReport::parse_report_text(payload);
   } catch (const std::exception& e) {
     r.outcome = Outcome::kCrash;
-    r.message = std::string("isolated trial returned a corrupt payload: ") +
+    r.message = std::string("isolated trial returned a corrupt report: ") +
                 e.what();
     return r;
   }
 }
 
 }  // namespace
+
+std::string TrialReport::to_report_text() const {
+  // Shortest form that reads back as the same double.
+  char elapsed[32];
+  const auto printed =
+      std::to_chars(elapsed, elapsed + sizeof elapsed, elapsed_seconds);
+  std::ostringstream os;
+  os << "outcome " << outcome_name(outcome) << "\nattempts " << attempts
+     << "\nlast_failure " << outcome_name(last_failure) << "\nresumed "
+     << resumed_from_iter << "\nelapsed "
+     << std::string_view(elapsed, printed.ptr) << "\nmessage "
+     << one_line(message) << "\ncrash_fingerprint "
+     << one_line(crash_fingerprint) << "\ncrash_report "
+     << one_line(crash_report_path) << "\nsnapshot " << snapshot_iter
+     << "\nlog\n"
+     << log.to_log_text();
+  return os.str();
+}
+
+TrialReport TrialReport::parse_report_text(std::string_view body) {
+  constexpr std::string_view kCtx = "unit report";
+  // Consume the "<name> <value>" line that must come next; return value.
+  const auto field = [&body](std::string_view name) {
+    const std::size_t eol = body.find('\n');
+    const std::string_view line = body.substr(0, eol);
+    EPGS_CHECK(eol != std::string_view::npos && line.starts_with(name) &&
+                   (line.size() == name.size() || line[name.size()] == ' '),
+               "unit report: missing " + std::string(name) + " line");
+    body.remove_prefix(eol + 1);
+    return line.substr(std::min(line.size(), name.size() + 1));
+  };
+  TrialReport r;
+  r.outcome = outcome_from_name(field("outcome"));
+  r.attempts = text::parse<int>(field("attempts"), kCtx, "attempts", 0);
+  r.last_failure = outcome_from_name(field("last_failure"));
+  r.resumed_from_iter =
+      text::parse<std::int64_t>(field("resumed"), kCtx, "resumed", 0);
+  r.elapsed_seconds =
+      text::parse<double>(field("elapsed"), kCtx, "elapsed", 0);
+  r.message = std::string(field("message"));
+  r.crash_fingerprint = std::string(field("crash_fingerprint"));
+  r.crash_report_path = std::string(field("crash_report"));
+  r.snapshot_iter =
+      text::parse<std::int64_t>(field("snapshot"), kCtx, "snapshot", 0);
+  EPGS_CHECK(field("log").empty(), "unit report: malformed log marker");
+  r.log = PhaseLog::parse_log_text(body);
+  return r;
+}
 
 Outcome classify_exception(const std::exception& e) {
   if (dynamic_cast<const CancelledError*>(&e) != nullptr) {
@@ -451,8 +457,9 @@ TrialReport supervise_unit(const UnitFn& fn, const SupervisorOptions& opts,
 // --- Journal -------------------------------------------------------------
 
 namespace {
-constexpr std::string_view kJournalMagic = "epgs-journal-v1";
-constexpr std::string_view kJournalCtx = "journal";
+constexpr std::string_view kJournalMagic = "epgs-journal-v2";
+constexpr std::string_view kUnit = "unit ";
+constexpr std::string_view kEnd = "end\n";
 }  // namespace
 
 Journal::~Journal() { close(); }
@@ -478,47 +485,19 @@ void Journal::open_append(const std::string& path) {
                                            fsx::OutStream::Mode::kAppend);
 }
 
-void Journal::append(const std::string& key, const TrialReport& report,
-                     const std::vector<RunRecord>& records) {
+void Journal::append(const std::string& key, const TrialReport& report) {
   if (file_ == nullptr) return;
+  const std::string body = report.to_report_text();
   std::ostringstream os;
-  os << "unit " << key << '|' << outcome_name(report.outcome) << '|'
-     << report.attempts << '|' << records.size() << '\n';
-  CsvWriter w(os);
-  for (const auto& rec : records) {
-    os << "rec ";
-    w.write_row(record_to_csv_row(rec));
-  }
-  if (!report.crash_fingerprint.empty()) {
-    os << "crash " << report.crash_fingerprint << '|'
-       << report.crash_report_path << '\n';
-  }
-  os << "end " << report.attempts << '|'
-     << outcome_name(report.last_failure) << '|' << report.resumed_from_iter
-     << '\n';
-  const std::string group = os.str();
+  os << kUnit << key << '|' << body.size() << '\n' << body << kEnd;
   try {
-    *file_ << group;
+    *file_ << os.str();
     // fsync per group: a group is durable or absent, never half-written
     // after a crash (replay additionally drops a torn trailing group).
     file_->sync_now();
   } catch (const EpgsError& e) {
     // Disk full (or injected fault) mid-sweep: journaling stops, the
     // sweep does not. Replay tolerates the torn tail this may leave.
-    degraded_reason_ = one_line(e.what());
-    file_.reset();
-  }
-}
-
-void Journal::append_checkpoint(const std::string& key,
-                                std::uint64_t iteration) {
-  if (file_ == nullptr) return;
-  std::ostringstream os;
-  os << "ckpt " << key << '|' << iteration << '\n';
-  try {
-    *file_ << os.str();
-    file_->sync_now();
-  } catch (const EpgsError& e) {
     degraded_reason_ = one_line(e.what());
     file_.reset();
   }
@@ -537,94 +516,54 @@ void Journal::close() {
 
 std::vector<JournalEntry> replay_journal(const std::string& path,
                                          const std::string& fingerprint) {
-  std::ifstream in(path);
+  std::ifstream in(path, std::ios::binary);
   EPGS_CHECK(in.good(), "cannot open journal for resume: " + path);
-  std::string line;
-  EPGS_CHECK(std::getline(in, line) && line == kJournalMagic,
-             "journal has a bad header: " + path);
-  EPGS_CHECK(std::getline(in, line) && line.rfind("config ", 0) == 0,
+  std::ostringstream whole;
+  whole << in.rdbuf();
+  const std::string data = whole.str();
+  std::string_view rest = data;
+  // Consume one newline-terminated line; nullopt when none is left whole.
+  const auto next_line = [&rest]() -> std::optional<std::string_view> {
+    const std::size_t eol = rest.find('\n');
+    if (eol == std::string_view::npos) return std::nullopt;
+    const std::string_view line = rest.substr(0, eol);
+    rest.remove_prefix(eol + 1);
+    return line;
+  };
+  const auto magic = next_line();
+  EPGS_CHECK(magic && *magic == kJournalMagic,
+             "journal has a bad header (expected " +
+                 std::string(kJournalMagic) + "): " + path);
+  const auto config = next_line();
+  EPGS_CHECK(config && config->starts_with("config "),
              "journal is missing its config line: " + path);
-  const std::string recorded = line.substr(7);
+  const std::string_view recorded = config->substr(7);
   EPGS_CHECK(recorded == fingerprint,
              "journal was written by a different experiment configuration "
              "(journal: '" +
-                 recorded + "', current: '" + fingerprint + "')");
+                 std::string(recorded) + "', current: '" + fingerprint +
+                 "')");
 
+  // Anything that is not a whole group ends the replay: the torn tail of
+  // the unit that was in flight, which simply re-runs.
   std::vector<JournalEntry> entries;
-  while (std::getline(in, line)) {
-    // "ckpt" breadcrumbs interleave with unit groups; they carry no replay
-    // state (the snapshot file itself is the state) so skip them. A torn
-    // ckpt tail fails the "unit " prefix check below like any torn line.
-    if (line.rfind("ckpt ", 0) == 0) continue;
-    if (line.rfind("unit ", 0) != 0) break;  // torn or foreign: stop here
-    // unit <key>|<outcome>|<attempts>|<nrec> — key may itself contain '|',
-    // so split from the right.
-    const std::string_view body = std::string_view(line).substr(5);
-    const std::size_t p3 = body.rfind('|');
-    if (p3 == std::string::npos) break;
-    const std::size_t p2 = body.rfind('|', p3 - 1);
-    if (p2 == std::string::npos) break;
-    const std::size_t p1 = body.rfind('|', p2 - 1);
-    if (p1 == std::string::npos) break;
-
+  while (const auto line = next_line()) {
+    // unit <key>|<bytes> — the key may itself contain '|'.
+    const std::size_t bar = line->rfind('|');
+    if (!line->starts_with(kUnit) || bar == std::string_view::npos) break;
+    const auto bytes = text::try_parse<std::size_t>(line->substr(bar + 1));
+    if (!bytes || rest.size() < *bytes ||
+        rest.substr(*bytes, kEnd.size()) != kEnd) {
+      break;
+    }
     JournalEntry e;
-    std::size_t nrec = 0;
+    e.key = std::string(line->substr(kUnit.size(), bar - kUnit.size()));
     try {
-      e.key = std::string(body.substr(0, p1));
-      e.outcome = outcome_from_name(body.substr(p1 + 1, p2 - p1 - 1));
-      e.attempts = text::parse<int>(body.substr(p2 + 1, p3 - p2 - 1),
-                                    kJournalCtx, "attempts", 0);
-      nrec = text::parse<std::size_t>(body.substr(p3 + 1), kJournalCtx,
-                                      "record count", 0);
+      e.report = TrialReport::parse_report_text(rest.substr(0, *bytes));
     } catch (const std::exception&) {
       break;
     }
-
-    bool complete = true;
-    for (std::size_t i = 0; i < nrec; ++i) {
-      if (!std::getline(in, line) || line.rfind("rec ", 0) != 0) {
-        complete = false;
-        break;
-      }
-      try {
-        const auto rows = parse_csv(line.substr(4));
-        EPGS_CHECK(rows.size() == 1, "journal rec line is not one CSV row");
-        e.records.push_back(record_from_csv_row(rows[0]));
-      } catch (const std::exception&) {
-        complete = false;
-        break;
-      }
-    }
-    if (!complete || !std::getline(in, line)) {
-      break;  // torn trailing group: the in-flight unit simply re-runs
-    }
-    if (line.rfind("crash ", 0) == 0) {
-      // crash <fingerprint>|<report_path> — optional forensics line.
-      const std::string body2 = line.substr(6);
-      const std::size_t bar = body2.find('|');
-      e.crash_fingerprint =
-          bar == std::string::npos ? body2 : body2.substr(0, bar);
-      if (bar != std::string::npos) {
-        e.crash_report_path = body2.substr(bar + 1);
-      }
-      if (!std::getline(in, line)) break;  // torn tail
-    }
-    // end <attempts>|<last_failure>|<resumed_from_iter>
-    if (line.rfind("end ", 0) != 0) break;
-    const std::string_view tail = std::string_view(line).substr(4);
-    const std::size_t q1 = tail.find('|');
-    const std::size_t q2 =
-        q1 == std::string::npos ? std::string::npos : tail.find('|', q1 + 1);
-    if (q2 == std::string::npos) break;
-    try {
-      e.attempts = text::parse<int>(tail.substr(0, q1), kJournalCtx,
-                                    "attempts", 0);
-      e.last_failure = outcome_from_name(tail.substr(q1 + 1, q2 - q1 - 1));
-      e.resumed_from_iter = text::parse<std::int64_t>(
-          tail.substr(q2 + 1), kJournalCtx, "resumed_from_iter", 0);
-    } catch (const std::exception&) {
-      break;
-    }
+    rest.remove_prefix(*bytes + kEnd.size());
     entries.push_back(std::move(e));
   }
   return entries;
@@ -633,7 +572,8 @@ std::vector<JournalEntry> replay_journal(const std::string& path,
 std::string config_fingerprint(const ExperimentConfig& cfg) {
   std::ostringstream os;
   os << cfg.graph.name() << ";roots=" << cfg.num_roots
-     << ";root_seed=" << cfg.root_seed << ";threads=" << cfg.threads
+     << ";root_seed=" << cfg.root_seed
+     << ";threads=" << (cfg.threads > 0 ? cfg.threads : max_threads())
      << ";rebuild=" << (cfg.reconstruct_per_trial ? 1 : 0)
      << ";validate=" << (cfg.validate ? 1 : 0)
      << ";cdlp_it=" << cfg.cdlp_iterations << ";algs=";

@@ -15,14 +15,16 @@
 //                 -> Outcome::kTimeout, or kInterrupted after SIGINT/
 //                 SIGTERM. No thread is started for either.
 //   * isolation — optionally fork() each unit so std::abort / segfaults
-//                 are contained as Outcome::kCrash; the child streams its
-//                 log back over a pipe and the parent hard-kills it if
-//                 even the in-child deadline poll is wedged.
+//                 are contained as Outcome::kCrash; the child writes its
+//                 report (TrialReport::to_report_text) back over a pipe
+//                 and the parent hard-kills it if even the in-child
+//                 deadline poll is wedged.
 //   * retry     — TransientError failures are re-attempted with seeded
 //                 exponential backoff + jitter, up to max_retries.
-//   * journal   — every finished unit is appended (fsync'd) to a journal
-//                 that --resume replays, so a killed sweep restarts where
-//                 it stopped instead of re-running completed trials.
+//   * journal   — every finished unit's report is appended (fsync'd) to
+//                 a journal that --resume replays, so a killed sweep
+//                 restarts where it stopped instead of re-running
+//                 completed trials.
 //   * governor  — opts.mem_limit_bytes caps each unit's memory three
 //                 ways: setrlimit(RLIMIT_AS) in forked children (an
 //                 allocation over the cap fails with bad_alloc ->
@@ -40,6 +42,7 @@
 #include <functional>
 #include <memory>
 #include <string>
+#include <string_view>
 #include <vector>
 
 #include "core/cancellation.hpp"
@@ -49,11 +52,12 @@
 #include "core/phase_log.hpp"
 #include "core/rng.hpp"
 #include "harness/experiment.hpp"
-#include "harness/records.hpp"
 
 namespace epgs::harness {
 
-/// What one supervised unit attempt chain produced.
+/// What one supervised unit attempt chain produced. Its text form is the
+/// unit's report wherever one travels: an isolated child writes it to
+/// the pipe, and the journal stores one per finished unit.
 struct TrialReport {
   Outcome outcome = Outcome::kSuccess;
   int attempts = 1;            ///< total attempts, including the success
@@ -63,15 +67,38 @@ struct TrialReport {
   /// Completed-iteration count the final attempt restored from its
   /// checkpoint snapshot; -1 when it started fresh.
   std::int64_t resumed_from_iter = -1;
-  std::string message;         ///< failure detail; empty on success
   double elapsed_seconds = 0;  ///< wall time across all attempts
-  PhaseLog log;  ///< phases the final attempt appended
+  std::string message;         ///< failure detail; empty on success
   /// Stack fingerprint from the crash-forensics report of the last
   /// signal-killed attempt (empty when no attempt crashed, no report was
   /// armed, or the child died before its handler ran — e.g. SIGKILL).
   std::string crash_fingerprint;
   /// Path of that crash report, for the journal and post-mortem triage.
   std::string crash_report_path;
+  /// Completed iterations covered by the snapshot a failed unit left
+  /// behind, so a --resume continues it from there; -1 when none.
+  std::int64_t snapshot_iter = -1;
+  PhaseLog log;  ///< phases the final attempt appended
+
+  /// The report as text, one field per line in member order, the
+  /// PhaseLog text last:
+  ///
+  ///   outcome <name>
+  ///   attempts <n>
+  ///   last_failure <name>
+  ///   resumed <iteration or -1>
+  ///   elapsed <seconds>
+  ///   message <one line>
+  ///   crash_fingerprint <hex or empty>
+  ///   crash_report <path or empty>
+  ///   snapshot <iteration or -1>
+  ///   log
+  ///   <PhaseLog::to_log_text() through the end>
+  [[nodiscard]] std::string to_report_text() const;
+
+  /// Parse to_report_text() output. Throws EpgsError on a missing or
+  /// malformed field, std::runtime_error on a malformed log.
+  static TrialReport parse_report_text(std::string_view text);
 };
 
 /// The unit body: runs one (system, algorithm, trial) and returns the
@@ -108,35 +135,27 @@ TrialReport supervise_unit(const UnitFn& fn, const SupervisorOptions& opts,
 
 // --- Journal -------------------------------------------------------------
 //
-// Line-oriented append-only file. Grammar:
+// Append-only file of unit reports. Grammar:
 //
-//   epgs-journal-v1
+//   epgs-journal-v2
 //   config <fingerprint>
-//   unit <key>|<outcome>|<attempts>|<num_records>
-//   rec <one CSV row, record_to_csv_row form>      (x num_records)
-//   crash <stack_fingerprint>|<report_path>        (optional, post-mortem)
-//   end <attempts>|<last_failure>|<resumed_from_iter>
-//   ckpt <key>|<iteration>                         (breadcrumb, any point)
+//   unit <key>|<bytes>
+//   <TrialReport::to_report_text(), exactly <bytes> bytes>
+//   end
 //
-// Each journal append writes one unit..end group and fsyncs, so a group
-// is either durable or absent; replay ignores a trailing partial group
-// (the unit that was in flight when the process died simply re-runs).
-// A group closed by anything but a full end line is such a partial
-// group. "ckpt" breadcrumb lines record
-// that a unit left a resumable snapshot behind; replay skips them (torn
-// ckpt tails are tolerated like torn groups). When the same key appears
-// twice (a resumed sweep re-ran a unit), the later group wins.
+// Each append writes one unit..end group and fsyncs, so a group is
+// either durable or absent; replay ignores a trailing partial group (the
+// unit that was in flight when the process died simply re-runs). A group
+// whose body is shorter than its byte count, whose count is not a
+// number, or whose body is not followed by an "end" line is such a
+// partial group. A failed unit that left a resumable snapshot carries
+// its iteration in the report's "snapshot" field. When the same key
+// appears twice (a resumed sweep re-ran a unit), the later group wins.
 
-/// One replayed journal entry.
+/// One replayed journal entry: a unit key and its report.
 struct JournalEntry {
-  std::string key;  ///< unit key, e.g. "GAP|BFS|3" or "GAP|build"
-  Outcome outcome = Outcome::kSuccess;
-  int attempts = 1;
-  Outcome last_failure = Outcome::kSuccess;
-  std::int64_t resumed_from_iter = -1;
-  std::vector<RunRecord> records;
-  std::string crash_fingerprint;  ///< from the optional "crash" line
-  std::string crash_report_path;
+  std::string key;  ///< unit key, e.g. "GAP|BFS|3" or "GAP|build|-1"
+  TrialReport report;
 };
 
 /// Append-only fsync'd journal writer (no-op when path is empty). All
@@ -162,13 +181,8 @@ class Journal {
 
   [[nodiscard]] bool active() const { return file_ != nullptr; }
 
-  /// Durably append one finished unit and the records it produced.
-  void append(const std::string& key, const TrialReport& report,
-              const std::vector<RunRecord>& records);
-
-  /// Durably append a "ckpt" breadcrumb: `key` left a resumable snapshot
-  /// covering `iteration` completed iterations.
-  void append_checkpoint(const std::string& key, std::uint64_t iteration);
+  /// Durably append one finished unit's report.
+  void append(const std::string& key, const TrialReport& report);
 
   /// Why appending stopped (empty while the journal is healthy).
   [[nodiscard]] const std::string& degraded_reason() const {
@@ -184,14 +198,15 @@ class Journal {
 
 /// Replay a journal: validates the header and fingerprint, returns every
 /// complete unit group, and silently drops a trailing partial group.
-/// Throws EpgsError when the file is missing, has a bad header, or its
-/// fingerprint differs from `fingerprint`.
+/// Throws EpgsError when the file is missing, has a bad header (a v1
+/// journal included), or its fingerprint differs from `fingerprint`.
 std::vector<JournalEntry> replay_journal(const std::string& path,
                                          const std::string& fingerprint);
 
 /// Stable fingerprint of the parts of the config that determine unit
-/// identity (graph, roots, threads, algorithms — not the system list, so
-/// a resumed sweep may add systems).
+/// identity (graph, roots, resolved team size, algorithms — not the
+/// system list, so a resumed sweep may add systems). threads=0 resolves
+/// to max_threads(): replayed rows name the team size they ran with.
 [[nodiscard]] std::string config_fingerprint(const ExperimentConfig& cfg);
 
 }  // namespace epgs::harness

@@ -5,7 +5,9 @@
 // already covers, and which systems rebuild per trial.
 //
 // The plan is pure data; executing it (runner.cpp) and collecting its
-// records (collector.hpp) are separate stages.
+// records (collector.hpp) are separate stages. unit_records turns a
+// finished unit's report into its rows, for live and replayed units
+// alike.
 #pragma once
 
 #include <filesystem>
@@ -14,6 +16,7 @@
 #include <vector>
 
 #include "graph/homogenizer.hpp"
+#include "harness/records.hpp"
 #include "harness/supervisor.hpp"
 
 namespace epgs::harness {
@@ -23,6 +26,10 @@ enum class DataPath {
   kInMemory,    ///< legacy: stage the generated EdgeList from RAM
   kNativeFile,  ///< zero-copy pipeline: each system loads its native file
 };
+
+/// Unit keys read "<system>|<unit>|<trial>": <unit> is an algorithm name
+/// with the root index as trial, or "build", "load" or "configure" with
+/// trial -1 for a system's build-once, file-read and configuration units.
 
 /// One (system, algorithm, trial) unit.
 struct PlannedTrial {
@@ -47,9 +54,10 @@ struct SystemPlan {
   bool build_replayed = false;
   std::string load_key;        ///< "system|load|-1" file-read unit key
   bool load_replayed = false;
+  std::string config_key;      ///< "system|configure|-1" config failure
   /// Native-format file for the kNativeFile path; empty in RAM mode.
   std::filesystem::path native_file;
-  std::vector<PlannedTrial> trials;  ///< replayed units excluded
+  std::vector<PlannedTrial> trials;  ///< replayed units included
 };
 
 struct SweepPlan {
@@ -65,5 +73,15 @@ struct SweepPlan {
 SweepPlan plan_sweep(const ExperimentConfig& cfg,
                      const HomogenizedDataset* files,
                      const std::map<std::string, JournalEntry>& journaled);
+
+/// The rows one finished unit contributes: a success's phases, parsed
+/// back from its log text (the AWK idiom), or one DNF row naming the
+/// phase that failed, with the elapsed time and the error. Every row
+/// carries the unit's retry, resume and crash provenance as extras. Live
+/// units and --resume replay both build their rows here, so a replayed
+/// row equals the row its unit produced live, timeline included.
+std::vector<RunRecord> unit_records(const SweepPlan& plan,
+                                    std::string_view key,
+                                    const TrialReport& report);
 
 }  // namespace epgs::harness

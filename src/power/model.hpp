@@ -52,7 +52,6 @@ struct PowerEstimate {
   double cpu_joules = 0.0;
   double ram_joules = 0.0;
 
-  [[nodiscard]] double total_watts() const { return cpu_watts + ram_watts; }
   [[nodiscard]] double total_joules() const {
     return cpu_joules + ram_joules;
   }

@@ -139,16 +139,16 @@ TEST_F(GovernorDir, JournalRoundTripsGovernorOutcomes) {
     j.open_fresh(path, "fp");
     TrialReport oom;
     oom.outcome = Outcome::kOomKilled;
-    j.append("GAP|BFS|0", oom, {});
+    j.append("GAP|BFS|0", oom);
     TrialReport disk;
     disk.outcome = Outcome::kResourceExhausted;
-    j.append("GAP|BFS|1", disk, {});
+    j.append("GAP|BFS|1", disk);
     j.close();
   }
   const auto entries = replay_journal(path, "fp");
   ASSERT_EQ(entries.size(), 2u);
-  EXPECT_EQ(entries[0].outcome, Outcome::kOomKilled);
-  EXPECT_EQ(entries[1].outcome, Outcome::kResourceExhausted);
+  EXPECT_EQ(entries[0].report.outcome, Outcome::kOomKilled);
+  EXPECT_EQ(entries[1].report.outcome, Outcome::kResourceExhausted);
 }
 
 TEST_F(GovernorDir, JournalDegradesOnDiskFullSweepContinues) {

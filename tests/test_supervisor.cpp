@@ -14,6 +14,7 @@
 #include <thread>
 
 #include "core/error.hpp"
+#include "core/parallel.hpp"
 #include "harness/analysis.hpp"
 #include "harness/collector.hpp"
 #include "harness/runner.hpp"
@@ -540,39 +541,89 @@ TEST(SupervisedRun, UnknownSystemIsConfigOutcomeNotAbort) {
 
 // --- journal and resume --------------------------------------------------
 
+/// A report with every field set, log and timeline included.
+TrialReport full_report() {
+  TrialReport r;
+  r.outcome = Outcome::kSuccess;
+  r.attempts = 3;
+  r.last_failure = Outcome::kOomKilled;
+  r.resumed_from_iter = 17;
+  r.elapsed_seconds = 0.1 + 0.2;  // not a short decimal
+  r.crash_fingerprint = "deadbeefdeadbeef";
+  r.crash_report_path = "crash/GAP_PageRank_0.crash.prev";
+  PhaseEntry e;
+  e.name = std::string(phase::kAlgorithm);
+  e.seconds = 1.25;
+  e.work.edges_processed = 42;
+  e.extra = {{"iterations", "2"}};
+  e.timeline = {IterRecord{.iter = 0, .frontier = 1, .edges = 3},
+                IterRecord{.iter = 1, .seconds = 0.5, .residual = 1e-3}};
+  r.log.add(std::move(e));
+  return r;
+}
+
+void expect_same_report(const TrialReport& got, const TrialReport& want) {
+  EXPECT_EQ(got.outcome, want.outcome);
+  EXPECT_EQ(got.attempts, want.attempts);
+  EXPECT_EQ(got.last_failure, want.last_failure);
+  EXPECT_EQ(got.resumed_from_iter, want.resumed_from_iter);
+  EXPECT_EQ(got.elapsed_seconds, want.elapsed_seconds);
+  EXPECT_EQ(got.message, want.message);
+  EXPECT_EQ(got.crash_fingerprint, want.crash_fingerprint);
+  EXPECT_EQ(got.crash_report_path, want.crash_report_path);
+  EXPECT_EQ(got.snapshot_iter, want.snapshot_iter);
+  EXPECT_EQ(got.log.to_log_text(), want.log.to_log_text());
+}
+
+/// One journal group as Journal::append writes it.
+std::string group(const std::string& key, const std::string& body) {
+  return "unit " + key + "|" + std::to_string(body.size()) + "\n" + body +
+         "end\n";
+}
+
+constexpr std::string_view kHeader = "epgs-journal-v2\nconfig fp\n";
+
+TEST(Supervisor, ReportTextRoundTripsEveryField) {
+  const TrialReport want = full_report();
+  expect_same_report(TrialReport::parse_report_text(want.to_report_text()),
+                     want);
+  TrialReport fail;
+  fail.outcome = Outcome::kCrash;
+  fail.message = "killed by signal 11\n[SIGSEGV at bfs]";  // one line out
+  fail.snapshot_iter = 4;
+  const TrialReport got =
+      TrialReport::parse_report_text(fail.to_report_text());
+  EXPECT_EQ(got.message, "killed by signal 11 [SIGSEGV at bfs]");
+  EXPECT_EQ(got.snapshot_iter, 4);
+  EXPECT_TRUE(got.log.entries().empty());
+  EXPECT_THROW((void)TrialReport::parse_report_text("outcome success\n"),
+               EpgsError);
+}
+
 TEST_F(SupervisorDir, JournalRoundTripsUnits) {
   Journal j;
   j.open_fresh(journal_path(), "fp-1");
-  TrialReport rep;
-  rep.outcome = Outcome::kSuccess;
-  rep.attempts = 2;
-  RunRecord rec;
-  rec.dataset = "d";
-  rec.system = "GAP";
-  rec.algorithm = "BFS";
-  rec.trial = 0;
-  rec.phase = std::string(phase::kAlgorithm);
-  rec.seconds = 1.25;
-  rec.work.edges_processed = 42;
-  j.append("GAP|BFS|0", rep, {rec});
+  TrialReport rep = full_report();
+  j.append("GAP|BFS|0", rep);
   TrialReport fail;
   fail.outcome = Outcome::kTimeout;
-  j.append("GAP|BFS|1", fail, {});
+  fail.message = "deadline exceeded";
+  fail.elapsed_seconds = 2.5;
+  j.append("GAP|BFS|1", fail);
   j.close();
 
   const auto entries = replay_journal(journal_path(), "fp-1");
   ASSERT_EQ(entries.size(), 2u);
   EXPECT_EQ(entries[0].key, "GAP|BFS|0");
-  EXPECT_EQ(entries[0].outcome, Outcome::kSuccess);
-  EXPECT_EQ(entries[0].attempts, 2);
-  ASSERT_EQ(entries[0].records.size(), 1u);
-  EXPECT_EQ(entries[0].records[0].work.edges_processed, 42u);
-  EXPECT_NEAR(entries[0].records[0].seconds, 1.25, 1e-12);
-  EXPECT_EQ(entries[1].outcome, Outcome::kTimeout);
-  EXPECT_TRUE(entries[1].records.empty());
+  expect_same_report(entries[0].report, rep);
+  ASSERT_EQ(entries[0].report.log.entries().size(), 1u);
+  EXPECT_EQ(entries[0].report.log.entries()[0].work.edges_processed, 42u);
+  EXPECT_EQ(entries[0].report.log.entries()[0].timeline.size(), 2u);
+  EXPECT_EQ(entries[1].key, "GAP|BFS|1");
+  expect_same_report(entries[1].report, fail);
 }
 
-TEST_F(SupervisorDir, JournalEndLineCarriesRetryAndResumeDetail) {
+TEST_F(SupervisorDir, JournalGroupCarriesRetryAndResumeDetail) {
   Journal j;
   j.open_fresh(journal_path(), "fp");
   TrialReport rep;
@@ -580,80 +631,102 @@ TEST_F(SupervisorDir, JournalEndLineCarriesRetryAndResumeDetail) {
   rep.attempts = 3;
   rep.last_failure = Outcome::kOomKilled;
   rep.resumed_from_iter = 17;
-  j.append("GAP|PageRank|0", rep, {});
+  j.append("GAP|PageRank|0", rep);
   j.close();
 
   const auto entries = replay_journal(journal_path(), "fp");
   ASSERT_EQ(entries.size(), 1u);
-  EXPECT_EQ(entries[0].attempts, 3);
-  EXPECT_EQ(entries[0].last_failure, Outcome::kOomKilled);
-  EXPECT_EQ(entries[0].resumed_from_iter, 17);
+  EXPECT_EQ(entries[0].report.attempts, 3);
+  EXPECT_EQ(entries[0].report.last_failure, Outcome::kOomKilled);
+  EXPECT_EQ(entries[0].report.resumed_from_iter, 17);
 }
 
-TEST_F(SupervisorDir, ReplayDropsBareEndGroupAsTornTail) {
-  // Every group closes with "end <attempts>|<last_failure>|<resumed>".
-  // A bare "end" is not a complete group: replay keeps the groups before
-  // it and drops it and everything after, so those units re-run.
-  std::ofstream(journal_path())
-      << "epgs-journal-v1\nconfig fp\n"
-      << "unit GAP|BFS|0|success|1|0\nend 1|success|-1\n"
-      << "unit GAP|BFS|1|success|2|0\nend\n"
-      << "unit GAP|BFS|2|success|1|0\nend 1|success|-1\n";
-  const auto entries = replay_journal(journal_path(), "fp");
-  ASSERT_EQ(entries.size(), 1u);
-  EXPECT_EQ(entries[0].key, "GAP|BFS|0");
-}
-
-TEST_F(SupervisorDir, ReplayTreatsNumericJunkAsTornTail) {
-  // A number with trailing junk is a torn field, not its numeric prefix:
-  // replay stops at the first such group, in the unit line or the end
-  // line, and keeps only the groups before it.
-  const std::string good = "unit GAP|BFS|0|success|1|0\nend 1|success|-1\n";
-  const std::string after = "unit GAP|BFS|2|success|1|0\nend 1|success|-1\n";
-  const std::string torn[] = {
-      "unit GAP|BFS|1|success|3x|1\nend 3|success|-1\n",
-      "unit GAP|BFS|1|success|1|0x\nend 1|success|-1\n",
-      "unit GAP|BFS|1|success|2|0\nend 2x|success|-1\n",
-      "unit GAP|BFS|1|success|2|0\nend 2|success|-1x\n",
-  };
+TEST_F(SupervisorDir, ReplayDropsGroupWithoutEndAsTornTail) {
+  // Every group closes with an "end" line right after its body. A body
+  // followed by anything else is not a complete group: replay keeps the
+  // groups before it and drops it and everything after, so those units
+  // re-run.
+  const std::string body = TrialReport{}.to_report_text();
+  const std::string unended = "unit GAP|BFS|1|" +
+                              std::to_string(body.size()) + "\n" + body;
+  const std::string torn[] = {unended, unended + "end 1|success|-1\n",
+                              unended + "\n"};
   for (const std::string& bad : torn) {
     SCOPED_TRACE(bad);
-    std::ofstream(journal_path())
-        << "epgs-journal-v1\nconfig fp\n" << good << bad << after;
+    std::ofstream(journal_path(), std::ios::trunc)
+        << kHeader << group("GAP|BFS|0", body) << bad
+        << group("GAP|BFS|2", body);
     const auto entries = replay_journal(journal_path(), "fp");
     ASSERT_EQ(entries.size(), 1u);
     EXPECT_EQ(entries[0].key, "GAP|BFS|0");
   }
 }
 
-TEST_F(SupervisorDir, ReplaySkipsCheckpointBreadcrumbs) {
+TEST_F(SupervisorDir, ReplayTreatsNumericJunkAsTornTail) {
+  // A number with trailing junk is a torn field, not its numeric prefix:
+  // replay stops at the first such group, in the byte count or in a
+  // report field, and keeps only the groups before it.
+  const std::string body = TrialReport{}.to_report_text();
+  const auto with = [&body](std::string_view from, std::string_view to) {
+    std::string b = body;
+    b.replace(b.find(from), from.size(), to);
+    return group("GAP|BFS|1", b);
+  };
+  const std::string torn[] = {
+      "unit GAP|BFS|1|" + std::to_string(body.size()) + "x\n" + body +
+          "end\n",
+      "unit GAP|BFS|1|\n" + body + "end\n",
+      with("attempts 1", "attempts 1x"),
+      with("resumed -1", "resumed -1x"),
+      with("snapshot -1", "snapshot 3x"),
+  };
+  for (const std::string& bad : torn) {
+    SCOPED_TRACE(bad);
+    std::ofstream(journal_path(), std::ios::trunc)
+        << kHeader << group("GAP|BFS|0", body) << bad
+        << group("GAP|BFS|2", body);
+    const auto entries = replay_journal(journal_path(), "fp");
+    ASSERT_EQ(entries.size(), 1u);
+    EXPECT_EQ(entries[0].key, "GAP|BFS|0");
+  }
+}
+
+TEST_F(SupervisorDir, ReplayKeepsSnapshotIterationOfFailedGroup) {
+  // A failed unit that left a snapshot names its iteration inside its
+  // own group; replay hands it back with the rest of the report.
   Journal j;
   j.open_fresh(journal_path(), "fp");
   TrialReport ok;
-  j.append("GAP|PageRank|0", ok, {});
-  j.append_checkpoint("GAP|PageRank|1", 7);
+  j.append("GAP|PageRank|0", ok);
   TrialReport fail;
   fail.outcome = Outcome::kCrash;
-  j.append("GAP|PageRank|1", fail, {});
-  j.append_checkpoint("GAP|PageRank|2", 3);
+  fail.snapshot_iter = 7;
+  j.append("GAP|PageRank|1", fail);
   j.close();
 
   const auto entries = replay_journal(journal_path(), "fp");
   ASSERT_EQ(entries.size(), 2u);
   EXPECT_EQ(entries[0].key, "GAP|PageRank|0");
-  EXPECT_EQ(entries[1].outcome, Outcome::kCrash);
+  EXPECT_EQ(entries[0].report.snapshot_iter, -1);
+  EXPECT_EQ(entries[1].report.outcome, Outcome::kCrash);
+  EXPECT_EQ(entries[1].report.snapshot_iter, 7);
 }
 
 TEST_F(SupervisorDir, ReplayToleratesTornCheckpointTail) {
   Journal j;
   j.open_fresh(journal_path(), "fp");
   TrialReport ok;
-  j.append("GAP|PageRank|0", ok, {});
+  j.append("GAP|PageRank|0", ok);
   j.close();
   {
-    // Crash mid-breadcrumb: a half-written ckpt line ends the file.
+    // Crash mid-append of a failed group: the file ends inside the
+    // report's snapshot field.
+    TrialReport fail;
+    fail.outcome = Outcome::kOomKilled;
+    fail.snapshot_iter = 12;
+    const std::string g = group("GAP|PageRank|1", fail.to_report_text());
     std::ofstream f(journal_path(), std::ios::app);
-    f << "ckpt GAP|Page";
+    f << g.substr(0, g.find("snapshot 12") + 10);
   }
   const auto entries = replay_journal(journal_path(), "fp");
   ASSERT_EQ(entries.size(), 1u);
@@ -667,24 +740,24 @@ TEST_F(SupervisorDir, ReplayDuplicateKeysLastWins) {
   j.open_fresh(journal_path(), "fp");
   TrialReport fail;
   fail.outcome = Outcome::kTimeout;
-  j.append("GAP|PageRank|0", fail, {});
+  j.append("GAP|PageRank|0", fail);
   TrialReport ok;
   ok.attempts = 1;
   ok.resumed_from_iter = 9;
-  j.append("GAP|PageRank|0", ok, {});
+  j.append("GAP|PageRank|0", ok);
   j.close();
 
   const auto entries = replay_journal(journal_path(), "fp");
   ASSERT_EQ(entries.size(), 2u);  // replay returns both, in order
-  EXPECT_EQ(entries[1].outcome, Outcome::kSuccess);
-  EXPECT_EQ(entries[1].resumed_from_iter, 9);
+  EXPECT_EQ(entries[1].report.outcome, Outcome::kSuccess);
+  EXPECT_EQ(entries[1].report.resumed_from_iter, 9);
 
   SupervisorOptions sup;
   sup.journal_path = journal_path();
   sup.resume = true;
   RecordCollector collector(sup, "fp");
   ASSERT_TRUE(collector.is_journaled("GAP|PageRank|0"));
-  EXPECT_EQ(collector.journaled().at("GAP|PageRank|0").outcome,
+  EXPECT_EQ(collector.journaled().at("GAP|PageRank|0").report.outcome,
             Outcome::kSuccess);
 }
 
@@ -695,13 +768,13 @@ TEST_F(SupervisorDir, ResumableFailureWithSnapshotIsRerunOnResume) {
   j.open_fresh(journal_path(), "fp");
   TrialReport crash;
   crash.outcome = Outcome::kCrash;
-  j.append("GAP|PageRank|0", crash, {});  // snapshot exists -> re-run
+  j.append("GAP|PageRank|0", crash);  // snapshot exists -> re-run
   TrialReport timeout;
   timeout.outcome = Outcome::kTimeout;
-  j.append("GAP|PageRank|1", timeout, {});  // no snapshot -> settled DNF
+  j.append("GAP|PageRank|1", timeout);  // no snapshot -> settled DNF
   TrialReport interrupted;
   interrupted.outcome = Outcome::kInterrupted;
-  j.append("GAP|PageRank|2", interrupted, {});  // always re-run
+  j.append("GAP|PageRank|2", interrupted);  // always re-run
   j.close();
   std::ofstream(CheckpointSession::path_for(ckpt_dir, "GAP|PageRank|0"))
       << "placeholder";
@@ -726,16 +799,32 @@ TEST_F(SupervisorDir, ReplayRejectsFingerprintMismatch) {
                EpgsError);
 }
 
+TEST_F(SupervisorDir, ReplayRejectsVersionOneJournal) {
+  // A v1 journal (CSV "rec" rows) has no reader: resume refuses it
+  // rather than replaying rows it cannot rebuild.
+  std::ofstream(journal_path())
+      << "epgs-journal-v1\nconfig fp\n"
+      << "unit GAP|BFS|0|success|1|0\nend 1|success|-1\n";
+  try {
+    (void)replay_journal(journal_path(), "fp");
+    FAIL() << "a v1 journal replayed";
+  } catch (const EpgsError& e) {
+    EXPECT_NE(std::string(e.what()).find("bad header"), std::string::npos)
+        << e.what();
+  }
+}
+
 TEST_F(SupervisorDir, ReplayDropsTornTrailingGroup) {
   Journal j;
   j.open_fresh(journal_path(), "fp");
   TrialReport rep;
-  j.append("GAP|BFS|0", rep, {});
+  j.append("GAP|BFS|0", rep);
   j.close();
   {
-    // Simulate a crash mid-append: a unit line with no records / "end".
+    // Simulate a crash mid-append: a body shorter than its byte count.
+    const std::string g = group("GAP|BFS|1", full_report().to_report_text());
     std::ofstream f(journal_path(), std::ios::app);
-    f << "unit GAP|BFS|1|success|1|3\nrec half-written";
+    f << g.substr(0, g.size() / 2);
   }
   const auto entries = replay_journal(journal_path(), "fp");
   ASSERT_EQ(entries.size(), 1u);
@@ -764,6 +853,85 @@ TEST_F(SupervisorDir, ResumeReexecutesZeroCompletedTrials) {
   EXPECT_EQ(second.seconds_of("Graph500", phase::kBuild).size(), 1u);
 }
 
+void expect_same_timeline(const std::vector<IterRecord>& got,
+                          const std::vector<IterRecord>& want) {
+  ASSERT_EQ(got.size(), want.size());
+  for (std::size_t i = 0; i < got.size(); ++i) {
+    EXPECT_EQ(got[i].iter, want[i].iter);
+    EXPECT_EQ(got[i].seconds, want[i].seconds);
+    EXPECT_EQ(got[i].frontier, want[i].frontier);
+    EXPECT_EQ(got[i].edges, want[i].edges);
+    EXPECT_EQ(got[i].has_residual(), want[i].has_residual());
+    if (got[i].has_residual()) EXPECT_EQ(got[i].residual, want[i].residual);
+  }
+}
+
+TEST_F(SupervisorDir, ResumeRebuildsEveryRowAsTheLiveRunDid) {
+  // Per-trial rebuild (GAP, GraphMat) and build-once (PowerGraph) units,
+  // BFS and PageRank timelines: a fully journaled sweep resumed runs
+  // nothing and returns the live run's rows, extras and timelines, in
+  // the live run's order.
+  auto cfg = tiny_config();
+  cfg.graph.scale = 10;
+  cfg.graph.edgefactor = 16;
+  cfg.systems = {"GAP", "GraphMat", "PowerGraph"};
+  cfg.algorithms = {Algorithm::kBfs, Algorithm::kPageRank};
+  cfg.num_roots = 2;
+  cfg.supervisor.journal_path = journal_path();
+  const auto first = run_experiment(cfg);
+  ASSERT_EQ(records_with(first, Outcome::kSuccess).size(),
+            first.records.size());
+
+  cfg.supervisor.resume = true;
+  fault::Scoped probe({.kind = fault::Kind::kNone, .max_fires = 0});
+  const auto second = run_experiment(cfg);
+  EXPECT_EQ(fault::phase_events(), 0) << "resume re-executed a unit";
+  EXPECT_EQ(records_to_csv(second.records), records_to_csv(first.records));
+  ASSERT_EQ(second.records.size(), first.records.size());
+  std::size_t timelines = 0;
+  for (std::size_t i = 0; i < first.records.size(); ++i) {
+    SCOPED_TRACE(first.records[i].system + " " + first.records[i].algorithm +
+                 " " + first.records[i].phase);
+    EXPECT_EQ(second.records[i].extra, first.records[i].extra);
+    expect_same_timeline(second.records[i].timeline,
+                         first.records[i].timeline);
+    timelines += first.records[i].timeline.empty() ? 0 : 1;
+  }
+  // Every trial has one: GAP's and GraphMat's BFS and PageRank and
+  // PowerGraph's PageRank (it ships no BFS), two roots each.
+  EXPECT_EQ(timelines, 10u);
+}
+
+TEST_F(SupervisorDir, DefaultTeamJournalResumesOnlyUnderItsTeamSize) {
+  // threads=0 means "all available": the fingerprint names the resolved
+  // team, which replayed rows report, so a different team is refused.
+  auto cfg = tiny_config();
+  cfg.threads = 0;
+  cfg.num_roots = 1;
+  cfg.supervisor.journal_path = journal_path();
+  auto two = cfg;
+  two.threads = 2;
+  {
+    ThreadScope team(2);
+    EXPECT_EQ(config_fingerprint(cfg), config_fingerprint(two));
+    const auto first = run_experiment(cfg);
+    ASSERT_FALSE(first.records.empty());
+    EXPECT_EQ(first.records[0].threads, 2);
+  }
+  cfg.supervisor.resume = true;
+  {
+    ThreadScope team(1);
+    EXPECT_NE(config_fingerprint(cfg), config_fingerprint(two));
+    EXPECT_THROW((void)run_experiment(cfg), EpgsError);
+  }
+  ThreadScope team(2);
+  fault::Scoped probe({.kind = fault::Kind::kNone, .max_fires = 0});
+  const auto second = run_experiment(cfg);
+  EXPECT_EQ(fault::phase_events(), 0);
+  ASSERT_FALSE(second.records.empty());
+  EXPECT_EQ(second.records[0].threads, 2);
+}
+
 TEST_F(SupervisorDir, ResumeRunsOnlyTheTornTrial) {
   auto cfg = tiny_config();
   cfg.supervisor.journal_path = journal_path();
@@ -775,7 +943,7 @@ TEST_F(SupervisorDir, ResumeRunsOnlyTheTornTrial) {
   buf << in.rdbuf();
   in.close();
   std::string text = buf.str();
-  const auto last_end = text.rfind("\nend ");
+  const auto last_end = text.rfind("\nend\n");
   ASSERT_NE(last_end, std::string::npos);
   std::ofstream(journal_path(), std::ios::trunc)
       << text.substr(0, last_end + 1);
