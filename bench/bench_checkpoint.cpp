@@ -31,6 +31,22 @@ using namespace epgs;
 
 namespace {
 
+/// Seconds between saves at the default time cadence.
+constexpr double kDefaultEverySeconds = 0.25;
+
+/// A snapshot cadence; both knobs 0 means no checkpoint session at all
+/// (the uninstrumented baseline).
+struct Cadence {
+  const char* label;
+  int every;
+  double every_seconds;
+};
+
+constexpr Cadence kCadences[] = {{"off", 0, 0.0},
+                                 {"default", 0, kDefaultEverySeconds},
+                                 {"every-1", 1, 0.0},
+                                 {"every-4", 4, 0.0}};
+
 struct CadenceResult {
   std::string label;
   double median_seconds = 0.0;
@@ -38,37 +54,27 @@ struct CadenceResult {
   int saves = 0;
 };
 
-/// Median PageRank kernel time over `trials` runs; `every` and
-/// `every_seconds` both 0 means no checkpoint session at all (the
-/// uninstrumented baseline).
-/// Seconds between saves at the default time cadence.
-constexpr double kDefaultEverySeconds = 0.25;
-
-CadenceResult time_cadence(System& sys, const fs::path& dir,
-                           const std::string& label, int every,
-                           double every_seconds, int trials) {
-  CadenceResult out;
-  out.label = label;
-  std::vector<double> secs;
-  for (int t = 0; t < trials; ++t) {
-    CheckpointConfig cfg;
-    cfg.dir = dir.string();
-    cfg.unit_key = "bench|" + label;
-    cfg.fingerprint = "bench";
-    cfg.every_iterations = every;
-    cfg.every_seconds = every_seconds;
-    CheckpointSession session(cfg);
-    if (every > 0 || every_seconds > 0) sys.set_checkpoint_session(&session);
-    WallTimer timer;
-    const auto r = sys.pagerank();
-    secs.push_back(timer.seconds());
-    sys.set_checkpoint_session(nullptr);
-    out.iterations = r.iterations;
-    if (every > 0 || every_seconds > 0) out.saves = session.saves();
-    session.remove_snapshot();
-  }
-  out.median_seconds = box_stats(secs).median;
-  return out;
+/// Time one PageRank kernel under `c`, recording its iteration and save
+/// counts in `out`.
+double time_once(System& sys, const fs::path& dir, const Cadence& c,
+                 CadenceResult& out) {
+  const bool on = c.every > 0 || c.every_seconds > 0;
+  CheckpointConfig cfg;
+  cfg.dir = dir.string();
+  cfg.unit_key = std::string("bench|") + c.label;
+  cfg.fingerprint = "bench";
+  cfg.every_iterations = c.every;
+  cfg.every_seconds = c.every_seconds;
+  CheckpointSession session(cfg);
+  if (on) sys.set_checkpoint_session(&session);
+  WallTimer timer;
+  const auto r = sys.pagerank();
+  const double secs = timer.seconds();
+  sys.set_checkpoint_session(nullptr);
+  out.iterations = r.iterations;
+  if (on) out.saves = session.saves();
+  session.remove_snapshot();
+  return secs;
 }
 
 }  // namespace
@@ -111,13 +117,20 @@ int main(int argc, char** argv) {
     sys->build();
     SystemRow row;
     row.system = system;
-    row.cadences.push_back(time_cadence(*sys, dir, "off", 0, 0.0, trials));
-    row.cadences.push_back(
-        time_cadence(*sys, dir, "default", 0, kDefaultEverySeconds, trials));
-    row.cadences.push_back(
-        time_cadence(*sys, dir, "every-1", 1, 0.0, trials));
-    row.cadences.push_back(
-        time_cadence(*sys, dir, "every-4", 4, 0.0, trials));
+    row.cadences.resize(std::size(kCadences));
+    std::vector<std::vector<double>> secs(std::size(kCadences));
+    // Trial t of every cadence runs before trial t+1 of any, so a burst
+    // of host load spreads across the cadences instead of landing on one
+    // cadence's median.
+    for (int t = 0; t < trials; ++t) {
+      for (std::size_t c = 0; c < std::size(kCadences); ++c) {
+        secs[c].push_back(time_once(*sys, dir, kCadences[c], row.cadences[c]));
+      }
+    }
+    for (std::size_t c = 0; c < std::size(kCadences); ++c) {
+      row.cadences[c].label = kCadences[c].label;
+      row.cadences[c].median_seconds = box_stats(secs[c]).median;
+    }
     const double base = row.cadences[0].median_seconds;
     const CadenceResult& every1 = row.cadences[2];
     if (every1.saves > 0) {

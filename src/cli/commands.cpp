@@ -215,7 +215,6 @@ int cmd_run(const Args& args, std::ostream& out) {
       args.get_int("checkpoint-every", 0);
   cfg.supervisor.checkpoint_every_seconds =
       args.get_double("checkpoint-every-seconds", 0.25);
-  cfg.iter_trace_dir = args.get("iter-trace");
   cfg.dataset.cache_dir = args.get("cache-dir");
   cfg.dataset.lock_timeout_seconds = args.get_double("lock-timeout", 60.0);
   cfg.dataset.min_free_disk_bytes =
@@ -254,6 +253,13 @@ int cmd_run(const Args& args, std::ostream& out) {
   write_out_file(csv_path, harness::records_to_csv(result.records));
   out << "wrote " << result.records.size() << " records to " << csv_path
       << "\n";
+  const std::string trace_path = args.get("iter-trace");
+  if (!trace_path.empty()) {
+    const std::string jsonl = harness::timelines_to_jsonl(result.records);
+    write_out_file(trace_path, jsonl);
+    out << "wrote " << std::ranges::count(jsonl, '\n')
+        << " iteration rows to " << trace_path << "\n";
+  }
 
   const auto summary = harness::outcome_summary(result.records);
   out << "\noutcomes:\n" << harness::render_outcome_table(summary);
@@ -690,7 +696,7 @@ std::string usage() {
       "               [--checkpoint-every-seconds SEC]]  mid-trial\n"
       "              snapshots: killed/timed-out units resume mid-kernel\n"
       "              (SIGINT/SIGTERM stop gracefully, exit 128+sig)\n"
-      "              [--iter-trace DIR]  per-iteration telemetry JSONL\n"
+      "              [--iter-trace FILE]  per-iteration telemetry JSONL\n"
       "              [--cache-dir DIR]\n"
       "              [--lock-timeout SEC] [--min-free-disk MIB]\n"
       "              exit 3 when any trial DNFs (unless --allow-dnf)\n"

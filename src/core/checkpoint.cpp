@@ -239,6 +239,7 @@ bool CheckpointSession::tick(std::uint64_t completed) {
 }
 
 bool CheckpointSession::write_snapshot() {
+  const std::filesystem::path tmp = path_.string() + ".tmp";
   try {
     StateWriter meta;
     meta.put_str(cfg_.unit_key);
@@ -266,7 +267,6 @@ bool CheckpointSession::write_snapshot() {
     // tmp + rename + fsync, all through the shim: the snapshot at `path_`
     // is either the complete previous frame or the complete new one, and
     // the rename itself survives power loss.
-    const std::filesystem::path tmp = path_.string() + ".tmp";
     {
       fsx::OutStream out(tmp, fsx::OutStream::Mode::kTruncate);
       out.write(frame.data(), static_cast<std::streamsize>(frame.size()));
@@ -282,8 +282,10 @@ bool CheckpointSession::write_snapshot() {
     fsx::rename(tmp, path_);
     fsx::fsync_dir(path_.parent_path());
   } catch (const std::exception& e) {
-    // A sick or full disk must not fail the trial: stop snapshotting and
-    // let the unit run uncheckpointed.
+    // A sick or full disk must not fail the trial: drop the partial tmp,
+    // stop snapshotting and let the unit run uncheckpointed.
+    std::error_code ec;
+    std::filesystem::remove(tmp, ec);
     warning_ = "checkpoint save failed (" + std::string(e.what()) +
                "); further snapshots disabled for this unit";
     save_disabled_ = true;

@@ -32,10 +32,6 @@ void MappedFile::force_buffered(bool on) {
   g_force_buffered.store(on, std::memory_order_relaxed);
 }
 
-bool MappedFile::buffered_forced() {
-  return g_force_buffered.load(std::memory_order_relaxed);
-}
-
 MappedFile::MappedFile(const std::filesystem::path& path) {
   Fd f{fsx::open_read(path)};
   struct stat st{};
@@ -47,7 +43,7 @@ MappedFile::MappedFile(const std::filesystem::path& path) {
     return;
   }
 
-  if (!buffered_forced()) {
+  if (!g_force_buffered.load(std::memory_order_relaxed)) {
     // fsx::mmap_read returns nullptr on failure (real or injected), which
     // degrades to the buffered path below rather than aborting the read.
     void* p = fsx::mmap_read(f.fd, size_, path);

@@ -42,7 +42,6 @@ class MappedFile {
   /// Process-wide test hook: force every subsequent MappedFile onto the
   /// buffered-read fallback, proving the two paths byte-identical.
   static void force_buffered(bool on);
-  [[nodiscard]] static bool buffered_forced();
 
  private:
   void release() noexcept;

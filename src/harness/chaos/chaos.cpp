@@ -65,22 +65,22 @@ struct RoundDirs {
   std::string journal;
   std::string ckpt;
   std::string crash;
-  std::string trace;
   std::string markers;
 };
 
 RoundDirs dirs_for(const std::string& work, const std::string& tag) {
   const std::filesystem::path p(work);
   return {(p / ("journal-" + tag)).string(), (p / ("ckpt-" + tag)).string(),
-          (p / ("crash-" + tag)).string(), (p / ("trace-" + tag)).string(),
-          (p / ("markers-" + tag)).string()};
+          (p / ("crash-" + tag)).string(), (p / ("markers-" + tag)).string()};
 }
 
 /// The chaos posture: isolation so fatal faults are contained,
 /// retry_all so every recoverable outcome restarts deterministically,
 /// per-iteration snapshots so kill events resume instead of redoing
-/// work, forensics so crashes leave post-mortems, and near-zero backoff
-/// so retries do not dominate the wall clock.
+/// work (and generated fs faults have the snapshot writes under the
+/// round's ckpt- directory as their target), forensics so crashes leave
+/// post-mortems, and near-zero backoff so retries do not dominate the
+/// wall clock.
 ExperimentConfig chaos_config(const ExperimentConfig& base,
                               const ChaosOptions& opts,
                               const RoundDirs& d) {
@@ -99,7 +99,6 @@ ExperimentConfig chaos_config(const ExperimentConfig& base,
   sup.checkpoint_every_iterations = 1;
   sup.checkpoint_every_seconds = 0.0;  // exact cadence only: determinism
   sup.crash_report_dir = d.crash;
-  cfg.iter_trace_dir = d.trace;  // gives generated fs faults their target
   return cfg;
 }
 
@@ -194,19 +193,19 @@ RoundReport run_round(const ExperimentConfig& base, const ChaosOptions& opts,
     rep.detail = std::string("sweep aborted: ") + ex.what();
     return rep;
   }
-  const int fs_fired = fsx::fire_count();
   disarm_everything();
 
   // Classify: did each armed event fire? Once-events leave their claimed
   // marker behind (the claim happens in the fork child, but the file is
-  // shared); fs events count in-process.
+  // shared). An fs event targets snapshot writes, which only isolated
+  // children make, and the shim counts its fires per process, so the
+  // parent cannot tell whether it fired.
   for (std::size_t i = 0; i < events.size(); ++i) {
     const ChaosEvent& e = events[i];
     std::string obs = describe(e);
     if (e.kind == EventKind::kFsFault) {
-      obs += fs_fired > 0
-                 ? " -> fired " + std::to_string(fs_fired) + "x"
-                 : " -> did not fire";
+      obs += " -> armed in every isolated child (fires unseen by the "
+             "parent)";
     } else if (e.once) {
       obs += std::filesystem::exists(markers[i]) ? " -> fired"
                                                  : " -> did not fire";
@@ -303,7 +302,7 @@ ChaosReport run_chaos(const ExperimentConfig& base,
     }
   }
   gc.checkpoint_kinds = true;
-  gc.fs_path_substr = "itertrace";
+  gc.fs_path_substr = "ckpt-";
 
   ChaosReport out;
   out.schedule = opts.replay_spec.empty()

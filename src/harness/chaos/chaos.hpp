@@ -58,9 +58,10 @@ struct RoundReport {
   bool csv_match = false;      ///< stripped CSV == control
   bool journal_clean = false;  ///< replayed, every unit a success
   std::vector<std::string> armed;         ///< describe() of armed events
-  /// Post-hoc classification: which events fired (once-marker claimed /
-  /// fs fire count) and what the supervisor observed per affected unit
-  /// (outcome, attempts, crash fingerprint).
+  /// Post-hoc classification: which events fired (once-marker claimed;
+  /// fs events fire in isolated children, unseen by the parent) and what
+  /// the supervisor observed per affected unit (outcome, attempts, crash
+  /// fingerprint).
   std::vector<std::string> observations;
   std::string detail;  ///< first divergence / replay failure; empty if ok
   [[nodiscard]] bool ok() const { return csv_match && journal_clean; }

@@ -49,8 +49,6 @@ std::vector<std::string> split_fields(std::string_view line) {
   }
 }
 
-}  // namespace
-
 std::string_view event_kind_name(EventKind k) {
   for (const auto& kn : kKindNames) {
     if (kn.kind == k) return kn.name;
@@ -58,6 +56,7 @@ std::string_view event_kind_name(EventKind k) {
   return "?";
 }
 
+/// Throws EpgsError on an unknown name (replay-spec hardening).
 EventKind event_kind_from_name(std::string_view name) {
   for (const auto& kn : kKindNames) {
     if (kn.name == name) return kn.kind;
@@ -65,6 +64,8 @@ EventKind event_kind_from_name(std::string_view name) {
   throw EpgsError("chaos spec: unknown event kind '" + std::string(name) +
                   "'");
 }
+
+}  // namespace
 
 std::string describe(const ChaosEvent& e) {
   std::ostringstream os;

@@ -40,10 +40,6 @@ enum class EventKind {
   kFsFault,           ///< inject errno at the fs_shim choke point
 };
 
-[[nodiscard]] std::string_view event_kind_name(EventKind k);
-/// Throws EpgsError on an unknown name (replay-spec hardening).
-[[nodiscard]] EventKind event_kind_from_name(std::string_view name);
-
 /// One armed fault within one chaos round. Which fields matter depends
 /// on the kind; unused fields keep their defaults so the spec form stays
 /// canonical (same event -> same line).
@@ -57,7 +53,8 @@ struct ChaosEvent {
   /// in the parent where a kAbort would kill the harness itself.
   std::string phase;
   /// kKillAtCheckpoint: the covered iteration; kKillAtPublish: the Nth
-  /// publish point; kFsFault: the Nth matching syscall. Phase kinds keep
+  /// publish point; kFsFault: the Nth matching syscall in each isolated
+  /// child (snapshot writes happen there). Phase kinds keep
   /// at=1 — under isolation each child observes its own first matching
   /// phase start, so higher values would never fire.
   int at = 1;
@@ -96,9 +93,10 @@ struct GeneratorConfig {
   /// snapshots.
   bool checkpoint_kinds = true;
   /// Path filter for generated fs faults. The executor points this at
-  /// the iter-trace sidecar: a parent-side writer with a documented
-  /// degradation path, so the fault exercises real ENOSPC handling
-  /// without poisoning the journal the invariant check replays.
+  /// the snapshot writes under its ckpt- directories: a failed save
+  /// degrades to "no further snapshots for this unit", so the fault
+  /// exercises real ENOSPC handling without poisoning the journal the
+  /// invariant check replays.
   std::string fs_path_substr;
 };
 

@@ -140,8 +140,8 @@ struct SupervisorOptions {
   /// Sweep-level crash-report directory (--crash-dir). The runner derives
   /// each algorithm unit's crash_report_path from it (checkpoint-style
   /// sanitized key + FNV tag, extension ".crash"). Empty disables
-  /// forensics. Like iter_trace_dir, deliberately NOT part of
-  /// config_fingerprint: forensics is observability, not identity.
+  /// forensics. Deliberately NOT part of config_fingerprint: forensics
+  /// is observability, not identity.
   std::string crash_report_dir;
 };
 
@@ -168,11 +168,6 @@ struct ExperimentConfig {
   SupervisorOptions supervisor;
   /// Dataset cache / zero-copy data path configuration.
   DatasetOptions dataset;
-  /// Directory for the per-iteration telemetry sidecar (--iter-trace).
-  /// Empty (the default) disables it. Deliberately NOT part of
-  /// config_fingerprint: tracing is observability, not identity, so
-  /// toggling it must not invalidate a resumable journal.
-  std::string iter_trace_dir;
 };
 
 /// Pick `count` distinct roots with total degree > min_degree (the paper

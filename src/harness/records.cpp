@@ -1,6 +1,7 @@
 #include "harness/records.hpp"
 
 #include <cstdio>
+#include <sstream>
 
 #include "core/csv.hpp"
 #include "core/error.hpp"
@@ -73,6 +74,30 @@ RunRecord record_from_csv_row(const CsvRow& row) {
   return r;
 }
 
+/// Minimal JSON string escape: quotes, backslashes, control bytes.
+std::string json_escape(const std::string& s) {
+  std::string out;
+  out.reserve(s.size());
+  for (const char c : s) {
+    switch (c) {
+      case '"': out += "\\\""; break;
+      case '\\': out += "\\\\"; break;
+      case '\n': out += "\\n"; break;
+      case '\r': out += "\\r"; break;
+      case '\t': out += "\\t"; break;
+      default:
+        if (static_cast<unsigned char>(c) < 0x20) {
+          char buf[8];
+          std::snprintf(buf, sizeof buf, "\\u%04x", c);
+          out += buf;
+        } else {
+          out.push_back(c);
+        }
+    }
+  }
+  return out;
+}
+
 }  // namespace
 
 std::vector<double> ExperimentResult::seconds_of(
@@ -108,6 +133,30 @@ std::string records_to_csv(const std::vector<RunRecord>& records) {
   rows.push_back(csv_header());
   for (const auto& r : records) rows.push_back(record_to_csv_row(r));
   return to_csv(rows);
+}
+
+std::string timelines_to_jsonl(const std::vector<RunRecord>& records) {
+  std::ostringstream os;
+  os.precision(17);
+  for (const RunRecord& r : records) {
+    for (const IterRecord& row : r.timeline) {
+      os << "{\"dataset\":\"" << json_escape(r.dataset)
+         << "\",\"system\":\"" << json_escape(r.system)
+         << "\",\"algorithm\":\"" << json_escape(r.algorithm)
+         << "\",\"trial\":" << r.trial << ",\"phase\":\""
+         << json_escape(r.phase) << "\",\"iter\":" << row.iter
+         << ",\"seconds\":" << row.seconds
+         << ",\"frontier\":" << row.frontier << ",\"edges\":" << row.edges
+         << ",\"residual\":";
+      if (row.has_residual()) {
+        os << row.residual;
+      } else {
+        os << "null";
+      }
+      os << "}\n";
+    }
+  }
+  return os.str();
 }
 
 std::string records_to_stripped_csv(const std::vector<RunRecord>& records) {

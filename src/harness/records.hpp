@@ -29,9 +29,9 @@ struct RunRecord {
   std::map<std::string, std::string> extra;  ///< e.g. iterations
   Outcome outcome = Outcome::kSuccess;
   /// Per-iteration telemetry (KernelRun rows). The CSV row format
-  /// deliberately omits it (kill/resume byte-identity), so it reaches
-  /// downstream consumers via the --iter-trace sidecar instead. Units
-  /// replayed from the journal keep it: the journal stores their logs.
+  /// deliberately omits it (kill/resume byte-identity); timelines_to_jsonl
+  /// renders it for --iter-trace instead. Units replayed from the journal
+  /// keep it: the journal stores their logs.
   std::vector<IterRecord> timeline;
 };
 
@@ -40,7 +40,8 @@ struct ExperimentResult {
   std::vector<RunRecord> records;
   std::vector<vid_t> roots;
   /// Per-system log text, keyed by system name: the concatenated text of
-  /// every successful unit, exactly what its records were parsed from.
+  /// every successful unit, live or journal-replayed, in the order of its
+  /// records, exactly what those records were parsed from.
   std::map<std::string, std::string> raw_logs;
   /// True when the run went through the zero-copy dataset pipeline
   /// (cache + native-file loads) rather than staging edges from RAM.
@@ -53,8 +54,7 @@ struct ExperimentResult {
   /// Degradations the run survived, one full sentence each, in this
   /// order: the dataset cache fell back to in-RAM generation, journaling
   /// stopped mid-sweep (a --resume re-runs the unjournaled tail), thread
-  /// pinning was refused, the --iter-trace sidecar stopped. Results are
-  /// complete whatever this holds.
+  /// pinning was refused. Results are complete whatever this holds.
   std::vector<std::string> warnings;
 
   /// Seconds of every successful record matching the given keys (empty
@@ -75,6 +75,12 @@ std::string records_to_csv(const std::vector<RunRecord>& records);
 /// EpgsError on an unrecognised header, a wrong column count, or a field
 /// that fails to parse as its column's type.
 std::vector<RunRecord> records_from_csv(const std::string& csv);
+
+/// Per-iteration telemetry as JSONL (--iter-trace): one object per
+/// timeline row of every record, in record order, keyed dataset, system,
+/// algorithm, trial, phase, iter, seconds, frontier, edges, residual
+/// (numbers at precision 17; null for a row without a residual).
+std::string timelines_to_jsonl(const std::vector<RunRecord>& records);
 
 /// CSV with the volatile columns removed — seconds(6), attempts(12),
 /// resumed_from(13), 0-based. This is the byte-identity currency shared

@@ -64,37 +64,26 @@ struct SweepOracle {
 
 /// Execute one system's slice of the plan. Everything decided up front
 /// lives in `sp`; this function only drives the adapter through the
-/// supervisor and hands records to the collector.
+/// supervisor and hands each unit's report to the collector.
 void execute_system_plan(const ExperimentConfig& cfg,
                          const std::string& fingerprint,
                          const SweepPlan& plan, const SystemPlan& sp,
                          const EdgeList& el, const std::vector<vid_t>& roots,
                          const SweepOracle& oracle,
-                         RecordCollector& collector, Xoshiro256& backoff_rng,
-                         std::map<std::string, std::string>& raw_logs) {
+                         RecordCollector& collector,
+                         Xoshiro256& backoff_rng) {
   const SupervisorOptions& sup = cfg.supervisor;
   const bool file_mode = plan.data_path == DataPath::kNativeFile;
 
-  // Every finished unit's rows come from unit_records, as a replayed
-  // unit's do. A journaled success's log text also joins the system's
-  // raw log, so the raw log holds exactly the text its rows came from.
-  const auto store = [&](const std::string& key, const TrialReport& rep) {
-    if (rep.outcome == Outcome::kSuccess) {
-      raw_logs[sp.system] += rep.log.to_log_text();
-    }
-    collector.store(key, unit_records(plan, key, rep), rep);
-  };
-  // Failed configuration, load and build units are not journaled: a
-  // resume should retry them.
-  const auto add = [&](const std::string& key, const TrialReport& rep) {
-    collector.add(unit_records(plan, key, rep));
-  };
-
+  // Finished units go to the collector, which journals them and builds
+  // their rows and raw log as it does a replayed unit's. Failed
+  // configuration, load and build units are only added, not journaled:
+  // a resume should retry them.
   if (!sp.config_error.empty()) {
     TrialReport rep;
     rep.outcome = Outcome::kConfig;
     rep.message = sp.config_error;
-    add(sp.config_key, rep);
+    collector.add(plan, sp.config_key, rep);
     return;
   }
   // A system whose trials were all replayed is neither staged nor built.
@@ -127,12 +116,12 @@ void execute_system_plan(const ExperimentConfig& cfg,
         },
         load_opts, backoff_rng);
     if (rep.outcome != Outcome::kSuccess) {
-      add(sp.load_key, rep);
+      collector.add(plan, sp.load_key, rep);
       return;
     }
     // On resume the journal already holds this load's records; the
     // reload only restores the staged edges and is not re-journaled.
-    if (!sp.load_replayed) store(sp.load_key, rep);
+    if (!sp.load_replayed) collector.store(plan, sp.load_key, rep);
   } else {
     sys->load_file(sp.native_file);
   }
@@ -161,10 +150,10 @@ void execute_system_plan(const ExperimentConfig& cfg,
       // On resume the journal already holds (and replay already emitted)
       // this build's records; the rebuild only restores the in-memory
       // structure and is not re-journaled.
-      if (!sp.build_replayed) store(sp.build_key, rep);
+      if (!sp.build_replayed) collector.store(plan, sp.build_key, rep);
     } else {
       build_failed = true;
-      add(sp.build_key, rep);
+      collector.add(plan, sp.build_key, rep);
     }
     return once_built;
   };
@@ -282,7 +271,7 @@ void execute_system_plan(const ExperimentConfig& cfg,
                     : static_cast<std::int64_t>(
                           session->last_saved_iteration());
     }
-    store(t.key, rep);
+    collector.store(plan, t.key, rep);
     if (rep.outcome == Outcome::kInterrupted) break;
   }
 }
@@ -351,7 +340,7 @@ ExperimentResult run_experiment(const ExperimentConfig& cfg,
   // Collect: journal replay (on --resume) happens before planning so the
   // plan can mark every already-finished unit.
   const std::string fingerprint = config_fingerprint(cfg);
-  RecordCollector collector(sup, fingerprint, cfg.iter_trace_dir);
+  RecordCollector collector(sup, fingerprint);
 
   // Plan: every unit and every data-path/rebuild/replay decision, up
   // front. The replayed units' rows lead, in plan order.
@@ -375,7 +364,7 @@ ExperimentResult run_experiment(const ExperimentConfig& cfg,
   for (const SystemPlan& sp : plan.systems) {
     if (interrupt_requested()) break;  // flush what finished, stop cleanly
     execute_system_plan(cfg, fingerprint, plan, sp, el, result.roots,
-                        oracle, collector, backoff_rng, result.raw_logs);
+                        oracle, collector, backoff_rng);
   }
 
   if (!collector.journal_warning().empty()) {
@@ -385,10 +374,7 @@ ExperimentResult run_experiment(const ExperimentConfig& cfg,
         collector.journal_warning());
   }
   if (!pin_warning.empty()) result.warnings.push_back(pin_warning);
-  if (!collector.trace_warning().empty()) {
-    result.warnings.push_back(collector.trace_warning());
-  }
-  result.records = collector.take();
+  collector.take(result);
   return result;
 }
 

@@ -166,6 +166,8 @@ std::atomic<bool> g_kill_armed{false};
 CancelPlan g_cancel_plan;
 std::atomic<bool> g_cancel_armed{false};
 
+bool kill_armed() { return g_kill_armed.load(std::memory_order_acquire); }
+
 }  // namespace
 
 void arm_kill_at_checkpoint(const KillPlan& plan) {
@@ -182,8 +184,6 @@ void disarm_kill_at_checkpoint() {
   g_kill_plan = KillPlan{};
   crash::note_fault(kNoteKillPlan, {});
 }
-
-bool kill_armed() { return g_kill_armed.load(std::memory_order_acquire); }
 
 void on_checkpoint_saved(std::string_view system, std::uint64_t iteration) {
   if (!kill_armed()) return;
@@ -266,19 +266,15 @@ void arm_kill_at_publish(const PublishKillPlan& plan) {
                     "publish-kill at=" + std::to_string(plan.at_publish));
 }
 
-void disarm_kill_at_publish() {
+void disarm_all() {
+  disarm();
+  disarm_kill_at_checkpoint();
+  disarm_cancel_at_iteration();
   g_publish_armed.store(false, std::memory_order_release);
   set_snapshot_publish_hook(nullptr);
   g_publish_plan = PublishKillPlan{};
   g_publish_events.store(0);
   crash::note_fault(kNoteCancelOrPublish, {});
-}
-
-void disarm_all() {
-  disarm();
-  disarm_kill_at_checkpoint();
-  disarm_cancel_at_iteration();
-  disarm_kill_at_publish();
 }
 
 }  // namespace epgs::fault

@@ -115,7 +115,6 @@ struct KillPlan {
 
 void arm_kill_at_checkpoint(const KillPlan& plan);
 void disarm_kill_at_checkpoint();
-[[nodiscard]] bool kill_armed();
 
 /// Called by System after every durable snapshot write.
 void on_checkpoint_saved(std::string_view system, std::uint64_t iteration);
@@ -160,7 +159,6 @@ struct PublishKillPlan {
 };
 
 void arm_kill_at_publish(const PublishKillPlan& plan);
-void disarm_kill_at_publish();
 
 /// Disarm every fault family at once (chaos round teardown).
 void disarm_all();

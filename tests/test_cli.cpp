@@ -7,6 +7,7 @@
 
 #include <filesystem>
 #include <fstream>
+#include <set>
 #include <sstream>
 
 #include "cli/args.hpp"
@@ -362,6 +363,83 @@ TEST(Cli, RunCsvOnFullDiskExitsOneNamingTheFile) {
   EXPECT_NE(out.find(csv), std::string::npos) << out;
   EXPECT_EQ(out.find("records to"), std::string::npos)
       << "a failed CSV write must not be reported as written: " << out;
+}
+
+TEST(Cli, RunIterTraceOnFullDiskExitsOneNamingTheFile) {
+  TempDir dir;
+  const auto trace = (dir.path() / "enospc-trace.jsonl").string();
+  fsx::Scoped full({.op = fsx::Op::kWrite, .path_substr = "enospc-trace"});
+  std::string out;
+  EXPECT_EQ(run_cli({"run", "--kind", "kron", "--scale", "6", "--systems",
+                     "GAP", "--algorithms", "PageRank", "--roots", "1",
+                     "--threads", "1", "--csv",
+                     (dir.path() / "r.csv").string(), "--iter-trace", trace},
+                    &out),
+            1)
+      << out;
+  EXPECT_NE(out.find(trace), std::string::npos) << out;
+  EXPECT_EQ(out.find("iteration rows to"), std::string::npos)
+      << "a failed trace write must not be reported as written: " << out;
+}
+
+TEST(Cli, ResumeWritesEveryRawLogAndTraceRowOfTheLiveRun) {
+  // The report files are rendered from the result, and a fully journaled
+  // --resume rebuilds every unit's rows and log text from the journal,
+  // so its raw logs and iteration trace equal the live run's byte for
+  // byte without re-running a phase.
+  TempDir dir;
+  const auto path = [&](const char* name) {
+    return (dir.path() / name).string();
+  };
+  const std::vector<std::string> sweep = {
+      "run",        "--kind",    "kron",    "--scale",      "8",
+      "--systems",  "GAP,GraphMat",         "--algorithms", "BFS,PageRank",
+      "--roots",    "2",         "--journal", path("j.txt")};
+  const auto with = [&](std::vector<std::string> extra) {
+    std::vector<std::string> argv = sweep;
+    argv.insert(argv.end(), extra.begin(), extra.end());
+    return argv;
+  };
+  std::string out;
+  ASSERT_EQ(run_cli(with({"--logdir", path("l1"), "--iter-trace",
+                          path("t1.jsonl"), "--csv", path("a.csv")}),
+                    &out),
+            0)
+      << out;
+  fault::Scoped probe({.kind = fault::Kind::kNone, .max_fires = 0});
+  ASSERT_EQ(run_cli(with({"--resume", "--logdir", path("l2"), "--iter-trace",
+                          path("t2.jsonl"), "--csv", path("b.csv")}),
+                    &out),
+            0)
+      << out;
+  EXPECT_EQ(fault::phase_events(), 0) << "resume re-executed a unit";
+
+  const auto slurp = [](const fs::path& p) {
+    std::ifstream f(p);
+    std::stringstream buf;
+    buf << f.rdbuf();
+    return buf.str();
+  };
+  EXPECT_EQ(slurp(path("b.csv")), slurp(path("a.csv")));
+  const std::string trace = slurp(path("t1.jsonl"));
+  EXPECT_NE(trace.find("\"algorithm\":\"BFS\""), std::string::npos);
+  EXPECT_NE(trace.find("\"algorithm\":\"PageRank\""), std::string::npos);
+  EXPECT_EQ(slurp(path("t2.jsonl")), trace);
+
+  const auto names = [](const fs::path& d) {
+    std::set<std::string> out;
+    for (const auto& e : fs::directory_iterator(d)) {
+      out.insert(e.path().filename().string());
+    }
+    return out;
+  };
+  const auto logs = names(path("l1"));
+  EXPECT_EQ(logs.size(), 2u);
+  EXPECT_EQ(names(path("l2")), logs);
+  for (const std::string& name : logs) {
+    EXPECT_EQ(slurp(dir.path() / "l2" / name), slurp(dir.path() / "l1" / name))
+        << name;
+  }
 }
 
 TEST(Cli, RunJournalAndResumeFlags) {

@@ -1,7 +1,7 @@
 // The shared kernel runtime (KernelRun) and its per-iteration telemetry:
 // timeline rows attach to the "run algorithm" phase on every system,
 // round-trip through the text log grammar and the fork-isolation pipe,
-// land in the --iter-trace JSONL sidecar, and every capability-advertised
+// render as the --iter-trace JSONL, and every capability-advertised
 // iterative kernel is checkpointable (cancelled mid-kernel -> resumes
 // from the snapshot to the uninterrupted result) while single-pass
 // kernels stay snapshot-free.
@@ -12,10 +12,10 @@
 
 #include <cmath>
 #include <filesystem>
-#include <fstream>
 #include <iterator>
 #include <limits>
 #include <memory>
+#include <sstream>
 #include <string>
 #include <tuple>
 #include <vector>
@@ -381,26 +381,14 @@ TEST(IterTrace, TimelinesSurviveForkIsolation) {
 }
 
 TEST(IterTrace, SidecarJsonlMatchesIterationCounts) {
-  const fs::path dir = fs::temp_directory_path() /
-                       ("epgs_trace_" + std::to_string(::getpid()));
-  auto cfg = trace_config();
-  cfg.iter_trace_dir = dir.string();
-  const auto result = harness::run_experiment(cfg);
+  const auto result = harness::run_experiment(trace_config());
   EXPECT_TRUE(result.warnings.empty()) << result.warnings.front();
 
   std::size_t expected_rows = 0;
   for (const auto& r : result.records) expected_rows += r.timeline.size();
   ASSERT_GT(expected_rows, 0u);
 
-  fs::path sidecar;
-  for (const auto& e : fs::directory_iterator(dir)) {
-    if (e.path().filename().string().rfind("itertrace-", 0) == 0) {
-      sidecar = e.path();
-    }
-  }
-  ASSERT_FALSE(sidecar.empty()) << "no itertrace-*.jsonl written";
-
-  std::ifstream in(sidecar);
+  std::istringstream in(harness::timelines_to_jsonl(result.records));
   std::size_t rows = 0;
   std::string line;
   while (std::getline(in, line)) {
@@ -413,8 +401,7 @@ TEST(IterTrace, SidecarJsonlMatchesIterationCounts) {
     EXPECT_NE(line.find("\"residual\":"), std::string::npos);
   }
   EXPECT_EQ(rows, expected_rows)
-      << "sidecar rows must match in-memory timeline rows";
-  fs::remove_all(dir);
+      << "JSONL rows must match in-memory timeline rows";
 }
 
 TEST(IterTrace, TrajectoryAveragesAcrossTrials) {
