@@ -1,8 +1,9 @@
 // Fig 4: PageRank time (log axis, left) and iteration counts (right).
 // All systems use the homogenized L1 stopping criterion with
 // epsilon = 6e-8 except GraphMat, which "continues to run until none of
-// the vertices' ranks change" — so it posts the most iterations while GAP
-// posts the fewest.
+// the vertices' ranks change" (or, here, until its float ranks repeat
+// those of two iterations back) — so it posts the most iterations while
+// GAP posts the fewest.
 #include "bench_common.hpp"
 
 using namespace epgs;

@@ -2,6 +2,7 @@
 
 #include <filesystem>
 #include <fstream>
+#include <set>
 #include <sstream>
 #include <utility>
 
@@ -214,13 +215,16 @@ RoundReport run_round(const ExperimentConfig& base, const ChaosOptions& opts,
     }
     rep.observations.push_back(std::move(obs));
   }
-  // ...and what the supervisor saw per affected unit.
+  // ...and what the supervisor saw per affected unit. Every row of a
+  // unit carries the unit's provenance, so each unit is reported once.
+  std::set<std::string> reported;
   for (const RunRecord& r : res.records) {
     const std::string unit = r.system + "/" +
                              (r.algorithm.empty() ? r.phase : r.algorithm) +
                              (r.trial >= 0
                                   ? " trial " + std::to_string(r.trial)
                                   : std::string());
+    if (!reported.insert(unit).second) continue;
     if (r.outcome != Outcome::kSuccess) {
       std::string obs = "DNF: " + unit + " " +
                         std::string(outcome_name(r.outcome));

@@ -50,7 +50,9 @@ struct Capabilities {
 /// PageRank configuration. The paper homogenises the stopping criterion to
 /// sum_k |p_k(i) - p_k(i-1)| < epsilon with epsilon = 6e-8 (~machine eps
 /// for single precision); GraphMat ignores epsilon and iterates until no
-/// vertex's rank changes at all (infinity-norm exactly 0).
+/// vertex's rank changes at all (infinity-norm exactly 0) or its ranks
+/// equal, bit for bit, those of two iterations back (a float limit
+/// cycle). max_iterations caps every system.
 struct PageRankParams {
   double damping = 0.85;
   double epsilon = 6e-8;

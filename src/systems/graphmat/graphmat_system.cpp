@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <cmath>
+#include <limits>
 #include <numeric>
 
 #include "core/bitmap.hpp"
@@ -181,9 +182,13 @@ SsspResult GraphMatSystem::do_sssp(vid_t root) {
 }
 
 // ---------------------------------------------------------------------
-// PageRank: SpMV iterations on single-precision ranks, terminating only
-// when NO vertex's rank changes (the infinity-norm-zero criterion the
-// paper calls out). params.epsilon is deliberately unused.
+// PageRank: SpMV iterations on single-precision ranks. The paper's
+// criterion is that NO vertex's rank changes (infinity norm exactly 0);
+// params.epsilon is deliberately unused. In float arithmetic a few
+// vertices can instead alternate by an ulp or two forever, so it also
+// stops when the new ranks equal, bit for bit, the ranks of two
+// iterations back (a period-2 limit cycle; DESIGN.md "GraphMat's
+// PageRank stop"). params.max_iterations still caps both.
 // ---------------------------------------------------------------------
 
 PageRankResult GraphMatSystem::do_pagerank(const PageRankParams& params) {
@@ -193,29 +198,40 @@ PageRankResult GraphMatSystem::do_pagerank(const PageRankParams& params) {
   // and "print output" around the algorithm proper; reproduce both.
   WallTimer init_timer;
   // First-touch arrays: written below by schedule(static) loops before
-  // any gather reads them (rule in core/numa_alloc.hpp).
-  FirstTouchVector<float> rank(n), contrib(n), next(n);
+  // any gather reads them (rule in core/numa_alloc.hpp). prev holds the
+  // ranks one iteration behind rank; none precede the first, so it starts
+  // as NaN, which equals no rank.
+  FirstTouchVector<float> rank(n), prev(n), contrib(n), next(n);
   const float init = n > 0 ? 1.0f / static_cast<float>(n) : 0.0f;
 #pragma omp parallel for schedule(static)
   for (std::int64_t v = 0; v < static_cast<std::int64_t>(n); ++v) {
     rank[static_cast<std::size_t>(v)] = init;
+    prev[static_cast<std::size_t>(v)] = std::numeric_limits<float>::quiet_NaN();
     contrib[static_cast<std::size_t>(v)] = 0.0f;
   }
   log().add(std::string(phase::kEngineInit), init_timer.seconds());
   std::uint64_t edge_work = 0;
 
-  // Snapshot state: the single-precision rank vector plus the
-  // result/work counters. contrib/next are per-iteration scratch.
+  // Snapshot state: the single-precision rank vector and its predecessor
+  // (the cycle test compares against it) plus the result/work counters.
+  // contrib/next are per-iteration scratch.
   KernelRun run(*this, "pagerank", [&](StateFields& f) {
     f.per_vertex(rank);
+    f.per_vertex(prev);
     f.u64(r.iterations);
     f.u64(edge_work);
   });
   run.watch_edges(&edge_work);
   const int start_it = static_cast<int>(run.resumed());
 
+  // Each row's frontier is the number of ranks the previous iteration
+  // changed (n entering the first), taken from the restored vectors on a
+  // resume so its rows match an uninterrupted run's.
+  std::uint64_t changed = 0;
+  for (vid_t v = 0; v < n; ++v) changed += rank[v] != prev[v] ? 1 : 0;
+
   for (int it = start_it; it < params.max_iterations; ++it) {
-    run.iteration(static_cast<std::uint64_t>(it), n);  // SpMV boundary
+    run.iteration(static_cast<std::uint64_t>(it), changed);  // SpMV boundary
     double dangling = 0.0;
 #pragma omp parallel for reduction(+ : dangling) schedule(static)
     for (std::int64_t v = 0; v < static_cast<std::int64_t>(n); ++v) {
@@ -249,14 +265,20 @@ PageRankResult GraphMatSystem::do_pagerank(const PageRankParams& params) {
     }
     edge_work += in_.num_nonzeros();
 
-    bool changed = false;
-#pragma omp parallel for reduction(|| : changed) schedule(static)
+    // One compare pass: no rank changed (fixpoint), or every new rank
+    // equals the one from two iterations back (cycle).
+    changed = 0;
+    std::uint64_t moved = 0;
+#pragma omp parallel for reduction(+ : changed, moved) schedule(static)
     for (std::int64_t v = 0; v < static_cast<std::int64_t>(n); ++v) {
-      changed |= next[v] != rank[v];
+      changed += next[v] != rank[v] ? 1 : 0;
+      moved += next[v] != prev[v] ? 1 : 0;
     }
+    // Rotate prev <- rank <- next; the old prev becomes scratch.
+    prev.swap(rank);
     rank.swap(next);
     ++r.iterations;
-    if (!changed) break;
+    if (changed == 0 || moved == 0) break;
   }
   run.finish();
 

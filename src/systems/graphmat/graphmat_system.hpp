@@ -7,8 +7,11 @@
 //  * PageRank ignores the homogenized L1 epsilon: "GraphMat executes
 //    until no vertices change rank; effectively its stopping criterion
 //    requires the infinity-norm be less than machine epsilon" — ranks are
-//    single-precision and iteration stops only when no rank changes at
-//    all, which is why Fig 4 shows GraphMat with the most iterations.
+//    single-precision and iteration stops when no rank changes at all,
+//    which is why Fig 4 shows GraphMat with the most iterations. It also
+//    stops when the ranks repeat those of two iterations back: a few
+//    float ranks can alternate by an ulp or two forever (DESIGN.md
+//    "GraphMat's PageRank stop").
 #pragma once
 
 #include "systems/common/system.hpp"

@@ -269,6 +269,32 @@ TEST_F(ChaosRun, ReplayedScheduleHoldsTheInvariant) {
   EXPECT_FALSE(render_chaos_report(rep).empty());
 }
 
+TEST_F(ChaosRun, RecoveredUnitIsReportedOnce) {
+  ChaosOptions opts;
+  opts.work_dir = work_.string();
+  opts.max_retries = 2;
+  // A recovered PageRank unit yields several rows (its kernel phase and
+  // the phases around it), each carrying the unit's provenance; the round
+  // must still name the unit once.
+  opts.replay_spec =
+      "epgs-chaos-v1\n"
+      "seed 5\n"
+      "rounds 1\n"
+      "event 0|transient|GAP|pagerank|1|1|write|28||1\n";
+  ExperimentConfig cfg = tiny_config();
+  cfg.algorithms = {Algorithm::kPageRank};
+  const ChaosReport rep = run_chaos(cfg, opts);
+  ASSERT_EQ(rep.rounds.size(), 1u);
+  EXPECT_TRUE(rep.rounds[0].csv_match) << rep.rounds[0].detail;
+  std::vector<std::string> recovered;
+  for (const std::string& obs : rep.rounds[0].observations) {
+    if (obs.starts_with("recovered: ")) recovered.push_back(obs);
+  }
+  ASSERT_EQ(recovered.size(), 1u) << render_chaos_report(rep);
+  EXPECT_NE(recovered[0].find("GAP/PageRank trial 0"), std::string::npos)
+      << recovered[0];
+}
+
 TEST_F(ChaosRun, ForcedViolationIsDetectedAndShrinksToOneEvent) {
   ChaosOptions opts;
   opts.work_dir = work_.string();

@@ -82,11 +82,16 @@ TEST(KernelRunTelemetry, PageRankTimelineMatchesIterationsEverySystem) {
         << system << ": one telemetry row per iteration";
     expect_dense_timeline(entry.timeline, system);
     // Systems with an epsilon stopping criterion report the L1 residual
-    // every iteration; GraphMat iterates until no rank changes and has
-    // no residual notion.
+    // every iteration. GraphMat stops when no rank changes (or its ranks
+    // repeat those of two iterations back) and has no residual notion;
+    // its frontier is the count of ranks the previous iteration changed.
     const bool expects_residual = system != "GraphMat";
     for (const auto& row : entry.timeline) {
       EXPECT_EQ(row.has_residual(), expects_residual) << system;
+    }
+    if (system == "GraphMat") {
+      EXPECT_EQ(entry.timeline.front().frontier, el.num_vertices);
+      EXPECT_LT(entry.timeline.back().frontier, el.num_vertices);
     }
   }
 }
@@ -199,10 +204,12 @@ class KernelCheckpointSweep
   /// each kill point the kernel reaches, cancel it at that completed
   /// iteration, assert a snapshot was left, resume on a fresh instance,
   /// and require the resume to start from the snapshot and to end with
-  /// the uninterrupted result and work counters.
+  /// the uninterrupted result and work counters. The kill points are
+  /// iterations 1 and 2, or with `at_tail` the last two boundaries.
   template <typename Alg>
   void expect_kill_resume(const std::string& system, const SweepInput& in,
-                          const std::string& alg_name, Alg&& alg) {
+                          const std::string& alg_name, Alg&& alg,
+                          bool at_tail = false) {
     const std::string kernel = system + "|" + alg_name + "|" + in.name;
     std::string base;
     WorkStats base_work;
@@ -214,7 +221,10 @@ class KernelCheckpointSweep
       boundaries = algorithm_entry(*sys).timeline.size();
     }
     ASSERT_GT(boundaries, 1u) << kernel << " ends before the first kill point";
-    for (const std::uint64_t kill : {1u, 2u}) {
+    const std::vector<std::uint64_t> kills =
+        at_tail ? std::vector<std::uint64_t>{boundaries - 1, boundaries - 2}
+                : std::vector<std::uint64_t>{1, 2};
+    for (const std::uint64_t kill : kills) {
       if (boundaries <= kill) continue;  // the kernel ends before `kill`
       const std::string key = kernel + "|" + std::to_string(kill);
       {
@@ -302,6 +312,28 @@ INSTANTIATE_TEST_SUITE_P(
     [](const auto& info) {
       return std::get<0>(info.param) + "_" + std::get<1>(info.param);
     });
+
+TEST_F(KernelCheckpointSweep, GraphMatPageRankResumesInsideItsCycleTail) {
+  // GraphMat's PageRank stops when its ranks repeat those of two
+  // iterations back. A kill one boundary before that stop resumes with
+  // the cycle test due at once, so the snapshot must carry the older
+  // vector too, or the resume runs on and ends an iteration late.
+  ThreadScope scope(1);
+  const SweepInput in = sweep_input("kron10");
+  const PageRankParams params;
+  {
+    auto sys = built("GraphMat", in.el);
+    ASSERT_LT(sys->pagerank(params).iterations, params.max_iterations)
+        << "the kernel must stop before the cap for a tail to exist";
+  }
+  expect_kill_resume(
+      "GraphMat", in, "pagerank",
+      [&params](System& s) {
+        const PageRankResult r = s.pagerank(params);
+        return bytes_of(r.rank) + "|" + std::to_string(r.iterations);
+      },
+      /*at_tail=*/true);
+}
 
 TEST_F(KernelCheckpointSweep, SinglePassKernelsLeaveNoSnapshot) {
   // LCC and TC are single-pass: they run to completion under a session

@@ -1,5 +1,6 @@
 // GraphMat-specific behaviour: DCSR storage, the SpMV vertex-program
-// engine, and the infinity-norm PageRank stopping criterion.
+// engine, and the PageRank stopping criterion (infinity norm zero, or a
+// period-2 float cycle).
 #include "systems/graphmat/graphmat_system.hpp"
 
 #include <gtest/gtest.h>
@@ -7,7 +8,10 @@
 #include <algorithm>
 #include <utility>
 
+#include "core/parallel.hpp"
+#include "gen/kronecker.hpp"
 #include "graph/csr.hpp"
+#include "graph/transforms.hpp"
 #include "systems/common/reference.hpp"
 #include "systems/graphmat/dcsr.hpp"
 #include "test_util.hpp"
@@ -163,6 +167,34 @@ TEST(GraphMatSystem, PageRankTerminatesAtFloatFixpoint) {
   params.max_iterations = 1000;
   const auto pr = sys.pagerank(params);
   EXPECT_LT(pr.iterations, 1000) << "must reach an exact float fixpoint";
+}
+
+TEST(GraphMatSystem, PageRankStopsAtItsFloatCycleBeforeTheCap) {
+  // On Kronecker graphs a few ranks alternate by an ulp or two, so "no
+  // rank changed" never holds; the kernel must stop once the ranks repeat
+  // those of two iterations back, not at the 300-iteration cap.
+  for (const int scale : {10, 12}) {
+    gen::KroneckerParams p;
+    p.scale = scale;
+    const EdgeList el = dedupe(symmetrize(gen::kronecker(p)));
+    for (const int threads : {1, 4}) {
+      ThreadScope scope(threads);
+      GraphMatSystem sys;
+      sys.set_edges(el);
+      sys.build();
+      const PageRankParams params;
+      const auto pr = sys.pagerank(params);
+      EXPECT_LT(pr.iterations, params.max_iterations)
+          << "s" << scale << " at " << threads << " threads";
+      // Each row counts the ranks the previous iteration changed.
+      const auto entry = sys.log().find(phase::kAlgorithm);
+      ASSERT_TRUE(entry.has_value());
+      ASSERT_EQ(entry->timeline.size(),
+                static_cast<std::size_t>(pr.iterations));
+      EXPECT_EQ(entry->timeline.front().frontier, el.num_vertices);
+      EXPECT_LT(entry->timeline.back().frontier, el.num_vertices);
+    }
+  }
 }
 
 TEST(GraphMatSystem, SsspViaSemiringMinPlus) {
