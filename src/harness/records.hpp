@@ -52,7 +52,9 @@ struct ExperimentResult {
   /// the run fell back to uncached in-RAM generation.
   bool dataset_degraded = false;
   /// Degradations the run survived, one full sentence each, in this
-  /// order: the dataset cache fell back to in-RAM generation, journaling
+  /// order: the dataset cache fell back to in-RAM generation, a unit's
+  /// checkpoint session rejected a snapshot, could not use its directory
+  /// or failed a save (one per unit key, in run order), journaling
   /// stopped mid-sweep (a --resume re-runs the unjournaled tail), thread
   /// pinning was refused. Results are complete whatever this holds.
   std::vector<std::string> warnings;

@@ -64,14 +64,16 @@ struct SweepOracle {
 
 /// Execute one system's slice of the plan. Everything decided up front
 /// lives in `sp`; this function only drives the adapter through the
-/// supervisor and hands each unit's report to the collector.
+/// supervisor, hands each unit's report to the collector and appends a
+/// unit's checkpoint degradation to `warnings`.
 void execute_system_plan(const ExperimentConfig& cfg,
                          const std::string& fingerprint,
                          const SweepPlan& plan, const SystemPlan& sp,
                          const EdgeList& el, const std::vector<vid_t>& roots,
                          const SweepOracle& oracle,
                          RecordCollector& collector,
-                         Xoshiro256& backoff_rng) {
+                         Xoshiro256& backoff_rng,
+                         std::vector<std::string>& warnings) {
   const SupervisorOptions& sup = cfg.supervisor;
   const bool file_mode = plan.data_path == DataPath::kNativeFile;
 
@@ -257,6 +259,13 @@ void execute_system_plan(const ExperimentConfig& cfg,
 
     TrialReport rep = supervise_unit(unit, unit_opts, backoff_rng,
                                      session ? &*session : nullptr);
+    // A rejected snapshot, an unusable directory or a failed save
+    // degrades the unit's checkpointing, never its result: say so once
+    // per unit. An isolated child's session is a copy, so what it
+    // rejects stays in the child.
+    if (session && !session->warning().empty()) {
+      warnings.push_back(t.key + ": " + session->warning());
+    }
     // A failure that left a snapshot behind is resumable: its report
     // names the snapshot's iteration, and --resume re-runs the unit from
     // there instead of trusting the journaled failure. Peek the file — a
@@ -364,7 +373,7 @@ ExperimentResult run_experiment(const ExperimentConfig& cfg,
   for (const SystemPlan& sp : plan.systems) {
     if (interrupt_requested()) break;  // flush what finished, stop cleanly
     execute_system_plan(cfg, fingerprint, plan, sp, el, result.roots,
-                        oracle, collector, backoff_rng);
+                        oracle, collector, backoff_rng, result.warnings);
   }
 
   if (!collector.journal_warning().empty()) {

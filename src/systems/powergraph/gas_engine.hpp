@@ -5,10 +5,13 @@
 // (the communication PowerGraph pays for its vertex-cut), then each
 // partition gathers over its local edges into partial accumulators, the
 // master merges partials and applies, and scatter signals neighbours of
-// changed vertices for the next superstep. The per-superstep
-// sync/merge/hash-lookup machinery is the fixed overhead that makes
+// changed vertices for the next superstep. The per-superstep broadcast,
+// partial gathers and master merge are the fixed overhead that makes
 // PowerGraph the slowest system on the paper's small graphs while its
-// partitioning wins on dense, high-degree inputs.
+// partitioning wins on dense, high-degree inputs. Like PowerGraph, which
+// maps global ids to local ones only at ingress, the engine addresses
+// every replica by its local vertex id: a replica table built with the
+// local graphs lists each vertex's (partition, local id) pairs.
 //
 // A Program must define:
 //   using VData  = ...;   // per-vertex state
@@ -21,10 +24,10 @@
 //   bool apply(VData& v, const Gather& acc, bool any_gather) const;
 #pragma once
 
-#include <algorithm>
 #include <cstdint>
 #include <functional>
-#include <unordered_map>
+#include <span>
+#include <utility>
 #include <vector>
 
 #include "core/bitmap.hpp"
@@ -40,6 +43,13 @@ struct EngineCounters {
   std::uint64_t scatter_signals = 0;
   std::uint64_t sync_copies = 0;
   int supersteps = 0;
+};
+
+/// One replica of a vertex: the partition holding it and its local id
+/// there.
+struct Replica {
+  std::uint8_t part;
+  vid_t lid;
 };
 
 template <typename Program>
@@ -110,11 +120,9 @@ class GasEngine {
       pending[gv] = 0;
       Gather acc = prog_.gather_init();
       bool any = false;
-      for (const std::uint8_t p : vc_.replicas_of(gv)) {
-        auto& lg = locals_[p];
-        const auto it = lg.g2l.find(gv);
-        if (it == lg.g2l.end()) continue;
-        const vid_t lv = it->second;
+      for (const Replica& r : replicas(gv)) {
+        const auto& lg = locals_[r.part];
+        const vid_t lv = r.lid;
         for (eid_t e = lg.in_offsets[lv]; e < lg.in_offsets[lv + 1]; ++e) {
           prog_.gather(master_[lg.vertices[lg.in_src[e]]], lg.in_w[e],
                        acc);
@@ -134,11 +142,9 @@ class GasEngine {
       ++processed;
       if (!prog_.apply(master_[gv], acc, any)) continue;
       // Scatter: enqueue neighbours not already pending.
-      for (const std::uint8_t p : vc_.replicas_of(gv)) {
-        auto& lg = locals_[p];
-        const auto it = lg.g2l.find(gv);
-        if (it == lg.g2l.end()) continue;
-        const vid_t lv = it->second;
+      for (const Replica& r : replicas(gv)) {
+        const auto& lg = locals_[r.part];
+        const vid_t lv = r.lid;
         for (eid_t e = lg.out_offsets[lv]; e < lg.out_offsets[lv + 1];
              ++e) {
           const vid_t nbr = lg.vertices[lg.out_dst[e]];
@@ -164,8 +170,8 @@ class GasEngine {
     return processed;
   }
 
-  /// One synchronous superstep over `active`; returns the next active set
-  /// (deduplicated, sorted).
+  /// One synchronous superstep over `active` (no vertex twice); returns
+  /// the next active set (deduplicated, sorted).
   std::vector<vid_t> superstep(const std::vector<vid_t>& active) {
     const vid_t n = vc_.num_vertices();
     const int np = vc_.num_partitions();
@@ -187,24 +193,35 @@ class GasEngine {
 #pragma omp parallel for schedule(dynamic, 1) reduction(+ : gathered)
     for (int p = 0; p < np; ++p) {
       auto& lg = locals_[static_cast<std::size_t>(p)];
-      lg.acc.assign(lg.vertices.size(), prog_.gather_init());
-      lg.any.assign(lg.vertices.size(), 0);
-      for (const vid_t gv : active) {
-        const auto it = lg.g2l.find(gv);
-        if (it == lg.g2l.end()) continue;
-        const vid_t lv = it->second;
+      const auto nl = static_cast<vid_t>(lg.vertices.size());
+      lg.acc.assign(nl, prog_.gather_init());
+      lg.any.assign(nl, 0);
+      // Gather into a local and mark any[] once per vertex: a byte store
+      // inside the edge loop may alias every array it reads.
+      const auto gather_at = [&](vid_t lv) {
+        Gather acc = std::move(lg.acc[lv]);
+        eid_t edges = lg.in_offsets[lv + 1] - lg.in_offsets[lv];
         for (eid_t e = lg.in_offsets[lv]; e < lg.in_offsets[lv + 1]; ++e) {
-          prog_.gather(lg.mirror[lg.in_src[e]], lg.in_w[e], lg.acc[lv]);
-          lg.any[lv] = 1;
-          ++gathered;
+          prog_.gather(lg.mirror[lg.in_src[e]], lg.in_w[e], acc);
         }
         if constexpr (Program::gather_both) {
+          edges += lg.out_offsets[lv + 1] - lg.out_offsets[lv];
           for (eid_t e = lg.out_offsets[lv]; e < lg.out_offsets[lv + 1];
                ++e) {
-            prog_.gather(lg.mirror[lg.out_dst[e]], lg.out_w[e], lg.acc[lv]);
-            lg.any[lv] = 1;
-            ++gathered;
+            prog_.gather(lg.mirror[lg.out_dst[e]], lg.out_w[e], acc);
           }
+        }
+        lg.acc[lv] = std::move(acc);
+        if (edges > 0) lg.any[lv] = 1;
+        gathered += edges;
+      };
+      if (active.size() == n) {
+        // Every vertex is active, so every local vertex is.
+        for (vid_t lv = 0; lv < nl; ++lv) gather_at(lv);
+      } else {
+        for (const vid_t gv : active) {
+          const vid_t lv = local_id(gv, p);
+          if (lv != kNoVertex) gather_at(lv);
         }
       }
     }
@@ -223,12 +240,10 @@ class GasEngine {
         const vid_t gv = active[static_cast<std::size_t>(i)];
         Gather merged = prog_.gather_init();
         bool any = false;
-        for (const std::uint8_t p : vc_.replicas_of(gv)) {
-          const auto& lg = locals_[p];
-          const auto it = lg.g2l.find(gv);
-          if (it == lg.g2l.end()) continue;
-          if (lg.any[it->second]) {
-            prog_.combine(merged, lg.acc[it->second]);
+        for (const Replica& r : replicas(gv)) {
+          const auto& lg = locals_[r.part];
+          if (lg.any[r.lid]) {
+            prog_.combine(merged, lg.acc[r.lid]);
             any = true;
           }
         }
@@ -246,9 +261,8 @@ class GasEngine {
     for (int p = 0; p < np; ++p) {
       auto& lg = locals_[static_cast<std::size_t>(p)];
       for (const vid_t gv : changed) {
-        const auto it = lg.g2l.find(gv);
-        if (it == lg.g2l.end()) continue;
-        const vid_t lv = it->second;
+        const vid_t lv = local_id(gv, p);
+        if (lv == kNoVertex) continue;
         for (eid_t e = lg.out_offsets[lv]; e < lg.out_offsets[lv + 1]; ++e) {
           signalled.set_atomic(lg.vertices[lg.out_dst[e]]);
           ++signals;
@@ -281,9 +295,8 @@ class GasEngine {
     for (int p = 0; p < vc_.num_partitions(); ++p) {
       auto& lg = locals_[static_cast<std::size_t>(p)];
       for (const vid_t gv : changed) {
-        const auto it = lg.g2l.find(gv);
-        if (it == lg.g2l.end()) continue;
-        const vid_t lv = it->second;
+        const vid_t lv = local_id(gv, p);
+        if (lv == kNoVertex) continue;
         for (eid_t e = lg.out_offsets[lv]; e < lg.out_offsets[lv + 1]; ++e) {
           signalled.set_atomic(lg.vertices[lg.out_dst[e]]);
           ++signals;
@@ -309,11 +322,22 @@ class GasEngine {
     return v;
   }
 
+  /// Vertex gv's replicas in VertexCut::replicas_of order, master first;
+  /// empty for an isolated vertex.
+  [[nodiscard]] std::span<const Replica> replicas(vid_t gv) const {
+    return std::span<const Replica>(rep_).subspan(
+        rep_begin_[gv], rep_begin_[gv + 1] - rep_begin_[gv]);
+  }
+
+  /// Global ids of partition p's local vertices, indexed by local id.
+  [[nodiscard]] const std::vector<vid_t>& local_vertices(int p) const {
+    return locals_[static_cast<std::size_t>(p)].vertices;
+  }
+
  private:
   /// Partition-local adjacency with local vertex ids.
   struct LocalGraph {
     std::vector<vid_t> vertices;  // global ids present on this partition
-    std::unordered_map<vid_t, vid_t> g2l;
     std::vector<eid_t> in_offsets, out_offsets;
     std::vector<vid_t> in_src, out_dst;  // local ids
     std::vector<weight_t> in_w, out_w;
@@ -322,39 +346,56 @@ class GasEngine {
     std::vector<std::uint8_t> any;
   };
 
+  /// gv's local id on partition p, or kNoVertex when p holds no replica
+  /// of gv: a scan of at most num_partitions() entries.
+  [[nodiscard]] vid_t local_id(vid_t gv, int p) const {
+    for (const Replica& r : replicas(gv)) {
+      if (r.part == p) return r.lid;
+    }
+    return kNoVertex;
+  }
+
   void build_local_graphs() {
+    const vid_t n = vc_.num_vertices();
     const int np = vc_.num_partitions();
     locals_.resize(static_cast<std::size_t>(np));
+
+    // The replica table. Local ids follow ascending *global* id, so
+    // vertex v's local id on partition p is the number of vertices below
+    // v replicated on p, and one pass in global order assigns them all.
+    // Local id order never changes results (per-vertex gather order is
+    // edge order and master merge order is replica order, both
+    // id-independent) — it only fixes the memory layout. Ascending ids
+    // make the master -> mirror broadcast read master_[] monotonically,
+    // so each cache block of master state is consumed whole.
+    rep_begin_.resize(static_cast<std::size_t>(n) + 1);
+    rep_begin_[0] = 0;
+    for (vid_t v = 0; v < n; ++v) {
+      rep_begin_[v + 1] = rep_begin_[v] + vc_.replicas_of(v).size();
+    }
+    rep_.resize(rep_begin_[n]);
+    for (vid_t v = 0; v < n; ++v) {
+      Replica* r = rep_.data() + rep_begin_[v];
+      for (const std::uint8_t p : vc_.replicas_of(v)) {
+        auto& vertices = locals_[p].vertices;
+        *r++ = Replica{p, static_cast<vid_t>(vertices.size())};
+        vertices.push_back(v);
+      }
+    }
+
     // Partitions are independent, so their local CSR builds run in
     // parallel; dynamic rides out the skew in partition edge counts.
 #pragma omp parallel for schedule(dynamic, 1)
     for (int p = 0; p < np; ++p) {
       auto& lg = locals_[static_cast<std::size_t>(p)];
       const auto& edges = vc_.edges_of(p);
-
-      // Collect the partition's vertex set, then assign local ids in
-      // ascending *global* order. Local id order never changes results
-      // (per-vertex gather order is edge order and master merge order
-      // is replica order, both id-independent) — it only fixes the
-      // memory layout. Ascending ids make the master -> mirror
-      // broadcast read master_[] monotonically, so each cache block of
-      // master state is consumed whole instead of being re-fetched in
-      // first-encounter order.
-      for (const auto& e : edges) {
-        if (lg.g2l.emplace(e.src, 0).second) lg.vertices.push_back(e.src);
-        if (lg.g2l.emplace(e.dst, 0).second) lg.vertices.push_back(e.dst);
-      }
-      std::sort(lg.vertices.begin(), lg.vertices.end());
-      for (std::size_t lv = 0; lv < lg.vertices.size(); ++lv) {
-        lg.g2l[lg.vertices[lv]] = static_cast<vid_t>(lv);
-      }
       const auto nl = static_cast<vid_t>(lg.vertices.size());
       lg.mirror.resize(nl);
 
       std::vector<eid_t> in_count(nl, 0), out_count(nl, 0);
       for (const auto& e : edges) {
-        ++out_count[lg.g2l[e.src]];
-        ++in_count[lg.g2l[e.dst]];
+        ++out_count[local_id(e.src, p)];
+        ++in_count[local_id(e.dst, p)];
       }
       parallel_exclusive_prefix_sum(in_count, lg.in_offsets);
       parallel_exclusive_prefix_sum(out_count, lg.out_offsets);
@@ -366,7 +407,7 @@ class GasEngine {
       std::vector<eid_t> oc(lg.out_offsets.begin(),
                             lg.out_offsets.end() - 1);
       for (const auto& e : edges) {
-        const vid_t ls = lg.g2l[e.src], ld = lg.g2l[e.dst];
+        const vid_t ls = local_id(e.src, p), ld = local_id(e.dst, p);
         lg.in_src[ic[ld]] = ls;
         lg.in_w[ic[ld]++] = e.w;
         lg.out_dst[oc[ls]] = ld;
@@ -379,6 +420,8 @@ class GasEngine {
   Program prog_;
   std::vector<VData> master_;
   std::vector<LocalGraph> locals_;
+  std::vector<Replica> rep_;      // every vertex's replicas, by vertex
+  std::vector<eid_t> rep_begin_;  // v's are rep_[rep_begin_[v], [v + 1])
   EngineCounters counters_;
   const CancellationToken* cancel_ = nullptr;
 };

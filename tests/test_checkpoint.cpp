@@ -20,6 +20,7 @@
 #include "core/cancellation.hpp"
 #include "core/error.hpp"
 #include "core/parallel.hpp"
+#include "harness/runner.hpp"
 #include "harness/supervisor.hpp"
 #include "systems/common/fault_injection.hpp"
 #include "systems/common/registry.hpp"
@@ -475,6 +476,39 @@ TEST_F(CheckpointDir, RejectedPageRankSnapshotLeavesFreshStateOnEverySystem) {
                           base.rank.size() * sizeof(double)),
               0)
         << system << ": a rejected snapshot leaked into the restart";
+  }
+}
+
+TEST_F(CheckpointDir, SweepWarnsOnceNamingTheUnitOfARejectedSnapshot) {
+  // A snapshot under trial 0's unit, stage and fingerprint whose field
+  // list does not match the kernel's: the sweep restarts the unit and
+  // reports the rejection once, naming the unit; trial 1 stays quiet.
+  harness::ExperimentConfig cfg;
+  cfg.graph.kind = harness::GraphSpec::Kind::kKronecker;
+  cfg.graph.scale = 6;
+  cfg.graph.edgefactor = 8;
+  cfg.systems = {"GAP"};
+  cfg.algorithms = {harness::Algorithm::kPageRank};
+  cfg.num_roots = 2;
+  cfg.threads = 1;
+  cfg.supervisor.checkpoint_dir = dir_.string();
+  CheckpointConfig planted = config("GAP|PageRank|0");
+  planted.fingerprint = harness::config_fingerprint(cfg);
+  {
+    CheckpointSession planter(planted);
+    std::int64_t junk = 7;
+    (void)planter.begin("pagerank", [&](StateFields& f) { f.i64(junk); });
+    ASSERT_TRUE(planter.tick(1));
+    planter.detach();
+  }
+
+  const harness::ExperimentResult result = harness::run_experiment(cfg);
+  ASSERT_EQ(result.warnings.size(), 1u);
+  EXPECT_TRUE(result.warnings[0].starts_with(
+      "GAP|PageRank|0: checkpoint snapshot invalidated"))
+      << result.warnings[0];
+  for (const auto& r : result.records) {
+    EXPECT_EQ(r.outcome, Outcome::kSuccess) << r.system << " " << r.phase;
   }
 }
 

@@ -1,11 +1,15 @@
 // GAS engine unit tests: superstep semantics, mirror synchronisation,
-// scatter seeding, and counters — independent of any full algorithm.
+// the replica table, scatter seeding, and counters — independent of any
+// full algorithm.
 #include "systems/powergraph/gas_engine.hpp"
 
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <functional>
 
+#include "gen/kronecker.hpp"
+#include "graph/transforms.hpp"
 #include "test_util.hpp"
 
 namespace epgs::systems::powergraph_detail {
@@ -109,6 +113,40 @@ TEST(GasEngine, CountersAccumulate) {
   for (vid_t v = 0; v < 16; ++v) replicas += vc.replicas_of(v).size();
   EXPECT_EQ(c.sync_copies,
             replicas * static_cast<std::uint64_t>(c.supersteps));
+}
+
+TEST(GasEngine, ReplicaTableIndexesEveryLocalVertex) {
+  gen::KroneckerParams kp;
+  kp.scale = 8;
+  kp.edgefactor = 8;
+  const auto el = dedupe(symmetrize(gen::kronecker(kp)));
+  const auto vc = VertexCut::build(el, 4);
+  GasEngine<MinProgram> engine(vc, MinProgram{});
+
+  // Walking vertices in global order, each entry (p, lid) must be the
+  // next local id on p: local ids ascend with global id.
+  std::vector<vid_t> next_lid(4, 0);
+  for (vid_t v = 0; v < vc.num_vertices(); ++v) {
+    const auto reps = engine.replicas(v);
+    const auto& parts = vc.replicas_of(v);
+    ASSERT_EQ(reps.size(), parts.size()) << v;
+    if (!reps.empty()) EXPECT_EQ(reps.front().part, vc.master_of(v)) << v;
+    for (std::size_t i = 0; i < reps.size(); ++i) {
+      const Replica& r = reps[i];
+      EXPECT_EQ(r.part, parts[i]) << v;
+      const auto& local = engine.local_vertices(r.part);
+      ASSERT_LT(r.lid, local.size()) << v;
+      EXPECT_EQ(local[r.lid], v);
+      EXPECT_EQ(r.lid, next_lid[r.part]++) << v;
+    }
+  }
+  for (int p = 0; p < 4; ++p) {
+    const auto& local = engine.local_vertices(p);
+    EXPECT_EQ(local.size(), next_lid[static_cast<std::size_t>(p)]) << p;
+    EXPECT_EQ(std::ranges::adjacent_find(local, std::greater_equal<>()),
+              local.end())
+        << "partition " << p << " local ids do not ascend";
+  }
 }
 
 TEST(GasEngineAsync, ConvergesToSameFixpointAsSync) {

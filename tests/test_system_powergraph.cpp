@@ -5,7 +5,9 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <cstring>
 
+#include "core/parallel.hpp"
 #include "gen/datasets.hpp"
 #include "gen/kronecker.hpp"
 #include "graph/csr.hpp"
@@ -181,6 +183,60 @@ TEST(PowerGraphSystem, GatherScatterCountersNonZero) {
   ASSERT_TRUE(alg.has_value());
   EXPECT_GT(alg->work.edges_processed, 0u);
   EXPECT_GT(alg->work.vertex_updates, 0u) << "mirror syncs must be counted";
+}
+
+TEST(PowerGraphSystem, ResultsBitIdenticalAcrossThreadCounts) {
+  // The auto partition count is 4 at 1, 2 and 4 threads, so the cut,
+  // the local ids and every gather and merge order are the same: the
+  // thread count must not change a bit of any result or work counter.
+  gen::KroneckerParams kp;
+  kp.scale = 10;
+  const auto el =
+      with_random_weights(dedupe(symmetrize(gen::kronecker(kp))), 7, 63);
+  struct Outputs {
+    std::vector<weight_t> dist;
+    std::vector<double> rank;
+    std::vector<vid_t> label;
+    std::vector<WorkStats> work;
+  };
+  const auto run_at = [&](int threads) {
+    ThreadScope scope(threads);
+    PowerGraphSystem sys;
+    sys.set_edges(el);
+    sys.build();
+    EXPECT_EQ(sys.partitioning().num_partitions(), 4) << threads;
+    Outputs o;
+    const auto work = [&] {
+      o.work.push_back(sys.log().entries().back().work);
+    };
+    o.dist = sys.sssp(1).dist;
+    work();
+    o.rank = sys.pagerank().rank;
+    work();
+    o.label = sys.wcc().component;
+    work();
+    return o;
+  };
+  const Outputs base = run_at(1);
+  for (const int threads : {2, 4}) {
+    const Outputs o = run_at(threads);
+    ASSERT_EQ(o.dist.size(), base.dist.size());
+    EXPECT_EQ(std::memcmp(o.dist.data(), base.dist.data(),
+                          base.dist.size() * sizeof(weight_t)),
+              0)
+        << "SSSP at " << threads << " threads";
+    ASSERT_EQ(o.rank.size(), base.rank.size());
+    EXPECT_EQ(std::memcmp(o.rank.data(), base.rank.data(),
+                          base.rank.size() * sizeof(double)),
+              0)
+        << "PageRank at " << threads << " threads";
+    EXPECT_EQ(o.label, base.label) << "WCC at " << threads << " threads";
+    for (std::size_t i = 0; i < base.work.size(); ++i) {
+      EXPECT_EQ(o.work[i].edges_processed, base.work[i].edges_processed) << i;
+      EXPECT_EQ(o.work[i].vertex_updates, base.work[i].vertex_updates) << i;
+      EXPECT_EQ(o.work[i].bytes_touched, base.work[i].bytes_touched) << i;
+    }
+  }
 }
 
 }  // namespace
