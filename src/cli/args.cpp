@@ -26,14 +26,16 @@ Args Args::parse(const std::vector<std::string>& argv,
     const std::string& tok = argv[i];
     if (tok.rfind("--", 0) == 0) {
       std::string key = tok.substr(2);
-      EPGS_CHECK(!key.empty(), "bare '--' is not a valid option");
+      if (key.empty()) throw EpgsError("bare '--' is not a valid option");
       const std::size_t eq = key.find('=');
       if (eq != std::string::npos) {
         args.options_[key.substr(0, eq)] = key.substr(eq + 1);
       } else if (is_flag(key)) {
         args.options_[key] = "";
       } else {
-        EPGS_CHECK(i + 1 < argv.size(), "--" + key + " expects a value");
+        if (i + 1 == argv.size()) {
+          throw EpgsError("--" + key + " expects a value");
+        }
         args.options_[key] = argv[++i];
       }
     } else {

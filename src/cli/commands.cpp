@@ -740,9 +740,8 @@ int dispatch(const std::vector<std::string>& argv, std::ostream& out,
     return 2;
   }
   const std::string& cmd = argv[0];
-  const Args args =
-      Args::parse({argv.begin() + 1, argv.end()});
   try {
+    const Args args = Args::parse({argv.begin() + 1, argv.end()});
     if (cmd == "generate") return cmd_generate(args, out);
     if (cmd == "homogenize") return cmd_homogenize(args, out);
     if (cmd == "prepare") return cmd_prepare(args, out);

@@ -70,6 +70,11 @@ class Bitmap {
     return words_[w].load(std::memory_order_relaxed);
   }
 
+  /// Overwrite word `w`; single writer per word only.
+  void set_word(std::size_t w, std::uint64_t bits) {
+    words_[w].store(bits, std::memory_order_relaxed);
+  }
+
   void swap(Bitmap& other) noexcept {
     words_.swap(other.words_);
     std::swap(num_bits_, other.num_bits_);

@@ -3,10 +3,12 @@
 // GraphMat "reduces computation to sparse matrix operations" and stores
 // the adjacency matrix doubly compressed: only rows with at least one
 // nonzero are materialised (row-id array + offsets), which saves space on
-// hypersparse partitions but means every matrix-vector step walks the
-// whole compressed structure — the overhead the paper sees on small/sparse
-// inputs ("the overhead of the sparse matrix operations ... may pay off
-// for larger datasets").
+// hypersparse partitions. The price is a dense scan per compressed row,
+// not per edge: every BFS/SSSP epoch tests each stored row's source
+// against the active set, and the SpMV kernels (PageRank, WCC) walk the
+// whole structure — the overhead the paper sees on small/sparse inputs
+// ("the overhead of the sparse matrix operations ... may pay off for
+// larger datasets").
 #pragma once
 
 #include <span>

@@ -118,13 +118,13 @@ BfsResult GraphMatSystem::do_bfs(vid_t root) {
   });
   run.watch_edges(&stats.edges_scanned);
 
-  // Each SpMV epoch ticks the scope: checkpoint boundary + one
+  // Each SpMSpV epoch ticks the scope: checkpoint boundary + one
   // telemetry row carrying the active count.
   const std::function<void(int, std::uint64_t)> epoch_hook =
       [&run](int it, std::uint64_t active_count) {
         run.iteration(static_cast<std::uint64_t>(it), active_count);
       };
-  run_graph_program(BfsProgram{}, in_, states, active,
+  run_graph_program(BfsProgram{}, out_, states, active,
                     static_cast<int>(n) + 1, stats, cancellation(),
                     &epoch_hook);
   run.finish();
@@ -164,7 +164,7 @@ SsspResult GraphMatSystem::do_sssp(vid_t root) {
       [&run](int it, std::uint64_t active_count) {
         run.iteration(static_cast<std::uint64_t>(it), active_count);
       };
-  run_graph_program(SsspProgram{}, in_, states, active,
+  run_graph_program(SsspProgram{}, out_, states, active,
                     static_cast<int>(n) + 1, stats, cancellation(),
                     &epoch_hook);
   run.finish();

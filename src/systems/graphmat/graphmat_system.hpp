@@ -1,7 +1,9 @@
 // GraphMat re-implementation.
 //
-// Algorithms are expressed as vertex programs executed by the SpMV engine
-// over DCSR storage. Notable faithful behaviours:
+// Algorithms are expressed as vertex programs over DCSR storage: BFS and
+// SSSP run on the SpMSpV engine (engine.hpp) over A, pushing from active
+// sources only; PageRank, CDLP, LCC and WCC gather over A^T and A.
+// Notable faithful behaviours:
 //  * construction is separable (the Table I log excerpt shows GraphMat's
 //    own "load graph" phase distinct from "file read");
 //  * PageRank ignores the homogenized L1 epsilon: "GraphMat executes

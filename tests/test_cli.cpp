@@ -98,6 +98,24 @@ TEST(Cli, UnknownOptionRejected) {
   EXPECT_NE(out.find("--scael"), std::string::npos);
 }
 
+TEST(Cli, MalformedOptionExitsOneWithMessage) {
+  // A value-taking option given last, and a bare '--', fail in the
+  // parser itself; they exit 1 with a message like a bad value does.
+  std::string out;
+  EXPECT_EQ(run_cli({"run", "--scale"}, &out), 1);
+  EXPECT_NE(out.find("epg run: --scale expects a value"), std::string::npos)
+      << out;
+  EXPECT_EQ(run_cli({"tune", "--verbose"}, &out), 1);
+  EXPECT_NE(out.find("epg tune: --verbose expects a value"),
+            std::string::npos)
+      << out;
+  EXPECT_EQ(run_cli({"run", "--"}, &out), 1);
+  EXPECT_NE(out.find("bare '--' is not a valid option"), std::string::npos)
+      << out;
+  EXPECT_EQ(run_cli({"run", "--scale", "x"}, &out), 1);
+  EXPECT_NE(out.find("epg run: --scale expects"), std::string::npos) << out;
+}
+
 TEST(Cli, GenerateWritesSnap) {
   TempDir dir;
   const auto out_path = (dir.path() / "g.snap").string();

@@ -1,4 +1,4 @@
-// GraphMat-specific behaviour: DCSR storage, the SpMV vertex-program
+// GraphMat-specific behaviour: DCSR storage, the SpMSpV vertex-program
 // engine, and the PageRank stopping criterion (infinity norm zero, or a
 // period-2 float cycle).
 #include "systems/graphmat/graphmat_system.hpp"
@@ -6,13 +6,16 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <cstring>
 #include <utility>
 
 #include "core/parallel.hpp"
+#include "core/rng.hpp"
 #include "gen/kronecker.hpp"
 #include "graph/csr.hpp"
 #include "graph/transforms.hpp"
 #include "systems/common/reference.hpp"
+#include "systems/graph500/graph500_system.hpp"
 #include "systems/graphmat/dcsr.hpp"
 #include "test_util.hpp"
 
@@ -211,9 +214,40 @@ TEST(GraphMatSystem, SsspViaSemiringMinPlus) {
   EXPECT_FLOAT_EQ(r.dist[3], 3.0f);
 }
 
-TEST(GraphMatSystem, FullMatrixScanCostModel) {
-  // The engine walks the whole compressed structure per iteration: BFS on
-  // a length-L path must report edge work ~ L * nnz, not ~ nnz.
+// ---------------------------------------------------------------------
+// The SpMSpV engine: BFS and SSSP push from active sources along rows of
+// A, each destination tile on one thread.
+// ---------------------------------------------------------------------
+
+std::uint64_t algorithm_edges(const System& sys) {
+  const auto alg = sys.log().find(phase::kAlgorithm);
+  return alg.has_value() ? alg->work.edges_processed : 0;
+}
+
+EdgeList kron_graph(int scale, bool symmetric, bool weighted) {
+  gen::KroneckerParams p;
+  p.scale = scale;
+  EdgeList el = gen::kronecker(p);
+  if (symmetric) el = symmetrize(el);
+  el = dedupe(std::move(el));
+  return weighted ? with_random_weights(el, 7, 255) : el;
+}
+
+/// Roots with at least two out-edges, spread over the id range.
+std::vector<vid_t> busy_roots(const EdgeList& el, int count) {
+  const CSRGraph g = CSRGraph::from_edges(el);
+  std::vector<vid_t> roots;
+  for (vid_t v = 0; v < g.num_vertices() &&
+                    roots.size() < static_cast<std::size_t>(count);
+       v += 37) {
+    if (g.degree(v) >= 2) roots.push_back(v);
+  }
+  return roots;
+}
+
+TEST(GraphMatEngine, PushesEachReachedEdgeOnce) {
+  // A BFS source is active in exactly one epoch, so a length-L path
+  // reports its nnz edges over L epochs, not ~ L * nnz.
   const vid_t n = 32;
   GraphMatSystem sys;
   sys.set_edges(test::line_graph(n));
@@ -221,9 +255,136 @@ TEST(GraphMatSystem, FullMatrixScanCostModel) {
   (void)sys.bfs(0);
   const auto alg = sys.log().find(phase::kAlgorithm);
   ASSERT_TRUE(alg.has_value());
-  const auto nnz = 2u * (n - 1);
-  EXPECT_GT(alg->work.edges_processed, static_cast<std::uint64_t>(nnz) * (n / 2))
-      << "GraphMat's dense-scan overhead should be visible in the counters";
+  EXPECT_EQ(alg->work.edges_processed, std::uint64_t{2} * (n - 1));
+  EXPECT_EQ(alg->timeline.size(), static_cast<std::size_t>(n));
+}
+
+TEST(GraphMatEngine, BfsEdgesEqualGraph500sOnKronecker) {
+  // Both scan the out-edges of every reached vertex once, whatever the
+  // thread count: a tile's row segments add up to the row.
+  const EdgeList el = kron_graph(10, /*symmetric=*/true, /*weighted=*/false);
+  for (const vid_t root : busy_roots(el, 3)) {
+    for (const int threads : {1, 4}) {
+      ThreadScope scope(threads);
+      GraphMatSystem gm;
+      gm.set_edges(el);
+      gm.build();
+      (void)gm.bfs(root);
+      Graph500System g5;
+      g5.set_edges(el);
+      g5.build();
+      (void)g5.bfs(root);
+      EXPECT_GT(algorithm_edges(gm), 0u);
+      EXPECT_EQ(algorithm_edges(gm), algorithm_edges(g5))
+          << "root " << root << " at " << threads << " threads";
+    }
+  }
+}
+
+TEST(GraphMatEngine, PushesAlongOutEdgesOfADirectedGraph) {
+  // 2 -> 0 is an in-edge of the root: reading A^T's orientation would
+  // reach 2, and would give 1 the reverse edge's weight.
+  EdgeList el;
+  el.num_vertices = 4;
+  el.directed = true;
+  el.weighted = true;
+  el.edges = {Edge{0, 1, 5.0f}, Edge{1, 0, 1.0f}, Edge{2, 0, 1.0f},
+              Edge{1, 3, 2.0f}};
+  for (const int threads : {1, 4}) {
+    ThreadScope scope(threads);
+    GraphMatSystem sys;
+    sys.set_edges(el);
+    sys.build();
+    EXPECT_EQ(sys.bfs(0).parent,
+              (std::vector<vid_t>{0, 0, kNoVertex, 1}));
+    const auto r = sys.sssp(0);
+    EXPECT_EQ(r.dist[1], 5.0f);
+    EXPECT_EQ(r.dist[2], kInfDist);
+    EXPECT_EQ(r.dist[3], 7.0f);
+  }
+}
+
+TEST(GraphMatEngine, DirectedWeightedKroneckerMatchesOracles) {
+  const EdgeList el = kron_graph(10, /*symmetric=*/false, /*weighted=*/true);
+  const CSRGraph out = CSRGraph::from_edges(el);
+  for (const int threads : {1, 4}) {
+    ThreadScope scope(threads);
+    GraphMatSystem sys;
+    sys.set_edges(el);
+    sys.build();
+    for (const vid_t root : busy_roots(el, 3)) {
+      EXPECT_EQ(sys.bfs(root).levels(), ref::bfs_levels(out, root))
+          << "root " << root << " at " << threads << " threads";
+      // Integer weights sum exactly in float, in any order.
+      EXPECT_EQ(sys.sssp(root).dist, ref::dijkstra(out, root))
+          << "root " << root << " at " << threads << " threads";
+    }
+  }
+}
+
+TEST(GraphMatEngine, ThreadedResultsAreBitIdentical) {
+  // The (depth, sender) min and the min-plus reduce do not depend on the
+  // order a tile sees its sources in, so 2 and 4 tiles (and a last tile
+  // narrower than the others) give 1 tile's answers bit for bit.
+  const std::vector<EdgeList> graphs = {
+      kron_graph(10, true, false), kron_graph(10, false, true),
+      test::line_graph(100, /*weighted=*/true)};
+  for (const EdgeList& el : graphs) {
+    std::vector<std::vector<vid_t>> parents;
+    std::vector<std::vector<weight_t>> dists;
+    for (const int threads : {1, 2, 4}) {
+      ThreadScope scope(threads);
+      GraphMatSystem sys;
+      sys.set_edges(el);
+      sys.build();
+      for (const vid_t root : busy_roots(el, 3)) {
+        parents.push_back(sys.bfs(root).parent);
+        dists.push_back(sys.sssp(root).dist);
+      }
+    }
+    const std::size_t per_run = parents.size() / 3;
+    for (std::size_t i = per_run; i < parents.size(); ++i) {
+      EXPECT_EQ(parents[i], parents[i % per_run]) << i;
+      ASSERT_EQ(dists[i].size(), dists[i % per_run].size());
+      EXPECT_EQ(std::memcmp(dists[i].data(), dists[i % per_run].data(),
+                            dists[i].size() * sizeof(weight_t)),
+                0)
+          << i;
+    }
+  }
+}
+
+TEST(GraphMatEngine, ThreadedEpochsOnASeriallyBuiltGraph) {
+  // The ThreadSanitizer job runs this case: 4 tiles write plain words of
+  // y, touched and next_active, and only the engine's own annotated
+  // regions run threaded. The graph is drawn and built on one thread, so
+  // no unannotated region (the generators, the CSR's first touch) runs.
+  const vid_t n = 3000;
+  EdgeList el;
+  el.num_vertices = n;
+  el.directed = true;
+  el.weighted = true;
+  Xoshiro256 rng(11);
+  for (int i = 0; i < 12000; ++i) {
+    const auto u = static_cast<vid_t>(rng.next() % n);
+    const auto v = static_cast<vid_t>(rng.next() % n);
+    el.edges.push_back(Edge{u, v, static_cast<weight_t>(rng.next() % 9 + 1)});
+  }
+  CSRGraph out;
+  std::vector<vid_t> roots;
+  GraphMatSystem sys;
+  {
+    ThreadScope serial(1);
+    out = CSRGraph::from_edges(el);
+    roots = busy_roots(el, 2);
+    sys.set_edges(el);
+    sys.build();
+  }
+  ThreadScope scope(4);
+  for (const vid_t root : roots) {
+    EXPECT_EQ(sys.bfs(root).levels(), ref::bfs_levels(out, root)) << root;
+    EXPECT_EQ(sys.sssp(root).dist, ref::dijkstra(out, root)) << root;
+  }
 }
 
 }  // namespace
