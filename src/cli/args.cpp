@@ -11,7 +11,7 @@ const std::vector<std::string>& Args::default_flags() {
   static const std::vector<std::string> kFlags = {
       "validate", "weights", "no-symmetrize", "no-dedupe",
       "no-reconstruct", "isolate", "resume", "allow-dnf",
-      "pin", "retry-all", "shrink", "force-violation", "help"};
+      "retry-all", "shrink", "force-violation", "help"};
   return kFlags;
 }
 

@@ -174,7 +174,7 @@ int cmd_run(const Args& args, std::ostream& out) {
                      "no-reconstruct", "timeout", "retries", "isolate",
                      "journal", "resume", "allow-dnf", "cache-dir",
                      "mem-limit", "min-free-disk",
-                     "lock-timeout", "pin", "checkpoint-dir",
+                     "lock-timeout", "checkpoint-dir",
                      "checkpoint-every", "checkpoint-every-seconds",
                      "iter-trace", "retry-all", "crash-dir"});
   harness::ExperimentConfig cfg;
@@ -196,7 +196,6 @@ int cmd_run(const Args& args, std::ostream& out) {
   }
   cfg.num_roots = args.get_int("roots", 32);
   cfg.threads = args.get_int("threads", 0);
-  cfg.pin = args.has("pin");
   cfg.validate = args.has("validate");
   cfg.reconstruct_per_trial = !args.has("no-reconstruct");
   cfg.supervisor.timeout_seconds = args.get_double("timeout", 0.0);
@@ -687,7 +686,7 @@ std::string usage() {
       "              (exit 3 when the cache cannot be written)\n"
       "  run         [--kind ... | --kind snap --graph file.snap]\n"
       "              [--systems A,B,...] [--algorithms BFS,SSSP,...]\n"
-      "              [--roots N] [--threads N] [--pin] [--validate]\n"
+      "              [--roots N] [--threads N] [--validate]\n"
       "              [--no-reconstruct] [--csv out.csv] [--logdir DIR]\n"
       "              [--timeout SEC] [--retries N] [--isolate]\n"
       "              [--mem-limit MIB]   per-unit memory governor\n"

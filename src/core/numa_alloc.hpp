@@ -14,7 +14,7 @@
 //     the first touch with exactly the thread that owns that index range.
 //
 //  2. NumaArray: uninitialized raw storage (mmap-backed when large, with
-//     optional transparent-huge-page advice) plus parallel first-touch
+//     transparent-huge-page advice) plus parallel first-touch
 //     fill helpers for element types std::vector cannot leave
 //     uninitialized (e.g. std::atomic<T>).
 //
@@ -26,11 +26,10 @@
 // and a large chunk still spans whole pages. Do not use dynamic
 // schedules with small chunks on arrays that were first-touch placed.
 //
-// Huge pages: for buffers past the mmap threshold we ask for transparent
-// huge pages via madvise(MADV_HUGEPAGE). The request degrades
-// gracefully — kernels or cgroups that reject it (EINVAL on CI
-// containers with THP disabled) just leave 4 KiB pages in place; the
-// failure is counted and reportable via huge_page_status(), never fatal.
+// Huge pages: every buffer past the mmap threshold is advised
+// madvise(MADV_HUGEPAGE), unconditionally. Kernels or cgroups that reject
+// the advice (EINVAL on CI containers with THP disabled) leave 4 KiB
+// pages in place; the refusal is ignored, never fatal.
 #pragma once
 
 #include <omp.h>
@@ -39,7 +38,6 @@
 #include <cstddef>
 #include <cstdint>
 #include <new>
-#include <string>
 #include <type_traits>
 #include <utility>
 #include <vector>
@@ -56,7 +54,7 @@ inline constexpr std::size_t kMmapThreshold = std::size_t{1} << 21;
 /// not worth it and placement of a few pages does not matter.
 inline constexpr std::size_t kFirstTouchSerialLimit = std::size_t{1} << 14;
 
-/// Allocate `bytes` of uninitialized storage, mmap-backed (with optional
+/// Allocate `bytes` of uninitialized storage, mmap-backed (with
 /// MADV_HUGEPAGE) when bytes >= kMmapThreshold, operator new otherwise.
 /// Never returns nullptr for bytes > 0 (throws std::bad_alloc).
 void* numa_alloc_bytes(std::size_t bytes);
@@ -64,23 +62,6 @@ void* numa_alloc_bytes(std::size_t bytes);
 /// Free storage from numa_alloc_bytes. `bytes` must match the
 /// allocation size (it selects munmap vs operator delete).
 void numa_free_bytes(void* p, std::size_t bytes) noexcept;
-
-/// Enable/disable transparent-huge-page advice on future allocations.
-/// Default: enabled unless EPGS_HUGEPAGES=0 in the environment.
-void set_huge_pages(bool enabled);
-bool huge_pages_enabled();
-
-/// Counters for MADV_HUGEPAGE requests. `failures` > 0 means the kernel
-/// or cgroup rejected the advice (we fell back to 4 KiB pages).
-struct HugePageStatus {
-  std::uint64_t requests = 0;
-  std::uint64_t failures = 0;
-  int last_errno = 0;
-};
-HugePageStatus huge_page_status();
-
-/// One-line human summary ("huge pages: 12 requested, 0 rejected").
-std::string describe(const HugePageStatus& s);
 
 namespace numa_detail {
 

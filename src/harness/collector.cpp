@@ -68,6 +68,9 @@ void RecordCollector::store(const SweepPlan& plan, const std::string& key,
 void RecordCollector::add(const SweepPlan& plan, const std::string& key,
                           const TrialReport& rep) {
   std::vector<RunRecord> recs = unit_records(plan, key, rep);
+  // A rejected snapshot, an unusable directory or a failed save degrades
+  // the unit's checkpointing, never its result: say so once per unit.
+  if (!rep.warning.empty()) warnings_.push_back(key + ": " + rep.warning);
   if (rep.outcome == Outcome::kSuccess) {
     // unit_records has checked the key: its first field is the system.
     raw_logs_[key.substr(0, key.find('|'))] += rep.log.to_log_text();
@@ -79,6 +82,9 @@ void RecordCollector::add(const SweepPlan& plan, const std::string& key,
 void RecordCollector::take(ExperimentResult& result) {
   result.records = std::move(records_);
   result.raw_logs = std::move(raw_logs_);
+  result.warnings.insert(result.warnings.end(),
+                         std::make_move_iterator(warnings_.begin()),
+                         std::make_move_iterator(warnings_.end()));
 }
 
 }  // namespace epgs::harness

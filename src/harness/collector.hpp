@@ -38,17 +38,18 @@ class RecordCollector {
   /// a resumed sweep may add or drop systems).
   void emit_replayed(const SweepPlan& plan);
 
-  /// Durably journal one finished unit's report, then append its records
-  /// and, for a success, its log text to its system's raw log.
+  /// Durably journal one finished unit's report, then add() it.
   void store(const SweepPlan& plan, const std::string& key,
              const TrialReport& rep);
 
-  /// Append a unit's records without journaling (config failures, failed
-  /// loads and builds — a resume should retry those).
+  /// Append a unit's records, its checkpoint warning and, for a success,
+  /// its log text to its system's raw log, without journaling (config
+  /// failures, failed loads and builds — a resume should retry those).
   void add(const SweepPlan& plan, const std::string& key,
            const TrialReport& rep);
 
-  /// Move the collected records and raw logs into `result`.
+  /// Move the collected records and raw logs into `result`, and append
+  /// each unit's checkpoint warning, in record order, to its warnings.
   void take(ExperimentResult& result);
 
   /// Why the journal stopped appending (empty while healthy/disabled).
@@ -61,6 +62,7 @@ class RecordCollector {
   std::map<std::string, JournalEntry> journaled_;
   std::vector<RunRecord> records_;
   std::map<std::string, std::string> raw_logs_;
+  std::vector<std::string> warnings_;
 };
 
 }  // namespace epgs::harness

@@ -151,10 +151,6 @@ struct ExperimentConfig {
   std::vector<Algorithm> algorithms;
   int num_roots = 32;   ///< roots for BFS/SSSP; plain trials for the rest
   int threads = 0;      ///< 0 = all available
-  /// Pin the OpenMP team round-robin over the allowed CPUs (--pin on
-  /// the CLI; EPGS_PIN=1 also enables it). Denied sched_setaffinity
-  /// degrades to an ExperimentResult::warnings entry, never a failure.
-  bool pin = false;
   std::uint64_t root_seed = 2;
   PageRankParams pagerank;
   int cdlp_iterations = 10;

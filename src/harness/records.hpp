@@ -54,9 +54,10 @@ struct ExperimentResult {
   /// Degradations the run survived, one full sentence each, in this
   /// order: the dataset cache fell back to in-RAM generation, a unit's
   /// checkpoint session rejected a snapshot, could not use its directory
-  /// or failed a save (one per unit key, in run order), journaling
-  /// stopped mid-sweep (a --resume re-runs the unjournaled tail), thread
-  /// pinning was refused. Results are complete whatever this holds.
+  /// or failed a save (one per unit key, in record order, whether the
+  /// unit ran in-process, isolated or was replayed from the journal),
+  /// journaling stopped mid-sweep (a --resume re-runs the unjournaled
+  /// tail). Results are complete whatever this holds.
   std::vector<std::string> warnings;
 
   /// Seconds of every successful record matching the given keys (empty
@@ -89,7 +90,11 @@ std::string timelines_to_jsonl(const std::vector<RunRecord>& records);
 /// by the chaos harness (faulted sweep == fault-free control), the CI
 /// kill-resume smoke, and the serve tests (a reply served from a warm
 /// graph == a direct run_experiment of the same spec): timing and retry
-/// provenance may legitimately differ, everything else must not.
+/// provenance may legitimately differ, and so may the `edges` column of
+/// GAP's SSSP at more than one thread, where a vertex's edges count only
+/// if it is not stale when its bucket runs. Everything else must match;
+/// comparisons that include GAP's SSSP run it at one thread (an isolated
+/// unit always does).
 std::string records_to_stripped_csv(const std::vector<RunRecord>& records);
 
 }  // namespace epgs::harness

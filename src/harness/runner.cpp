@@ -9,7 +9,6 @@
 
 #include "core/error.hpp"
 #include "core/parallel.hpp"
-#include "core/thread_pinning.hpp"
 #include "graph/csr.hpp"
 #include "harness/collector.hpp"
 #include "harness/dataset_pipeline.hpp"
@@ -64,16 +63,14 @@ struct SweepOracle {
 
 /// Execute one system's slice of the plan. Everything decided up front
 /// lives in `sp`; this function only drives the adapter through the
-/// supervisor, hands each unit's report to the collector and appends a
-/// unit's checkpoint degradation to `warnings`.
+/// supervisor and hands each unit's report to the collector.
 void execute_system_plan(const ExperimentConfig& cfg,
                          const std::string& fingerprint,
                          const SweepPlan& plan, const SystemPlan& sp,
                          const EdgeList& el, const std::vector<vid_t>& roots,
                          const SweepOracle& oracle,
                          RecordCollector& collector,
-                         Xoshiro256& backoff_rng,
-                         std::vector<std::string>& warnings) {
+                         Xoshiro256& backoff_rng) {
   const SupervisorOptions& sup = cfg.supervisor;
   const bool file_mode = plan.data_path == DataPath::kNativeFile;
 
@@ -259,13 +256,6 @@ void execute_system_plan(const ExperimentConfig& cfg,
 
     TrialReport rep = supervise_unit(unit, unit_opts, backoff_rng,
                                      session ? &*session : nullptr);
-    // A rejected snapshot, an unusable directory or a failed save
-    // degrades the unit's checkpointing, never its result: say so once
-    // per unit. An isolated child's session is a copy, so what it
-    // rejects stays in the child.
-    if (session && !session->warning().empty()) {
-      warnings.push_back(t.key + ": " + session->warning());
-    }
     // A failure that left a snapshot behind is resumable: its report
     // names the snapshot's iteration, and --resume re-runs the unit from
     // there instead of trusting the journaled failure. Peek the file — a
@@ -356,34 +346,21 @@ ExperimentResult run_experiment(const ExperimentConfig& cfg,
   const SweepPlan plan = plan_sweep(cfg, staged.files, collector.journaled());
   collector.emit_replayed(plan);
 
-  // Pin the worker team before any kernel runs. OpenMP pools its team
-  // threads, so binds applied here stick for every later parallel
-  // region at the same thread count. Refused binds downgrade to a
-  // warning — containers may deny sched_setaffinity.
-  std::string pin_warning;
-  if (cfg.pin) set_pinning(true);
-  if (pinning_enabled()) {
-    ThreadScope pin_scope(plan.threads);
-    const PinReport pin_rep = apply_thread_pinning();
-    if (pin_rep.failed > 0) pin_warning = describe(pin_rep);
-  }
-
   // Execute.
   Xoshiro256 backoff_rng(1);  // fixed seed: deterministic jitter
   for (const SystemPlan& sp : plan.systems) {
     if (interrupt_requested()) break;  // flush what finished, stop cleanly
     execute_system_plan(cfg, fingerprint, plan, sp, el, result.roots,
-                        oracle, collector, backoff_rng, result.warnings);
+                        oracle, collector, backoff_rng);
   }
 
+  collector.take(result);
   if (!collector.journal_warning().empty()) {
     result.warnings.push_back(
         "journaling stopped mid-sweep (resume will re-run the unjournaled "
         "tail): " +
         collector.journal_warning());
   }
-  if (!pin_warning.empty()) result.warnings.push_back(pin_warning);
-  collector.take(result);
   return result;
 }
 

@@ -140,7 +140,10 @@ TrialReport run_attempt(const UnitFn& fn, const SupervisorOptions& opts,
         "watchdog (" +
         r.message + ")";
   }
-  if (session != nullptr) r.resumed_from_iter = session->resumed_from();
+  if (session != nullptr) {
+    r.resumed_from_iter = session->resumed_from();
+    r.warning = session->warning();
+  }
   return r;
 }
 
@@ -312,7 +315,7 @@ std::string TrialReport::to_report_text() const {
      << one_line(message) << "\ncrash_fingerprint "
      << one_line(crash_fingerprint) << "\ncrash_report "
      << one_line(crash_report_path) << "\nsnapshot " << snapshot_iter
-     << "\nlog\n"
+     << "\nwarning " << one_line(warning) << "\nlog\n"
      << log.to_log_text();
   return os.str();
 }
@@ -342,6 +345,7 @@ TrialReport TrialReport::parse_report_text(std::string_view body) {
   r.crash_report_path = std::string(field("crash_report"));
   r.snapshot_iter =
       text::parse<std::int64_t>(field("snapshot"), kCtx, "snapshot", 0);
+  r.warning = std::string(field("warning"));
   EPGS_CHECK(field("log").empty(), "unit report: malformed log marker");
   r.log = PhaseLog::parse_log_text(body);
   return r;
@@ -389,6 +393,7 @@ TrialReport supervise_unit(const UnitFn& fn, const SupervisorOptions& opts,
     report.log = std::move(r.log);
     report.resumed_from_iter = r.resumed_from_iter;
     report.attempts = attempt;
+    if (report.warning.empty()) report.warning = std::move(r.warning);
     // A later clean attempt keeps the forensics of the crash it recovered
     // from: "passed on retry after SIGSEGV at iter 12" is the interesting
     // datum, and the fingerprint feeds the aggregated failure table.
@@ -457,7 +462,7 @@ TrialReport supervise_unit(const UnitFn& fn, const SupervisorOptions& opts,
 // --- Journal -------------------------------------------------------------
 
 namespace {
-constexpr std::string_view kJournalMagic = "epgs-journal-v2";
+constexpr std::string_view kJournalMagic = "epgs-journal-v3";
 constexpr std::string_view kUnit = "unit ";
 constexpr std::string_view kEnd = "end\n";
 }  // namespace

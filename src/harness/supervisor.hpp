@@ -78,6 +78,11 @@ struct TrialReport {
   /// Completed iterations covered by the snapshot a failed unit left
   /// behind, so a --resume continues it from there; -1 when none.
   std::int64_t snapshot_iter = -1;
+  /// The first checkpoint warning any attempt's session raised (rejected
+  /// snapshot, unusable directory, failed save); empty when none. It
+  /// travels in the report, so an isolated child's warning reaches the
+  /// parent and a journal replay repeats it.
+  std::string warning;
   PhaseLog log;  ///< phases the final attempt appended
 
   /// The report as text, one field per line in member order, the
@@ -92,6 +97,7 @@ struct TrialReport {
   ///   crash_fingerprint <hex or empty>
   ///   crash_report <path or empty>
   ///   snapshot <iteration or -1>
+  ///   warning <one line or empty>
   ///   log
   ///   <PhaseLog::to_log_text() through the end>
   [[nodiscard]] std::string to_report_text() const;
@@ -137,7 +143,7 @@ TrialReport supervise_unit(const UnitFn& fn, const SupervisorOptions& opts,
 //
 // Append-only file of unit reports. Grammar:
 //
-//   epgs-journal-v2
+//   epgs-journal-v3
 //   config <fingerprint>
 //   unit <key>|<bytes>
 //   <TrialReport::to_report_text(), exactly <bytes> bytes>

@@ -29,7 +29,8 @@
 //   run.finish();                           // closes timeline, drops ckpt
 //
 // iteration(i, f) is the kernel's one boundary: the only place it
-// snapshots and polls. If the scope unwinds before finish()
+// snapshots and polls its cancellation token. No engine polls the token
+// itself, so every cancelled kernel leaves a final snapshot. If the scope unwinds before finish()
 // (cancellation, fault), the destructor detaches the checkpoint session
 // from the dying stack frame — the snapshot stays on disk for the retry —
 // and discards the partial timeline.

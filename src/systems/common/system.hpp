@@ -108,8 +108,10 @@ class System {
   [[nodiscard]] const PhaseLog& log() const { return log_; }
 
   /// Attach (or detach, with nullptr) the supervisor's cancellation
-  /// token. The token must outlive the phases run under it; adapters poll
-  /// it at iteration boundaries and unwind with CancelledError.
+  /// token. The token must outlive the phases run under it. It is polled
+  /// at phase starts and at each KernelRun::iteration, the one in-kernel
+  /// poll; a cancelled kernel writes a final snapshot and unwinds with
+  /// CancelledError.
   void set_cancellation(const CancellationToken* token) { cancel_ = token; }
 
   /// Attach (or detach, with nullptr) the per-unit checkpoint session.
@@ -142,12 +144,6 @@ class System {
   WorkStats work_;
 
   vid_t n_ = 0;
-
-  /// The attached token (null when unsupervised), for engines that loop
-  /// outside the adapter (e.g. the PowerGraph GAS engine's async path).
-  [[nodiscard]] const CancellationToken* cancellation() const {
-    return cancel_;
-  }
 
  private:
   /// Cancellation point at iteration boundaries (frontier swaps, PageRank

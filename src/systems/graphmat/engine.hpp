@@ -23,7 +23,6 @@
 #include <vector>
 
 #include "core/bitmap.hpp"
-#include "core/cancellation.hpp"
 #include "core/parallel.hpp"
 #include "core/prefetch.hpp"
 #include "systems/graphmat/dcsr.hpp"
@@ -130,8 +129,7 @@ void run_graph_program(
     const Program& prog, const DCSR& a,
     std::vector<typename Program::State>& states, Bitmap& active,
     int max_iterations, EngineResult& result,
-    const CancellationToken* cancel = nullptr,
-    const std::function<void(int, std::uint64_t)>* epoch_hook = nullptr) {
+    const std::function<void(int, std::uint64_t)>& epoch_hook) {
   using Msg = typename Program::Msg;
   using Acc = typename Program::Acc;
   const std::size_t n = a.num_vertices();
@@ -205,13 +203,9 @@ void run_graph_program(
     // executed epoch (its tick count must match result.iterations).
     const auto active_count = static_cast<std::uint64_t>(active.count());
     if (active_count == 0) break;
-    // SpMSpV epoch boundary: the adapter's hook (checkpoint ticking +
-    // telemetry) subsumes the bare token poll.
-    if (epoch_hook != nullptr) {
-      (*epoch_hook)(it, active_count);
-    } else if (cancel != nullptr) {
-      cancel->checkpoint();
-    }
+    // SpMSpV epoch boundary: the adapter's hook ticks its KernelRun
+    // (cancellation, checkpoint, telemetry).
+    epoch_hook(it, active_count);
 
     for_each_tile(num_tiles, send);
     for_each_tile(num_tiles, push_apply);

@@ -125,8 +125,7 @@ BfsResult GraphMatSystem::do_bfs(vid_t root) {
         run.iteration(static_cast<std::uint64_t>(it), active_count);
       };
   run_graph_program(BfsProgram{}, out_, states, active,
-                    static_cast<int>(n) + 1, stats, cancellation(),
-                    &epoch_hook);
+                    static_cast<int>(n) + 1, stats, epoch_hook);
   run.finish();
 
   BfsResult r;
@@ -165,8 +164,7 @@ SsspResult GraphMatSystem::do_sssp(vid_t root) {
         run.iteration(static_cast<std::uint64_t>(it), active_count);
       };
   run_graph_program(SsspProgram{}, out_, states, active,
-                    static_cast<int>(n) + 1, stats, cancellation(),
-                    &epoch_hook);
+                    static_cast<int>(n) + 1, stats, epoch_hook);
   run.finish();
 
   SsspResult r;

@@ -25,13 +25,11 @@
 #pragma once
 
 #include <cstdint>
-#include <functional>
 #include <span>
 #include <utility>
 #include <vector>
 
 #include "core/bitmap.hpp"
-#include "core/cancellation.hpp"
 #include "core/frontier.hpp"
 #include "core/parallel.hpp"
 #include "systems/powergraph/vertex_cut.hpp"
@@ -69,106 +67,6 @@ class GasEngine {
   /// Mutable counter access, so a checkpoint restore can reinstate the
   /// work totals accumulated before the trial was killed.
   [[nodiscard]] EngineCounters& counters() { return counters_; }
-
-  /// Attach the supervisor's cancellation token; checked at superstep
-  /// boundaries (and every 1024 async activations).
-  void set_cancellation(const CancellationToken* token) { cancel_ = token; }
-
-  /// Run supersteps from `initial_active` until quiescence or max_iters.
-  /// When the adapter supplies a superstep hook (checkpoint ticking +
-  /// cancellation), it subsumes the bare token poll at each boundary.
-  int run(std::vector<vid_t> initial_active, int max_iters,
-          const std::function<void(int)>* superstep_hook = nullptr) {
-    std::vector<vid_t> active = std::move(initial_active);
-    int iters = 0;
-    while (!active.empty() && iters < max_iters) {
-      if (superstep_hook != nullptr) {
-        (*superstep_hook)(iters);
-      } else if (cancel_ != nullptr) {
-        cancel_->checkpoint();
-      }
-      active = superstep(active);
-      ++iters;
-    }
-    return iters;
-  }
-
-  /// PowerGraph's *asynchronous* engine: no superstep barrier and no
-  /// mirror broadcast — gathers read the master state directly, so
-  /// updates become visible immediately. Only valid for monotone
-  /// programs (SSSP, WCC-style min-propagation), where async and sync
-  /// converge to the same fixpoint; the paper's runs use the sync engine,
-  /// this exists for the sync-vs-async ablation. Returns the number of
-  /// vertex activations processed.
-  std::uint64_t run_async(std::vector<vid_t> initial_active,
-                          std::uint64_t max_activations) {
-    // The async engine's fibers are modelled as a FIFO work queue with a
-    // pending flag per vertex (PowerGraph's scheduler semantics): the
-    // scheduling freedom, not thread-level parallelism, is what
-    // distinguishes it from the sync engine here.
-    std::vector<vid_t> queue = std::move(initial_active);
-    std::vector<std::uint8_t> pending(vc_.num_vertices(), 0);
-    for (const vid_t v : queue) pending[v] = 1;
-
-    std::uint64_t processed = 0;
-    std::size_t head = 0;
-    while (head < queue.size() && processed < max_activations) {
-      if (cancel_ != nullptr && (processed & 1023u) == 0) {
-        cancel_->checkpoint();
-      }
-      const vid_t gv = queue[head++];
-      pending[gv] = 0;
-      Gather acc = prog_.gather_init();
-      bool any = false;
-      for (const Replica& r : replicas(gv)) {
-        const auto& lg = locals_[r.part];
-        const vid_t lv = r.lid;
-        for (eid_t e = lg.in_offsets[lv]; e < lg.in_offsets[lv + 1]; ++e) {
-          prog_.gather(master_[lg.vertices[lg.in_src[e]]], lg.in_w[e],
-                       acc);
-          any = true;
-          ++counters_.gather_edges;
-        }
-        if constexpr (Program::gather_both) {
-          for (eid_t e = lg.out_offsets[lv]; e < lg.out_offsets[lv + 1];
-               ++e) {
-            prog_.gather(master_[lg.vertices[lg.out_dst[e]]], lg.out_w[e],
-                         acc);
-            any = true;
-            ++counters_.gather_edges;
-          }
-        }
-      }
-      ++processed;
-      if (!prog_.apply(master_[gv], acc, any)) continue;
-      // Scatter: enqueue neighbours not already pending.
-      for (const Replica& r : replicas(gv)) {
-        const auto& lg = locals_[r.part];
-        const vid_t lv = r.lid;
-        for (eid_t e = lg.out_offsets[lv]; e < lg.out_offsets[lv + 1];
-             ++e) {
-          const vid_t nbr = lg.vertices[lg.out_dst[e]];
-          ++counters_.scatter_signals;
-          if (!pending[nbr]) {
-            pending[nbr] = 1;
-            queue.push_back(nbr);
-          }
-        }
-        if constexpr (Program::scatter_both) {
-          for (eid_t e = lg.in_offsets[lv]; e < lg.in_offsets[lv + 1];
-               ++e) {
-            const vid_t nbr = lg.vertices[lg.in_src[e]];
-            ++counters_.scatter_signals;
-            if (!pending[nbr]) {
-              pending[nbr] = 1;
-              queue.push_back(nbr);
-            }
-          }
-        }
-      }
-    }
-    return processed;
-  }
 
   /// One synchronous superstep over `active` (no vertex twice); returns
   /// the next active set (deduplicated, sorted).
@@ -423,7 +321,6 @@ class GasEngine {
   std::vector<Replica> rep_;      // every vertex's replicas, by vertex
   std::vector<eid_t> rep_begin_;  // v's are rep_[rep_begin_[v], [v + 1])
   EngineCounters counters_;
-  const CancellationToken* cancel_ = nullptr;
 };
 
 }  // namespace epgs::systems::powergraph_detail

@@ -166,39 +166,32 @@ SsspResult PowerGraphSystem::do_sssp(vid_t root) {
   const vid_t n = cut_->num_vertices();
   WallTimer init_timer;
   GasEngine<SsspProgram> engine(*cut_, SsspProgram{});
-  engine.set_cancellation(cancellation());
   log().add(std::string(phase::kEngineInit), init_timer.seconds());
 
   engine.data()[root].dist = 0.0f;
   auto active = engine.scatter_from({root});
-  if (opts_.async_engine) {
-    // The async engine has no superstep boundaries; it polls the
-    // cancellation token internally between activation batches.
-    engine.run_async(std::move(active), ~0ull);
-  } else {
-    // Snapshot state: master distances, the active list, the superstep
-    // count, and the engine's work counters. Mirrors are re-synced from
-    // masters every superstep, so masters alone suffice. The snapshot
-    // counters already include the seed scatter above; a fresh init is
-    // fully overwritten on restore.
-    int iters = 0;
-    KernelRun run(*this, "sssp", [&](StateFields& f) {
-      f.per_vertex(
-          n, [&](std::size_t v) { return engine.data()[v].dist; },
-          [&](std::size_t v, weight_t x) { engine.data()[v].dist = x; });
-      f.list(active);
-      f.u64(iters);
-      counter_fields(f, engine.counters());
-    });
-    run.watch_edges(&engine.counters().gather_edges);
-    const int max_iters = static_cast<int>(n) + 1;
-    while (!active.empty() && iters < max_iters) {
-      run.iteration(static_cast<std::uint64_t>(iters), active.size());
-      active = engine.superstep(active);
-      ++iters;
-    }
-    run.finish();
+  // Snapshot state: master distances, the active list, the superstep
+  // count, and the engine's work counters. Mirrors are re-synced from
+  // masters every superstep, so masters alone suffice. The snapshot
+  // counters already include the seed scatter above; a fresh init is
+  // fully overwritten on restore.
+  int iters = 0;
+  KernelRun run(*this, "sssp", [&](StateFields& f) {
+    f.per_vertex(
+        n, [&](std::size_t v) { return engine.data()[v].dist; },
+        [&](std::size_t v, weight_t x) { engine.data()[v].dist = x; });
+    f.list(active);
+    f.u64(iters);
+    counter_fields(f, engine.counters());
+  });
+  run.watch_edges(&engine.counters().gather_edges);
+  const int max_iters = static_cast<int>(n) + 1;
+  while (!active.empty() && iters < max_iters) {
+    run.iteration(static_cast<std::uint64_t>(iters), active.size());
+    active = engine.superstep(active);
+    ++iters;
   }
+  run.finish();
 
   SsspResult r;
   r.root = root;
@@ -219,7 +212,6 @@ PageRankResult PowerGraphSystem::do_pagerank(const PageRankParams& params) {
   PageRankProgram prog;
   prog.damping = params.damping;
   GasEngine<PageRankProgram> engine(*cut_, prog);
-  engine.set_cancellation(cancellation());
   log().add(std::string(phase::kEngineInit), init_timer.seconds());
 
   auto& data = engine.data();
@@ -284,7 +276,6 @@ CdlpResult PowerGraphSystem::do_cdlp(int max_iterations) {
   const vid_t n = cut_->num_vertices();
   WallTimer init_timer;
   GasEngine<CdlpProgram> engine(*cut_, CdlpProgram{});
-  engine.set_cancellation(cancellation());
   log().add(std::string(phase::kEngineInit), init_timer.seconds());
 
   auto& data = engine.data();
@@ -324,36 +315,30 @@ WccResult PowerGraphSystem::do_wcc() {
   const vid_t n = cut_->num_vertices();
   WallTimer init_timer;
   GasEngine<WccProgram> engine(*cut_, WccProgram{});
-  engine.set_cancellation(cancellation());
   log().add(std::string(phase::kEngineInit), init_timer.seconds());
 
   auto& data = engine.data();
   for (vid_t v = 0; v < n; ++v) data[v].label = v;
-  if (opts_.async_engine) {
-    // Async: no superstep boundaries; the engine polls the token itself.
-    engine.run_async(engine.all_vertices(), ~0ull);
-  } else {
-    // Snapshot state: master labels, the active list, the round count,
-    // and the engine's work counters.
-    auto active = engine.all_vertices();
-    int iters = 0;
-    KernelRun run(*this, "wcc", [&](StateFields& f) {
-      f.per_vertex(
-          n, [&](std::size_t v) { return data[v].label; },
-          [&](std::size_t v, vid_t x) { data[v].label = x; });
-      f.list(active);
-      f.u64(iters);
-      counter_fields(f, engine.counters());
-    });
-    run.watch_edges(&engine.counters().gather_edges);
-    const int max_iters = static_cast<int>(n) + 1;
-    while (!active.empty() && iters < max_iters) {
-      run.iteration(static_cast<std::uint64_t>(iters), active.size());
-      active = engine.superstep(active);
-      ++iters;
-    }
-    run.finish();
+  // Snapshot state: master labels, the active list, the round count,
+  // and the engine's work counters.
+  auto active = engine.all_vertices();
+  int iters = 0;
+  KernelRun run(*this, "wcc", [&](StateFields& f) {
+    f.per_vertex(
+        n, [&](std::size_t v) { return data[v].label; },
+        [&](std::size_t v, vid_t x) { data[v].label = x; });
+    f.list(active);
+    f.u64(iters);
+    counter_fields(f, engine.counters());
+  });
+  run.watch_edges(&engine.counters().gather_edges);
+  const int max_iters = static_cast<int>(n) + 1;
+  while (!active.empty() && iters < max_iters) {
+    run.iteration(static_cast<std::uint64_t>(iters), active.size());
+    active = engine.superstep(active);
+    ++iters;
   }
+  run.finish();
 
   WccResult r;
   r.component.resize(n);

@@ -24,10 +24,6 @@ class PowerGraphSystem final : public System {
     /// Number of edge partitions ("machines"/fibers). 0 = auto
     /// (max(4, OpenMP threads), capped at 16).
     int num_partitions = 0;
-    /// Use the asynchronous engine for the monotone programs (SSSP and
-    /// WCC). The paper's experiments use the synchronous engine; async
-    /// exists for the sync-vs-async ablation.
-    bool async_engine = false;
   };
 
   PowerGraphSystem() = default;

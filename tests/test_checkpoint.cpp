@@ -512,6 +512,56 @@ TEST_F(CheckpointDir, SweepWarnsOnceNamingTheUnitOfARejectedSnapshot) {
   }
 }
 
+TEST_F(CheckpointDir, TornSnapshotWarnsTheSameLiveIsolatedAndReplayed) {
+  // A torn snapshot under trial 0's unit: the warning travels in the
+  // unit's report, so an isolated child raises the same warning as an
+  // in-process run, and a fully journaled resume repeats it.
+  harness::ExperimentConfig cfg;
+  cfg.graph.kind = harness::GraphSpec::Kind::kKronecker;
+  cfg.graph.scale = 6;
+  cfg.graph.edgefactor = 8;
+  cfg.systems = {"GAP"};
+  cfg.algorithms = {harness::Algorithm::kBfs, harness::Algorithm::kPageRank};
+  cfg.num_roots = 2;
+  cfg.threads = 1;
+  cfg.supervisor.checkpoint_dir = (dir_ / "ckpt").string();
+  const auto plant_torn = [&] {
+    CheckpointConfig planted = config("GAP|PageRank|0");
+    planted.dir = cfg.supervisor.checkpoint_dir;
+    planted.fingerprint = harness::config_fingerprint(cfg);
+    std::vector<double> ranks(64, 0.5);
+    {
+      CheckpointSession planter(planted);
+      (void)planter.begin("pagerank",
+                          [&](StateFields& f) { f.per_vertex(ranks); });
+      ASSERT_TRUE(planter.tick(1));
+      planter.detach();
+    }
+    const fs::path path =
+        CheckpointSession::path_for(planted.dir, planted.unit_key);
+    fs::resize_file(path, fs::file_size(path) / 2);
+  };
+
+  plant_torn();
+  const auto live = harness::run_experiment(cfg).warnings;
+  ASSERT_EQ(live.size(), 1u);
+  EXPECT_TRUE(live[0].starts_with(
+      "GAP|PageRank|0: checkpoint snapshot invalidated"))
+      << live[0];
+
+  plant_torn();
+  cfg.supervisor.isolate = true;
+  cfg.supervisor.journal_path = (dir_ / "journal").string();
+  EXPECT_EQ(harness::run_experiment(cfg).warnings, live);
+
+  // Every unit is journaled and the torn snapshot is gone: the warning
+  // can only come from the replayed report.
+  EXPECT_FALSE(fs::exists(CheckpointSession::path_for(
+      cfg.supervisor.checkpoint_dir, "GAP|PageRank|0")));
+  cfg.supervisor.resume = true;
+  EXPECT_EQ(harness::run_experiment(cfg).warnings, live);
+}
+
 TEST_F(KillResume, BfsBitIdenticalOnFrontierSystems) {
   // Single-threaded: parent selection under concurrent CAS is tie-broken
   // by timing at >1 thread, so only the 1-thread tree is deterministic.

@@ -7,7 +7,6 @@
 #include <cmath>
 
 #include "core/parallel.hpp"
-#include "core/thread_pinning.hpp"
 #include "gen/datasets.hpp"
 #include "gen/kronecker.hpp"
 #include "graph/csr.hpp"
@@ -394,38 +393,6 @@ TEST(PrVariants, PowerGraphDeterministicAtFixedPartitions) {
     for (std::size_t v = 0; v < baseline.size(); ++v) {
       ASSERT_EQ(ranks[v], baseline[v]) << "threads " << t << " vertex " << v;
     }
-  }
-}
-
-// A pinned run must give the same answers as an unpinned one (pinning
-// only moves threads; kernels are deterministic), and refused binds
-// must not turn into failures.
-TEST(PrVariants, PinnedRunMatchesUnpinned) {
-  const auto el = dedupe(symmetrize([] {
-    gen::KroneckerParams p;
-    p.scale = 8;
-    p.edgefactor = 8;
-    return gen::kronecker(p);
-  }()));
-  PageRankParams pr_params;
-  ThreadScope scope(4);
-
-  const auto run = [&] {
-    systems::GapSystem sys;
-    sys.set_edges(el);
-    sys.build();
-    return sys.pagerank(pr_params).rank;
-  };
-  const auto unpinned = run();
-  const bool saved = pinning_enabled();
-  set_pinning(true);
-  apply_thread_pinning();  // graceful even when the sandbox denies it
-  const auto pinned = run();
-  clear_thread_pinning();
-  set_pinning(saved);
-  ASSERT_EQ(pinned.size(), unpinned.size());
-  for (std::size_t v = 0; v < unpinned.size(); ++v) {
-    ASSERT_EQ(pinned[v], unpinned[v]) << "vertex " << v;
   }
 }
 

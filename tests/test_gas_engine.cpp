@@ -40,6 +40,15 @@ struct MinProgram {
   }
 };
 
+/// Drive supersteps from every vertex until none is active, as the
+/// adapters do under a KernelRun; returns the supersteps run.
+int run_to_fixpoint(GasEngine<MinProgram>& engine) {
+  auto active = engine.all_vertices();
+  int iters = 0;
+  for (; !active.empty(); ++iters) active = engine.superstep(active);
+  return iters;
+}
+
 TEST(GasEngine, SuperstepPropagatesOneHop) {
   // Directed chain 0 -> 1 -> 2 -> 3.
   EdgeList el;
@@ -66,7 +75,7 @@ TEST(GasEngine, RunReachesFixpoint) {
   GasEngine<MinProgram> engine(vc, MinProgram{});
   for (vid_t v = 0; v < 8; ++v) engine.data()[v].label = v;
 
-  const int iters = engine.run(engine.all_vertices(), 100);
+  const int iters = run_to_fixpoint(engine);
   for (vid_t v = 0; v < 8; ++v) {
     EXPECT_EQ(engine.data()[v].label, 0u);
   }
@@ -76,11 +85,18 @@ TEST(GasEngine, RunReachesFixpoint) {
 }
 
 TEST(GasEngine, MaxIterationsCapsRun) {
+  // An adapter's iteration cap stops its superstep loop early; the
+  // engine state is then exactly that many synchronous rounds old.
   const auto el = test::line_graph(64);
   const auto vc = VertexCut::build(el, 2);
   GasEngine<MinProgram> engine(vc, MinProgram{});
   for (vid_t v = 0; v < 64; ++v) engine.data()[v].label = v;
-  EXPECT_EQ(engine.run(engine.all_vertices(), 3), 3);
+  auto active = engine.all_vertices();
+  for (int it = 0; it < 3 && !active.empty(); ++it) {
+    active = engine.superstep(active);
+  }
+  EXPECT_FALSE(active.empty());
+  EXPECT_EQ(engine.counters().supersteps, 3);
   // After 3 synchronous rounds, labels moved at most 3 hops.
   EXPECT_EQ(engine.data()[10].label, 7u);
 }
@@ -101,7 +117,7 @@ TEST(GasEngine, CountersAccumulate) {
   const auto vc = VertexCut::build(el, 4);
   GasEngine<MinProgram> engine(vc, MinProgram{});
   for (vid_t v = 0; v < 16; ++v) engine.data()[v].label = v;
-  engine.run(engine.all_vertices(), 100);
+  run_to_fixpoint(engine);
   const auto& c = engine.counters();
   EXPECT_GT(c.supersteps, 0);
   EXPECT_GT(c.gather_edges, 0u);
@@ -149,57 +165,6 @@ TEST(GasEngine, ReplicaTableIndexesEveryLocalVertex) {
   }
 }
 
-TEST(GasEngineAsync, ConvergesToSameFixpointAsSync) {
-  const auto el = test::cycle_graph(16);
-  const auto vc = VertexCut::build(el, 3);
-
-  GasEngine<MinProgram> sync_engine(vc, MinProgram{});
-  GasEngine<MinProgram> async_engine(vc, MinProgram{});
-  for (vid_t v = 0; v < 16; ++v) {
-    sync_engine.data()[v].label = v;
-    async_engine.data()[v].label = v;
-  }
-  sync_engine.run(sync_engine.all_vertices(), 1000);
-  const auto processed =
-      async_engine.run_async(async_engine.all_vertices(), 1'000'000);
-
-  EXPECT_GT(processed, 0u);
-  for (vid_t v = 0; v < 16; ++v) {
-    EXPECT_EQ(async_engine.data()[v].label, sync_engine.data()[v].label)
-        << v;
-  }
-  // Async never pays for mirror broadcasts.
-  EXPECT_EQ(async_engine.counters().sync_copies, 0u);
-  EXPECT_GT(sync_engine.counters().sync_copies, 0u);
-}
-
-TEST(GasEngineAsync, ActivationCapRespected) {
-  const auto el = test::line_graph(100);
-  const auto vc = VertexCut::build(el, 2);
-  GasEngine<MinProgram> engine(vc, MinProgram{});
-  for (vid_t v = 0; v < 100; ++v) engine.data()[v].label = v;
-  EXPECT_EQ(engine.run_async(engine.all_vertices(), 10), 10u);
-}
-
-TEST(GasEngineAsync, OftenNeedsFewerEdgeOpsThanSync) {
-  // On a long path, async propagation (FIFO from the minimum) touches
-  // each edge a bounded number of times; the sync engine re-gathers the
-  // full frontier every superstep. This is the classic async win.
-  const auto el = test::line_graph(128);
-  const auto vc = VertexCut::build(el, 4);
-
-  GasEngine<MinProgram> sync_engine(vc, MinProgram{});
-  GasEngine<MinProgram> async_engine(vc, MinProgram{});
-  for (vid_t v = 0; v < 128; ++v) {
-    sync_engine.data()[v].label = v;
-    async_engine.data()[v].label = v;
-  }
-  sync_engine.run(sync_engine.all_vertices(), 10000);
-  async_engine.run_async(async_engine.all_vertices(), ~0ull);
-  EXPECT_LT(async_engine.counters().gather_edges,
-            sync_engine.counters().gather_edges);
-}
-
 TEST(GasEngine, IsolatedVerticesHarmless) {
   EdgeList el;
   el.num_vertices = 4;
@@ -207,7 +172,7 @@ TEST(GasEngine, IsolatedVerticesHarmless) {
   const auto vc = VertexCut::build(el, 2);
   GasEngine<MinProgram> engine(vc, MinProgram{});
   for (vid_t v = 0; v < 4; ++v) engine.data()[v].label = v;
-  engine.run(engine.all_vertices(), 10);
+  run_to_fixpoint(engine);
   EXPECT_EQ(engine.data()[0].label, 0u);
   EXPECT_EQ(engine.data()[1].label, 0u);
   EXPECT_EQ(engine.data()[2].label, 2u);  // isolated: untouched

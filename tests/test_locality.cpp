@@ -1,6 +1,5 @@
-// Memory-locality layer: NUMA-aware allocation, first-touch fills,
-// deterministic reductions, and thread pinning (core/numa_alloc.hpp,
-// core/thread_pinning.hpp).
+// Memory-locality layer: NUMA-aware allocation, first-touch fills and
+// deterministic reductions (core/numa_alloc.hpp).
 #include <gtest/gtest.h>
 
 #include <algorithm>
@@ -14,7 +13,6 @@
 
 #include "core/numa_alloc.hpp"
 #include "core/parallel.hpp"
-#include "core/thread_pinning.hpp"
 #include "core/types.hpp"
 
 namespace epgs {
@@ -27,7 +25,8 @@ TEST(NumaAlloc, SmallAndLargeBlocksRoundTrip) {
   std::memset(small, 0xab, 4096);
   numa_free_bytes(small, 4096);
 
-  // Above the threshold: anonymous mmap, zero-filled by the kernel.
+  // Above the threshold: anonymous mmap, zero-filled by the kernel and
+  // advised MADV_HUGEPAGE, which a THP-less kernel refuses harmlessly.
   const std::size_t big = (std::size_t{1} << 21) + 4096;
   auto* p = static_cast<unsigned char*>(numa_alloc_bytes(big));
   ASSERT_NE(p, nullptr);
@@ -36,23 +35,6 @@ TEST(NumaAlloc, SmallAndLargeBlocksRoundTrip) {
   p[0] = 1;
   p[big - 1] = 2;
   numa_free_bytes(p, big);
-}
-
-TEST(NumaAlloc, HugePageRequestsAreCountedNeverFatal) {
-  const bool saved = huge_pages_enabled();
-  set_huge_pages(true);
-  const HugePageStatus before = huge_page_status();
-  // >= 2 MiB triggers a MADV_HUGEPAGE request (where the platform
-  // provides it); denial must only bump the failure counter.
-  void* p = numa_alloc_bytes(std::size_t{1} << 22);
-  ASSERT_NE(p, nullptr);
-  numa_free_bytes(p, std::size_t{1} << 22);
-  const HugePageStatus after = huge_page_status();
-  EXPECT_GE(after.requests, before.requests);
-  EXPECT_GE(after.failures, before.failures);
-  EXPECT_LE(after.failures, after.requests);
-  EXPECT_FALSE(describe(after).empty());
-  set_huge_pages(saved);
 }
 
 TEST(FirstTouch, VectorResizeDoesNotTouchButWorksLikeVector) {
@@ -149,29 +131,6 @@ TEST(DeterministicBlockSum, MatchesSerialBlockOrderFold) {
   }
   ThreadScope scope(4);
   EXPECT_EQ(deterministic_block_sum<double>(n, f), expect);
-}
-
-// Pinning must apply (or be refused by the sandbox) without ever
-// failing the run, and clear_thread_pinning must restore the mask.
-TEST(ThreadPinning, AppliesAndClearsGracefully) {
-  const bool saved = pinning_enabled();
-  set_pinning(false);
-  const PinReport off = apply_thread_pinning();
-  EXPECT_FALSE(off.requested);
-  EXPECT_EQ(off.pinned, 0);
-
-  set_pinning(true);
-  {
-    ThreadScope scope(4);
-    const PinReport on = apply_thread_pinning();
-    EXPECT_TRUE(on.requested);
-    EXPECT_GT(on.threads, 0);
-    // Every team thread either bound or was refused — nothing dropped.
-    EXPECT_EQ(on.pinned + on.failed, on.threads);
-    EXPECT_FALSE(describe(on).empty());
-  }
-  clear_thread_pinning();
-  set_pinning(saved);
 }
 
 }  // namespace

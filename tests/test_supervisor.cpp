@@ -551,6 +551,7 @@ TrialReport full_report() {
   r.elapsed_seconds = 0.1 + 0.2;  // not a short decimal
   r.crash_fingerprint = "deadbeefdeadbeef";
   r.crash_report_path = "crash/GAP_PageRank_0.crash.prev";
+  r.warning = "checkpoint snapshot invalidated (torn payload section)";
   PhaseEntry e;
   e.name = std::string(phase::kAlgorithm);
   e.seconds = 1.25;
@@ -572,6 +573,7 @@ void expect_same_report(const TrialReport& got, const TrialReport& want) {
   EXPECT_EQ(got.crash_fingerprint, want.crash_fingerprint);
   EXPECT_EQ(got.crash_report_path, want.crash_report_path);
   EXPECT_EQ(got.snapshot_iter, want.snapshot_iter);
+  EXPECT_EQ(got.warning, want.warning);
   EXPECT_EQ(got.log.to_log_text(), want.log.to_log_text());
 }
 
@@ -581,7 +583,7 @@ std::string group(const std::string& key, const std::string& body) {
          "end\n";
 }
 
-constexpr std::string_view kHeader = "epgs-journal-v2\nconfig fp\n";
+constexpr std::string_view kHeader = "epgs-journal-v3\nconfig fp\n";
 
 TEST(Supervisor, ReportTextRoundTripsEveryField) {
   const TrialReport want = full_report();
@@ -808,6 +810,24 @@ TEST_F(SupervisorDir, ReplayRejectsVersionOneJournal) {
   try {
     (void)replay_journal(journal_path(), "fp");
     FAIL() << "a v1 journal replayed";
+  } catch (const EpgsError& e) {
+    EXPECT_NE(std::string(e.what()).find("bad header"), std::string::npos)
+        << e.what();
+  }
+}
+
+TEST_F(SupervisorDir, ReplayRejectsVersionTwoJournal) {
+  // A v2 report has no warning line; there is no fallback reader.
+  TrialReport rep;
+  std::string body = rep.to_report_text();
+  const std::size_t at = body.find("warning \n");
+  ASSERT_NE(at, std::string::npos);
+  body.erase(at, std::string_view("warning \n").size());
+  std::ofstream(journal_path())
+      << "epgs-journal-v2\nconfig fp\n" << group("GAP|BFS|0", body);
+  try {
+    (void)replay_journal(journal_path(), "fp");
+    FAIL() << "a v2 journal replayed";
   } catch (const EpgsError& e) {
     EXPECT_NE(std::string(e.what()).find("bad header"), std::string::npos)
         << e.what();

@@ -13,7 +13,6 @@
 #include "graph/csr.hpp"
 #include "graph/transforms.hpp"
 #include "systems/common/reference.hpp"
-#include "harness/experiment.hpp"
 #include "systems/powergraph/vertex_cut.hpp"
 #include "test_util.hpp"
 
@@ -149,29 +148,6 @@ TEST(PowerGraphSystem, SsspOnDenseHubGraph) {
   for (vid_t v = 0; v < truth.size(); ++v) {
     ASSERT_EQ(r.dist[v], truth[v]);
   }
-}
-
-TEST(PowerGraphSystem, AsyncEngineMatchesSyncResults) {
-  gen::KroneckerParams kp;
-  kp.scale = 7;
-  kp.edgefactor = 8;
-  const auto el =
-      with_random_weights(dedupe(symmetrize(gen::kronecker(kp))), 3, 31);
-
-  PowerGraphSystem sync_sys(
-      PowerGraphSystem::Options{.num_partitions = 4});
-  PowerGraphSystem async_sys(PowerGraphSystem::Options{
-      .num_partitions = 4, .async_engine = true});
-  sync_sys.set_edges(el);
-  sync_sys.build();
-  async_sys.set_edges(el);
-  async_sys.build();
-
-  const auto roots = harness::select_roots(el, 2, 5);
-  for (const vid_t root : roots) {
-    EXPECT_EQ(async_sys.sssp(root).dist, sync_sys.sssp(root).dist);
-  }
-  EXPECT_EQ(async_sys.wcc().component, sync_sys.wcc().component);
 }
 
 TEST(PowerGraphSystem, GatherScatterCountersNonZero) {
