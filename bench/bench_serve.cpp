@@ -1,15 +1,18 @@
 // Query-service latency microbenchmark.
 //
 // Quantifies the two wins `epg serve` exists for: (1) keeping graphs
-// warm — a repeat query skips materialize/build staging and should be
-// dramatically cheaper than the cold first hit; (2) coalescing — eight
+// warm, and the systems built on them — a repeat query skips
+// materialize, staging and construction, pays only its kernel, and
+// should be far cheaper than the cold first hit; (2) coalescing — eight
 // clients firing the identical request while the worker is busy should
 // collapse into far fewer kernel executions than eight.
 //
 // Runs an in-process server on a temp-dir Unix socket, times the cold
-// query, a warm-query distribution, and an 8-client concurrent burst,
-// then writes a JSON summary (argv[1], default results_serve.json) for
-// the non-blocking perf smoke. Knobs: EPGS_SCALE (graph size),
+// query, warm-query distributions for GAP PageRank and GAP BFS (both run
+// on the GAP system the cold query built), and an 8-client concurrent
+// burst, then writes a JSON summary (argv[1], default
+// results_serve.json) for the non-blocking perf smoke, with the
+// server's builds paid and reused. Knobs: EPGS_SCALE (graph size),
 // EPGS_ROOTS (warm repetitions).
 #include <unistd.h>
 
@@ -30,7 +33,8 @@ using namespace epgs;
 
 namespace {
 
-serve::Request run_request(int scale, std::uint64_t seed) {
+serve::Request run_request(int scale, std::uint64_t seed,
+                           harness::Algorithm algorithm) {
   serve::Request req;
   req.verb = serve::Verb::kRun;
   req.graph.kind = harness::GraphSpec::Kind::kKronecker;
@@ -40,7 +44,7 @@ serve::Request run_request(int scale, std::uint64_t seed) {
   req.graph.symmetrize = true;
   req.graph.deduplicate = true;
   req.system = "GAP";
-  req.algorithm = harness::Algorithm::kPageRank;
+  req.algorithm = algorithm;
   req.roots = 1;
   req.threads = 1;
   return req;
@@ -73,9 +77,13 @@ int main(int argc, char** argv) {
   opts.queue_depth = 2 * kClients;
   serve::Server server(opts);
 
-  const std::string payload = serve::render_request(run_request(scale, 7));
+  using harness::Algorithm;
+  const std::string payload =
+      serve::render_request(run_request(scale, 7, Algorithm::kPageRank));
+  const std::string bfs_payload =
+      serve::render_request(run_request(scale, 7, Algorithm::kBfs));
 
-  // Cold: first hit pays generation + staging.
+  // Cold: first hit pays generation, staging and the build.
   WallTimer cold_timer;
   const auto cold = serve::query_server(opts.socket_path, payload);
   const double cold_ms = cold_timer.seconds() * 1e3;
@@ -84,18 +92,24 @@ int main(int argc, char** argv) {
     return 1;
   }
 
-  // Warm: the graph is resident; only the kernel runs.
-  std::vector<double> warm_ms;
-  warm_ms.reserve(static_cast<std::size_t>(warm_reps));
-  for (int i = 0; i < warm_reps; ++i) {
-    WallTimer t;
-    const auto r = serve::query_server(opts.socket_path, payload);
-    if (r.kind != serve::ReplyKind::kOk) {
-      std::fprintf(stderr, "warm query failed: %s\n", r.body.c_str());
-      return 1;
+  // Warm: the graph and its built GAP system are resident; only the
+  // kernel runs. Empty on a failed query.
+  auto warm_latencies = [&](const std::string& query) {
+    std::vector<double> ms;
+    for (int i = 0; i < warm_reps; ++i) {
+      WallTimer t;
+      const auto r = serve::query_server(opts.socket_path, query);
+      if (r.kind != serve::ReplyKind::kOk) {
+        std::fprintf(stderr, "warm query failed: %s\n", r.body.c_str());
+        return std::vector<double>{};
+      }
+      ms.push_back(t.seconds() * 1e3);
     }
-    warm_ms.push_back(t.seconds() * 1e3);
-  }
+    return ms;
+  };
+  const std::vector<double> warm_ms = warm_latencies(payload);
+  const std::vector<double> warm_bfs_ms = warm_latencies(bfs_payload);
+  if (warm_ms.empty() || warm_bfs_ms.empty()) return 1;
 
   // Burst: identical requests from concurrent clients coalesce onto
   // queued batches instead of running eight kernels.
@@ -125,10 +139,18 @@ int main(int argc, char** argv) {
 
   const double warm_median = quantile(warm_ms, 0.50);
   const double warm_p95 = quantile(warm_ms, 0.95);
-  std::printf("cold           %.3f ms (generation + staging + kernel)\n",
+  const double warm_bfs_median = quantile(warm_bfs_ms, 0.50);
+  const double warm_bfs_p95 = quantile(warm_bfs_ms, 0.95);
+  std::printf("cold           %.3f ms (generation + staging + build + "
+              "kernel)\n",
               cold_ms);
-  std::printf("warm median    %.3f ms over %d reps (p95 %.3f ms)\n",
+  std::printf("warm PageRank  %.3f ms median over %d reps (p95 %.3f ms)\n",
               warm_median, warm_reps, warm_p95);
+  std::printf("warm BFS       %.3f ms median over %d reps (p95 %.3f ms)\n",
+              warm_bfs_median, warm_reps, warm_bfs_p95);
+  std::printf("builds         %llu paid, %llu reused\n",
+              static_cast<unsigned long long>(after.builds_paid),
+              static_cast<unsigned long long>(after.builds_reused));
   std::printf("burst          %d clients in %.3f ms -> %llu executions, "
               "%llu coalesced\n",
               kClients, burst_ms,
@@ -146,15 +168,22 @@ int main(int argc, char** argv) {
                "  \"cold_ms\": %.4f,\n"
                "  \"warm_median_ms\": %.4f,\n"
                "  \"warm_p95_ms\": %.4f,\n"
+               "  \"warm_bfs_median_ms\": %.4f,\n"
+               "  \"warm_bfs_p95_ms\": %.4f,\n"
                "  \"warm_reps\": %d,\n"
                "  \"burst_clients\": %d,\n"
                "  \"burst_wall_ms\": %.4f,\n"
                "  \"burst_batches\": %llu,\n"
-               "  \"burst_coalesced\": %llu\n"
+               "  \"burst_coalesced\": %llu,\n"
+               "  \"builds_paid\": %llu,\n"
+               "  \"builds_reused\": %llu\n"
                "}\n",
-               scale, cold_ms, warm_median, warm_p95, warm_reps, kClients,
-               burst_ms, static_cast<unsigned long long>(burst_batches),
-               static_cast<unsigned long long>(burst_coalesced));
+               scale, cold_ms, warm_median, warm_p95, warm_bfs_median,
+               warm_bfs_p95, warm_reps, kClients, burst_ms,
+               static_cast<unsigned long long>(burst_batches),
+               static_cast<unsigned long long>(burst_coalesced),
+               static_cast<unsigned long long>(after.builds_paid),
+               static_cast<unsigned long long>(after.builds_reused));
   std::fclose(f);
   std::printf("wrote %s\n", out_path.c_str());
 

@@ -65,7 +65,7 @@ ProbeMeasurement probe(const std::string& system_name, Algorithm alg,
   }
 
   auto sys = make_system(system_name);
-  sys->set_edges(el);
+  sys->borrow_edges(el);
   sys->build();
 
   ProbeMeasurement pm;

@@ -59,6 +59,11 @@ struct ExperimentResult {
   /// journaling stopped mid-sweep (a --resume re-runs the unjournaled
   /// tail). Results are complete whatever this holds.
   std::vector<std::string> warnings;
+  /// Systems this run built from the staged data (at least one build
+  /// started), and systems it took already built from
+  /// StagedDataset::pool instead.
+  int systems_built = 0;
+  int systems_reused = 0;
 
   /// Seconds of every successful record matching the given keys (empty
   /// algorithm matches any). DNF rows never contribute samples.

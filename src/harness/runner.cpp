@@ -61,16 +61,33 @@ struct SweepOracle {
   }
 };
 
+/// The report of a unit a reused system skipped: the phase it logged
+/// when it was paid for, already at seconds 0.
+TrialReport skipped_unit(const PhaseEntry& entry) {
+  TrialReport rep;
+  rep.log.add(entry);
+  return rep;
+}
+
+/// `entry` as a reused system re-emits it.
+PhaseEntry unpaid(PhaseEntry entry) {
+  entry.seconds = 0.0;
+  return entry;
+}
+
 /// Execute one system's slice of the plan. Everything decided up front
 /// lives in `sp`; this function only drives the adapter through the
-/// supervisor and hands each unit's report to the collector.
+/// supervisor and hands each unit's report to the collector. With a
+/// `pool`, the system comes from it when one was kept and goes back to
+/// it when every unit succeeded.
 void execute_system_plan(const ExperimentConfig& cfg,
                          const std::string& fingerprint,
                          const SweepPlan& plan, const SystemPlan& sp,
-                         const EdgeList& el, const std::vector<vid_t>& roots,
+                         const EdgeList& el, SystemPool* pool,
+                         const std::vector<vid_t>& roots,
                          const SweepOracle& oracle,
                          RecordCollector& collector,
-                         Xoshiro256& backoff_rng) {
+                         Xoshiro256& backoff_rng, ExperimentResult& result) {
   const SupervisorOptions& sup = cfg.supervisor;
   const bool file_mode = plan.data_path == DataPath::kNativeFile;
 
@@ -90,18 +107,37 @@ void execute_system_plan(const ExperimentConfig& cfg,
       std::ranges::all_of(sp.trials, &PlannedTrial::replayed)) {
     return;
   }
-  const std::unique_ptr<System> sys = make_system(sp.system);
+  // A kept system was staged and built from this dataset by an earlier
+  // run: staging and building are skipped, and the rows they would have
+  // written are emitted from its saved phases instead.
+  std::optional<BuiltSystem> reused;
+  if (pool != nullptr) reused = pool->take(sp.system, plan.threads);
+  std::unique_ptr<System> sys =
+      reused ? std::move(reused->system) : make_system(sp.system);
   ThreadScope scope(plan.threads);
+  // What the pool keeps with this system, and whether it may keep it.
+  std::optional<PhaseEntry> file_read_entry;
+  std::optional<PhaseEntry> build_entry;
+  bool all_succeeded = true;
+  if (reused) {
+    ++result.systems_reused;
+    file_read_entry = std::move(reused->file_read);
+    build_entry = std::move(reused->build);
+  }
 
   // Stage the data. On the native-file path, separate-construction
   // systems get a supervised in-parent "file read" unit so the phase
   // times real zero-copy I/O; fused systems (GraphBIG, PowerGraph) only
   // record the path here — build() reads it, timed as one fused phase.
-  // On the in-RAM path the edges are staged once, untimed, for every
-  // build below: the staged copy persists across builds (as the load
-  // unit's does on the file path) and forked children inherit it.
-  if (!file_mode) {
-    sys->set_edges(el);
+  // On the in-RAM path the system borrows the caller's edges, untimed,
+  // for every build below: run_experiment's caller keeps them alive,
+  // and forked children inherit them.
+  if (reused) {
+    if (file_read_entry && !sp.load_replayed) {
+      collector.store(plan, sp.load_key, skipped_unit(*file_read_entry));
+    }
+  } else if (!file_mode) {
+    sys->borrow_edges(el);
   } else if (sp.separate_construction) {
     SupervisorOptions load_opts = sup;
     load_opts.isolate = false;  // the staged edges must live in-parent
@@ -121,6 +157,9 @@ void execute_system_plan(const ExperimentConfig& cfg,
     // On resume the journal already holds this load's records; the
     // reload only restores the staged edges and is not re-journaled.
     if (!sp.load_replayed) collector.store(plan, sp.load_key, rep);
+    if (const auto e = rep.log.find(phase::kFileRead)) {
+      file_read_entry = unpaid(*e);
+    }
   } else {
     sys->load_file(sp.native_file);
   }
@@ -131,8 +170,17 @@ void execute_system_plan(const ExperimentConfig& cfg,
   // lazily, so a fully journaled system is never rebuilt on resume.
   bool once_built = false;
   bool build_failed = false;
+  bool rebuilt = false;  // a per-trial build has run
   auto ensure_built = [&]() {
     if (once_built || build_failed) return once_built;
+    if (reused) {
+      once_built = true;
+      if (!sp.build_replayed) {
+        collector.store(plan, sp.build_key, skipped_unit(*build_entry));
+      }
+      return true;
+    }
+    ++result.systems_built;
     SupervisorOptions build_opts = sup;
     build_opts.isolate = false;  // the structure must live in-parent
     const TrialReport rep = supervise_unit(
@@ -146,6 +194,7 @@ void execute_system_plan(const ExperimentConfig& cfg,
         build_opts, backoff_rng);
     if (rep.outcome == Outcome::kSuccess) {
       once_built = true;
+      if (const auto e = rep.log.find(phase::kBuild)) build_entry = unpaid(*e);
       // On resume the journal already holds (and replay already emitted)
       // this build's records; the rebuild only restores the in-memory
       // structure and is not re-journaled.
@@ -162,6 +211,11 @@ void execute_system_plan(const ExperimentConfig& cfg,
     if (interrupt_requested()) break;  // graceful SIGINT/SIGTERM
     if (t.replayed) continue;  // replayed, not re-run
     if (!sp.rebuild_per_trial && !ensure_built()) break;
+    const bool rebuild = sp.rebuild_per_trial && !reused;
+    if (rebuild && !rebuilt) {
+      rebuilt = true;
+      ++result.systems_built;
+    }
 
     // One checkpoint session per trial: kernels attach their iteration
     // state to it, failed attempts leave a snapshot behind, and the next
@@ -184,7 +238,11 @@ void execute_system_plan(const ExperimentConfig& cfg,
       sys->set_checkpoint_session(session ? &*session : nullptr);
       TokenGuard guard{sys.get()};
       sys->log().clear();
-      if (sp.rebuild_per_trial) sys->build();
+      if (rebuild) {
+        sys->build();
+      } else if (sp.rebuild_per_trial) {
+        sys->log().add(*build_entry);  // the kept build, unpaid
+      }
       auto check = [&](const ValidationError& err, std::string_view what) {
         if (err) {
           throw ValidationFailedError(sp.system + " " + std::string(what) +
@@ -271,11 +329,64 @@ void execute_system_plan(const ExperimentConfig& cfg,
                           session->last_saved_iteration());
     }
     collector.store(plan, t.key, rep);
+    if (rep.outcome != Outcome::kSuccess) all_succeeded = false;
+    if (rebuild && rep.outcome == Outcome::kSuccess) {
+      if (const auto e = rep.log.find(phase::kBuild)) {
+        build_entry = unpaid(*e);
+      }
+    }
     if (rep.outcome == Outcome::kInterrupted) break;
   }
+
+  // Keep the system only when it is whole: every unit succeeded and this
+  // process holds it built (an isolated child's build died with the
+  // child). A failed or cancelled unit may have left it half-updated.
+  if (pool == nullptr || !all_succeeded || !sys->is_built() || !build_entry) {
+    return;
+  }
+  sys->release_edges();  // a kept system is never rebuilt
+  pool->put(BuiltSystem{.name = sp.system,
+                        .threads = plan.threads,
+                        .system = std::move(sys),
+                        .file_read = std::move(file_read_entry),
+                        .build = std::move(*build_entry)});
 }
 
 }  // namespace
+
+std::optional<BuiltSystem> SystemPool::take(std::string_view name,
+                                            int threads) {
+  std::lock_guard<std::mutex> lk(mutex_);
+  const auto it = std::ranges::find_if(systems_, [&](const BuiltSystem& b) {
+    return b.name == name && b.threads == threads;
+  });
+  if (it == systems_.end()) return std::nullopt;
+  BuiltSystem built = std::move(*it);
+  systems_.erase(it);
+  return built;
+}
+
+void SystemPool::put(BuiltSystem built) {
+  std::lock_guard<std::mutex> lk(mutex_);
+  systems_.push_back(std::move(built));
+}
+
+void SystemPool::clear() {
+  std::lock_guard<std::mutex> lk(mutex_);
+  systems_.clear();
+}
+
+std::size_t SystemPool::size() const {
+  std::lock_guard<std::mutex> lk(mutex_);
+  return systems_.size();
+}
+
+std::uint64_t SystemPool::bytes() const {
+  std::lock_guard<std::mutex> lk(mutex_);
+  std::uint64_t sum = 0;
+  for (const BuiltSystem& b : systems_) sum += b.build.work.bytes_touched;
+  return sum;
+}
 
 ExperimentResult run_experiment(const ExperimentConfig& cfg) {
   // Materialize: through the content-addressed cache (and on to the
@@ -350,8 +461,8 @@ ExperimentResult run_experiment(const ExperimentConfig& cfg,
   Xoshiro256 backoff_rng(1);  // fixed seed: deterministic jitter
   for (const SystemPlan& sp : plan.systems) {
     if (interrupt_requested()) break;  // flush what finished, stop cleanly
-    execute_system_plan(cfg, fingerprint, plan, sp, el, result.roots,
-                        oracle, collector, backoff_rng);
+    execute_system_plan(cfg, fingerprint, plan, sp, el, staged.pool,
+                        result.roots, oracle, collector, backoff_rng, result);
   }
 
   collector.take(result);

@@ -35,7 +35,7 @@ BfsTuningResult tune_bfs(const EdgeList& graph,
     opts.alpha = cand.alpha;
     opts.beta = cand.beta;
     systems::GapSystem sys(opts);
-    sys.set_edges(graph);
+    sys.borrow_edges(graph);
     sys.build();
 
     std::vector<double> times;
@@ -69,7 +69,7 @@ DeltaTuningResult tune_delta(const EdgeList& weighted_graph,
     systems::GapSystem::Options opts;
     opts.delta = delta;
     systems::GapSystem sys(opts);
-    sys.set_edges(weighted_graph);
+    sys.borrow_edges(weighted_graph);
     sys.build();
 
     std::vector<double> times;

@@ -75,14 +75,17 @@ std::shared_ptr<const ResidentGraph> GraphStore::acquire(
   return g;
 }
 
-void GraphStore::evict_to_budget(const std::string& keep) {
-  if (max_resident_bytes_ == 0) return;
-  auto total = [&] {
-    std::uint64_t sum = 0;
-    for (const auto& [key, slot] : slots_) sum += slot.graph->bytes;
-    return sum;
-  };
-  while (total() > max_resident_bytes_) {
+std::uint64_t GraphStore::total_bytes() const {
+  std::uint64_t sum = 0;
+  for (const auto& [key, slot] : slots_) {
+    sum += slot.graph->bytes + slot.graph->systems.bytes();
+  }
+  return sum;
+}
+
+bool GraphStore::evict_to_budget(const std::string& keep) {
+  if (max_resident_bytes_ == 0) return true;
+  while (total_bytes() > max_resident_bytes_) {
     // LRU victim among evictable slots: not the just-acquired graph, and
     // not one staged into a running request (shared_ptr held elsewhere).
     std::size_t victim = slots_.size();
@@ -95,10 +98,16 @@ void GraphStore::evict_to_budget(const std::string& keep) {
         victim = i;
       }
     }
-    if (victim == slots_.size()) return;  // everything pinned; over budget
+    if (victim == slots_.size()) return false;  // everything pinned
     slots_.erase(slots_.begin() + static_cast<std::ptrdiff_t>(victim));
     metrics_.add_eviction();
   }
+  return true;
+}
+
+void GraphStore::charge_systems(const ResidentGraph& graph) {
+  std::lock_guard<std::mutex> lk(mutex_);
+  if (!evict_to_budget(graph.fingerprint)) graph.systems.clear();
 }
 
 std::vector<GraphResidency> GraphStore::residency() const {
@@ -110,6 +119,8 @@ std::vector<GraphResidency> GraphStore::residency() const {
     r.name = slot.graph->name;
     r.bytes = slot.graph->bytes;
     r.hits = slot.hits;
+    r.systems = slot.graph->systems.size();
+    r.system_bytes = slot.graph->systems.bytes();
     rows.push_back(std::move(r));
   }
   std::sort(rows.begin(), rows.end(), [](const auto& a, const auto& b) {
@@ -120,9 +131,7 @@ std::vector<GraphResidency> GraphStore::residency() const {
 
 std::uint64_t GraphStore::resident_bytes() const {
   std::lock_guard<std::mutex> lk(mutex_);
-  std::uint64_t sum = 0;
-  for (const auto& [key, slot] : slots_) sum += slot.graph->bytes;
-  return sum;
+  return total_bytes();
 }
 
 }  // namespace epgs::serve

@@ -114,6 +114,12 @@ void Metrics::add_eviction() {
   evictions_++;
 }
 
+void Metrics::add_builds(std::uint64_t paid, std::uint64_t reused) {
+  std::lock_guard<std::mutex> lk(mutex_);
+  builds_paid_ += paid;
+  builds_reused_ += reused;
+}
+
 MetricsSnapshot Metrics::snapshot() const {
   std::lock_guard<std::mutex> lk(mutex_);
   MetricsSnapshot s;
@@ -127,6 +133,8 @@ MetricsSnapshot Metrics::snapshot() const {
   s.cold_loads = cold_loads_;
   s.warm_hits = warm_hits_;
   s.evictions = evictions_;
+  s.builds_paid = builds_paid_;
+  s.builds_reused = builds_reused_;
   s.p50_seconds = latency_.quantile(0.50);
   s.p95_seconds = latency_.quantile(0.95);
   s.p99_seconds = latency_.quantile(0.99);
@@ -147,7 +155,9 @@ std::string render_metrics(const MetricsSnapshot& snap) {
      << "protocol_errors " << snap.protocol_errors << "\n"
      << "cold_loads " << snap.cold_loads << "\n"
      << "warm_hits " << snap.warm_hits << "\n"
-     << "evictions " << snap.evictions << "\n";
+     << "evictions " << snap.evictions << "\n"
+     << "builds_paid " << snap.builds_paid << "\n"
+     << "builds_reused " << snap.builds_reused << "\n";
   os.precision(6);
   os << std::fixed;
   os << "latency_count " << snap.latency_count << "\n"
@@ -159,6 +169,7 @@ std::string render_metrics(const MetricsSnapshot& snap) {
      << "process_rss_bytes " << snap.process_rss_bytes << "\n";
   for (const auto& g : snap.graphs) {
     os << "graph " << g.name << " bytes=" << g.bytes << " hits=" << g.hits
+       << " systems=" << g.systems << " system_bytes=" << g.system_bytes
        << "\n";
   }
   return os.str();

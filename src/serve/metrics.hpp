@@ -50,8 +50,10 @@ class LatencyHistogram {
 /// One resident graph, as reported in the stats snapshot.
 struct GraphResidency {
   std::string name;
-  std::uint64_t bytes = 0;
+  std::uint64_t bytes = 0;   ///< the edge list's
   std::uint64_t hits = 0;    ///< warm acquisitions since load
+  std::size_t systems = 0;   ///< built systems kept with the graph
+  std::uint64_t system_bytes = 0;  ///< their build rows' bytes
   bool resident = true;
 };
 
@@ -68,12 +70,14 @@ struct MetricsSnapshot {
   std::uint64_t cold_loads = 0;        ///< graph loads paid by a request
   std::uint64_t warm_hits = 0;         ///< requests served from residency
   std::uint64_t evictions = 0;         ///< graphs LRU-evicted for budget
+  std::uint64_t builds_paid = 0;       ///< systems a request built
+  std::uint64_t builds_reused = 0;     ///< systems a request found built
   double p50_seconds = 0.0;
   double p95_seconds = 0.0;
   double p99_seconds = 0.0;
   double max_seconds = 0.0;
   std::uint64_t latency_count = 0;
-  std::uint64_t resident_bytes = 0;    ///< graph-store accounted bytes
+  std::uint64_t resident_bytes = 0;    ///< graph-store bytes, systems too
   std::uint64_t process_rss_bytes = 0; ///< /proc/self/statm, governor-style
   std::vector<GraphResidency> graphs;
 };
@@ -93,6 +97,7 @@ class Metrics {
   void add_cold_load();
   void add_warm_hit();
   void add_eviction();
+  void add_builds(std::uint64_t paid, std::uint64_t reused);
 
   /// Copy out every counter; residency rows come from the caller (the
   /// graph store owns them).
@@ -111,6 +116,8 @@ class Metrics {
   std::uint64_t cold_loads_ = 0;
   std::uint64_t warm_hits_ = 0;
   std::uint64_t evictions_ = 0;
+  std::uint64_t builds_paid_ = 0;
+  std::uint64_t builds_reused_ = 0;
 };
 
 /// Human- and grep-friendly rendering, shared by the `stats` reply and

@@ -20,6 +20,12 @@
 //   ok <verb>\n<body>
 //   error <kind> <message>
 //
+// A `run` reply's body is the CSV `epg run` writes for the same sweep,
+// row for row. When the request ran on a system an earlier request built
+// (the graph store keeps them), the rows of the work it skipped — the
+// build, and the file read on the native-file path — carry the counters
+// of the request that paid for them and `seconds` 0.
+//
 // Error kinds are the protocol's typed failure taxonomy — `protocol`
 // (malformed frame or request), `overloaded` (admission control rejected
 // the request), `deadline` (deadline_ms expired), `config` (valid frame,

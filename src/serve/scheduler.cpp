@@ -172,9 +172,13 @@ void Scheduler::execute(Batch& batch) {
     staged.edges = &graph->edges;
     staged.files = graph->files ? &*graph->files : nullptr;
     staged.cache_hit = graph->from_cache_hit;
+    staged.pool = &graph->systems;
 
     const harness::ExperimentResult result =
         harness::run_experiment(cfg, staged);
+    metrics_.add_builds(static_cast<std::uint64_t>(result.systems_built),
+                        static_cast<std::uint64_t>(result.systems_reused));
+    store_.charge_systems(*graph);
     const bool timed_out = has_timeout_rows(result.records);
     const std::string csv = harness::records_to_csv(result.records);
 

@@ -68,10 +68,22 @@ EdgeList read_native(GraphFormat fmt, const std::filesystem::path& path) {
 }  // namespace
 
 void System::set_edges(EdgeList edges) {
-  staged_ = std::move(edges);
-  has_staged_ = true;
+  owned_ = std::move(edges);
+  staged_ = &owned_;
   built_ = false;
-  n_ = staged_.num_vertices;
+  n_ = owned_.num_vertices;
+}
+
+void System::borrow_edges(const EdgeList& edges) {
+  owned_ = EdgeList{};
+  staged_ = &edges;
+  built_ = false;
+  n_ = edges.num_vertices;
+}
+
+void System::release_edges() {
+  owned_ = EdgeList{};
+  staged_ = nullptr;
 }
 
 void System::load_file(const std::filesystem::path& path) {
@@ -90,14 +102,14 @@ void System::load_file(const std::filesystem::path& path) {
   } else {
     // Fused read+build systems (GraphBIG, PowerGraph): defer the read so
     // it is timed together with construction inside build().
+    release_edges();
     pending_path_ = path;
-    has_staged_ = false;
     built_ = false;
   }
 }
 
 void System::build() {
-  EPGS_CHECK(has_staged_ || !pending_path_.empty(),
+  EPGS_CHECK(staged_ != nullptr || !pending_path_.empty(),
              "System::build: no edges staged and no file pending");
   built_ = false;  // a build that throws leaves the system unbuilt
   checkpoint();
@@ -105,27 +117,26 @@ void System::build() {
   fault::on_phase_start(name(), phase::kBuild, cancel_);
   WallTimer t;
   bool fused = false;
-  if (!has_staged_) {
-    staged_ = read_native(native_format(), pending_path_);
-    has_staged_ = true;
-    n_ = staged_.num_vertices;
+  if (staged_ == nullptr) {
+    set_edges(read_native(native_format(), pending_path_));
     fused = true;
     pending_path_.clear();
   }
   work_ = {};
-  do_build(staged_);
+  do_build(*staged_);
   const double secs = t.seconds();
   std::map<std::string, std::string> extra;
   if (fused) extra["fused_read"] = "1";
   WorkStats w = work_;
-  if (w.edges_processed == 0) w.edges_processed = staged_.num_edges();
-  if (w.vertex_updates == 0) w.vertex_updates = staged_.num_vertices;
+  if (w.edges_processed == 0) w.edges_processed = staged_->num_edges();
+  if (w.vertex_updates == 0) w.vertex_updates = staged_->num_vertices;
   log_.add(std::string(phase::kBuild), secs, w, std::move(extra));
   built_ = true;
 }
 
 vid_t System::num_vertices() const {
-  return built_ ? n_ : staged_.num_vertices;
+  if (built_) return n_;
+  return staged_ != nullptr ? staged_->num_vertices : 0;
 }
 
 template <typename Fn>

@@ -71,6 +71,9 @@ inline constexpr std::string_view kOutput = "print output";
 
 class System {
  public:
+  System() = default;
+  System(const System&) = delete;  // staged_ may point into owned_
+  System& operator=(const System&) = delete;
   virtual ~System() = default;
 
   [[nodiscard]] virtual std::string_view name() const = 0;
@@ -79,7 +82,17 @@ class System {
   [[nodiscard]] virtual GraphFormat native_format() const = 0;
 
   /// Stage an edge list already in RAM (no "file read" phase logged).
+  /// The system keeps its own list: a caller that passes an lvalue pays
+  /// a copy. load_file stages through this.
   void set_edges(EdgeList edges);
+
+  /// Stage the caller's edge list without copying it. `edges` must
+  /// outlive every build() from it; a built system no longer reads it.
+  void borrow_edges(const EdgeList& edges);
+
+  /// Drop the staged edges (freeing them if owned). A built system keeps
+  /// running kernels; it cannot build again until edges are staged.
+  void release_edges();
 
   /// Read this system's native file; logs the "file read" phase. The
   /// GraphMat log excerpt under Table I is exactly this phase.
@@ -127,7 +140,7 @@ class System {
   friend class KernelRun;
 
  protected:
-  /// Subclass hooks. do_build() consumes staged_ into the native
+  /// Subclass hooks. do_build() consumes the staged edges into the native
   /// representation and reports the bytes of the built structure.
   virtual void do_build(const EdgeList& edges) = 0;
   virtual BfsResult do_bfs(vid_t root);
@@ -162,9 +175,9 @@ class System {
   template <typename Fn>
   auto run_timed(std::string_view alg, bool supported, Fn&& fn);
 
-  EdgeList staged_;
+  EdgeList owned_;  ///< set_edges()'s list, read by build() when staged
+  const EdgeList* staged_ = nullptr;  ///< &owned_, a borrowed list, or null
   std::filesystem::path pending_path_;  ///< deferred read for fused systems
-  bool has_staged_ = false;
   bool built_ = false;
   PhaseLog log_;
   const CancellationToken* cancel_ = nullptr;

@@ -22,6 +22,7 @@
 #include "serve/protocol.hpp"
 #include "serve/server.hpp"
 #include "systems/common/fault_injection.hpp"
+#include "systems/common/registry.hpp"
 
 namespace epgs {
 namespace {
@@ -67,13 +68,15 @@ serve::Request make_run_request(int scale, std::uint64_t seed,
 }
 
 /// The direct (no server) execution of the same request, as stripped CSV.
-std::string direct_stripped_csv(const serve::Request& req) {
+std::string direct_stripped_csv(const serve::Request& req,
+                                const harness::DatasetOptions& dataset = {}) {
   harness::ExperimentConfig cfg;
   cfg.graph = req.graph;
   cfg.systems = {req.system};
   cfg.algorithms = {req.algorithm};
   cfg.num_roots = req.roots;
   cfg.threads = req.threads;
+  cfg.dataset = dataset;
   const auto result = harness::run_experiment(cfg);
   return harness::records_to_stripped_csv(result.records);
 }
@@ -307,7 +310,8 @@ TEST(ServeResidency, SecondGraphEvictsLruUnderTightBudget) {
     return serve::edge_list_bytes(harness::materialize(spec));
   }();
 
-  // Budget fits one resident graph but not two.
+  // Budget fits one resident graph and its built GAP system (a CSR of
+  // about a third of the edge list's bytes), but not two graphs.
   serve::ServerOptions tight;
   tight.socket_path = (tmp.path() / "tight.sock").string();
   tight.max_resident_bytes = one_graph + one_graph / 2;
@@ -319,6 +323,14 @@ TEST(ServeResidency, SecondGraphEvictsLruUnderTightBudget) {
                                 serve::render_request(first))
                 .kind,
             serve::ReplyKind::kOk);
+  // The resident bytes charge the kept system on top of the edge list.
+  auto snap = tight_server.snapshot();
+  ASSERT_EQ(snap.graphs.size(), 1u);
+  EXPECT_EQ(snap.graphs[0].bytes, one_graph);
+  EXPECT_EQ(snap.graphs[0].systems, 1u);
+  EXPECT_GT(snap.graphs[0].system_bytes, 0u);
+  EXPECT_EQ(snap.resident_bytes, one_graph + snap.graphs[0].system_bytes);
+
   ASSERT_EQ(serve::query_server(tight.socket_path,
                                 serve::render_request(second))
                 .kind,
@@ -330,11 +342,16 @@ TEST(ServeResidency, SecondGraphEvictsLruUnderTightBudget) {
   EXPECT_EQ(stat_value(stats.body, "cold_loads"), 2u);
   EXPECT_LE(stat_value(stats.body, "resident_graph_bytes"),
             tight.max_resident_bytes);
-  // The LRU victim was the *first* graph; only the second remains.
-  const auto snap = tight_server.snapshot();
+  // The LRU victim was the *first* graph, and its system went with it;
+  // only the second graph and its system remain.
+  snap = tight_server.snapshot();
   ASSERT_EQ(snap.graphs.size(), 1u);
   EXPECT_EQ(snap.graphs[0].name, second.graph.name());
-  // Re-querying the evicted graph is correct (cold) service, not an error.
+  EXPECT_EQ(snap.graphs[0].systems, 1u);
+  EXPECT_EQ(snap.resident_bytes,
+            snap.graphs[0].bytes + snap.graphs[0].system_bytes);
+  // Re-querying the evicted graph is correct (cold) service, not an
+  // error, and pays a build again: no system outlived its graph.
   ASSERT_EQ(serve::query_server(tight.socket_path,
                                 serve::render_request(first))
                 .kind,
@@ -342,6 +359,185 @@ TEST(ServeResidency, SecondGraphEvictsLruUnderTightBudget) {
   stats = serve::query_server(tight.socket_path, "stats");
   EXPECT_EQ(stat_value(stats.body, "cold_loads"), 3u);
   EXPECT_EQ(stat_value(stats.body, "evictions"), 2u);
+  EXPECT_EQ(stat_value(stats.body, "builds_paid"), 3u);
+  EXPECT_EQ(stat_value(stats.body, "builds_reused"), 0u);
+}
+
+TEST(ServeResidency, SystemOverBudgetIsNotKept) {
+  TempDir tmp;
+  const auto req = make_run_request(7, 43, "GAP", harness::Algorithm::kBfs);
+  serve::ServerOptions opts;
+  opts.socket_path = (tmp.path() / "epg.sock").string();
+  // Room for the edge list alone: the built system cannot be charged.
+  opts.max_resident_bytes =
+      serve::edge_list_bytes(harness::materialize(req.graph));
+  serve::Server server(opts);
+
+  for (int i = 0; i < 2; ++i) {
+    const auto reply =
+        serve::query_server(opts.socket_path, serve::render_request(req));
+    ASSERT_EQ(reply.kind, serve::ReplyKind::kOk) << reply.body;
+    EXPECT_EQ(served_stripped_csv(reply), direct_stripped_csv(req));
+  }
+  const auto snap = server.snapshot();
+  ASSERT_EQ(snap.graphs.size(), 1u);
+  EXPECT_EQ(snap.graphs[0].systems, 0u);
+  EXPECT_EQ(snap.resident_bytes, opts.max_resident_bytes);
+  EXPECT_EQ(snap.builds_paid, 2u);
+  EXPECT_EQ(snap.builds_reused, 0u);
+}
+
+/// True for the rows a reused system skips: its staging and build.
+bool skippable_phase(const harness::RunRecord& r) {
+  return r.phase == phase::kBuild || r.phase == phase::kFileRead;
+}
+
+/// Send `req` twice to a fresh server: both replies must equal a direct
+/// run, and the second must reuse the system the first built, emitting
+/// its skipped rows with the paid rows' counters and seconds 0.
+void expect_warm_reuse(const serve::Request& req,
+                       const harness::DatasetOptions& dataset,
+                       const fs::path& dir) {
+  const std::string what = req.system + " " +
+                           std::string(harness::algorithm_name(req.algorithm)) +
+                           (dataset.enabled() ? " (native files)" : "");
+  serve::ServerOptions opts;
+  opts.socket_path = (dir / "warm.sock").string();
+  opts.dataset = dataset;
+  serve::Server server(opts);
+
+  const std::string want = direct_stripped_csv(req, dataset);
+  const std::string payload = serve::render_request(req);
+  const auto paid = serve::query_server(opts.socket_path, payload);
+  const auto warm = serve::query_server(opts.socket_path, payload);
+  ASSERT_EQ(paid.kind, serve::ReplyKind::kOk) << what << ": " << paid.body;
+  ASSERT_EQ(warm.kind, serve::ReplyKind::kOk) << what << ": " << warm.body;
+  EXPECT_EQ(served_stripped_csv(paid), want) << what;
+  EXPECT_EQ(served_stripped_csv(warm), want) << what;
+
+  const auto paid_rows = harness::records_from_csv(paid.body);
+  const auto warm_rows = harness::records_from_csv(warm.body);
+  ASSERT_EQ(paid_rows.size(), warm_rows.size()) << what;
+  std::size_t skipped = 0;
+  for (std::size_t i = 0; i < warm_rows.size(); ++i) {
+    if (!skippable_phase(warm_rows[i])) continue;
+    ++skipped;
+    EXPECT_EQ(warm_rows[i].seconds, 0.0) << what << " row " << i;
+    EXPECT_EQ(warm_rows[i].work.edges_processed,
+              paid_rows[i].work.edges_processed)
+        << what << " row " << i;
+    EXPECT_EQ(warm_rows[i].work.vertex_updates,
+              paid_rows[i].work.vertex_updates)
+        << what << " row " << i;
+    EXPECT_EQ(warm_rows[i].work.bytes_touched, paid_rows[i].work.bytes_touched)
+        << what << " row " << i;
+  }
+  EXPECT_GE(skipped, 1u) << what;
+
+  const auto snap = server.snapshot();
+  EXPECT_EQ(snap.builds_paid, 1u) << what;
+  EXPECT_EQ(snap.builds_reused, 1u) << what;
+  ASSERT_EQ(snap.graphs.size(), 1u) << what;
+  EXPECT_EQ(snap.graphs[0].systems, 1u) << what;
+}
+
+TEST(ServeResidency, WarmRequestReusesBuiltSystem) {
+  TempDir tmp;
+  harness::DatasetOptions native;
+  native.cache_dir = (tmp.path() / "cache").string();
+  std::vector<std::string_view> systems = all_system_names();
+  for (const auto name : extension_system_names()) systems.push_back(name);
+  constexpr harness::Algorithm kAlgorithms[] = {
+      harness::Algorithm::kBfs,  harness::Algorithm::kSssp,
+      harness::Algorithm::kPageRank, harness::Algorithm::kCdlp,
+      harness::Algorithm::kLcc,  harness::Algorithm::kWcc,
+      harness::Algorithm::kTc,   harness::Algorithm::kBc};
+  int pairs = 0;
+  for (const auto name : systems) {
+    const Capabilities caps = make_system(name)->capabilities();
+    for (const auto alg : kAlgorithms) {
+      if (!algorithm_supported(caps, alg)) continue;
+      ++pairs;
+      // roots=2: Graph500 and the fused GraphBIG and PowerGraph skip one
+      // build row, the rebuild-per-trial systems one per trial.
+      const auto req = make_run_request(6, 61, std::string(name), alg,
+                                        /*roots=*/2);
+      for (const auto& dataset : {harness::DatasetOptions{}, native}) {
+        expect_warm_reuse(req, dataset, tmp.path());
+      }
+    }
+  }
+  EXPECT_GE(pairs, 30);
+
+  // Two algorithms on one resident instance: PageRank runs on the system
+  // the BFS request built. Meanwhile a client reads `stats` on its own
+  // connections, so the resident bytes are read while the worker takes
+  // and returns the system.
+  serve::ServerOptions opts;
+  opts.socket_path = (tmp.path() / "mixed.sock").string();
+  serve::Server server(opts);
+  std::atomic<bool> done{false};
+  std::thread stats_reader([&] {
+    while (!done) (void)serve::query_server(opts.socket_path, "stats");
+  });
+  const auto bfs = make_run_request(6, 62, "GAP", harness::Algorithm::kBfs);
+  const auto pr = make_run_request(6, 62, "GAP", harness::Algorithm::kPageRank);
+  std::vector<serve::Reply> replies;
+  for (const auto& req : {bfs, pr}) {
+    replies.push_back(
+        serve::query_server(opts.socket_path, serve::render_request(req)));
+  }
+  done = true;
+  stats_reader.join();
+  for (std::size_t i = 0; i < replies.size(); ++i) {
+    ASSERT_EQ(replies[i].kind, serve::ReplyKind::kOk) << replies[i].body;
+    EXPECT_EQ(served_stripped_csv(replies[i]),
+              direct_stripped_csv(i == 0 ? bfs : pr));
+  }
+  const auto snap = server.snapshot();
+  EXPECT_EQ(snap.builds_paid, 1u);
+  EXPECT_EQ(snap.builds_reused, 1u);
+}
+
+TEST(ServeResidency, FailedUnitDropsItsSystem) {
+  TempDir tmp;
+  serve::ServerOptions opts;
+  opts.socket_path = (tmp.path() / "epg.sock").string();
+  serve::Server server(opts);
+  const auto req = make_run_request(6, 71, "GAP", harness::Algorithm::kBfs);
+  const std::string want = direct_stripped_csv(req);
+  const auto systems_kept = [&] {
+    const auto snap = server.snapshot();
+    return snap.graphs.empty() ? ~std::size_t{0} : snap.graphs[0].systems;
+  };
+
+  auto reply = serve::query_server(opts.socket_path, serve::render_request(req));
+  ASSERT_EQ(reply.kind, serve::ReplyKind::kOk) << reply.body;
+  ASSERT_EQ(systems_kept(), 1u);
+
+  // The kept system runs the next request, whose kernel hangs until its
+  // deadline cancels it: the system is not kept after that.
+  {
+    fault::Scoped hang(fault::Plan{.system = "GAP",
+                                   .kind = fault::Kind::kHang,
+                                   .phase = "bfs"});
+    auto bounded = req;
+    bounded.deadline_ms = 300;
+    reply = serve::query_server(opts.socket_path,
+                                serve::render_request(bounded));
+    EXPECT_EQ(reply.kind, serve::ReplyKind::kDeadline) << reply.body;
+  }
+  EXPECT_EQ(systems_kept(), 0u);
+  EXPECT_EQ(server.snapshot().builds_reused, 1u);
+
+  // The next request pays a build and replies correctly.
+  reply = serve::query_server(opts.socket_path, serve::render_request(req));
+  ASSERT_EQ(reply.kind, serve::ReplyKind::kOk) << reply.body;
+  EXPECT_EQ(served_stripped_csv(reply), want);
+  const auto snap = server.snapshot();
+  EXPECT_EQ(snap.builds_paid, 2u);
+  EXPECT_EQ(snap.builds_reused, 1u);
+  EXPECT_EQ(systems_kept(), 1u);
 }
 
 TEST(ServeCoalescing, IdenticalQueuedRequestsShareOneExecution) {

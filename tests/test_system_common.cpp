@@ -172,6 +172,29 @@ TEST(SystemLifecycle, RebuildAfterSetEdges) {
   EXPECT_EQ(r.parent.size(), 6u);
 }
 
+TEST(SystemLifecycle, BorrowedEdgesBuildLikeOwnedOnesAndMayBeReleased) {
+  const EdgeList el = test::star_graph(6);
+  auto owned = make_system("GAP");
+  owned->set_edges(el);
+  owned->build();
+  auto borrowed = make_system("GAP");
+  borrowed->borrow_edges(el);
+  EXPECT_EQ(borrowed->num_vertices(), 6u);
+  borrowed->build();
+  const auto built = [](const System& s) {
+    return s.log().find(phase::kBuild)->work.bytes_touched;
+  };
+  EXPECT_EQ(built(*borrowed), built(*owned));
+  EXPECT_EQ(borrowed->bfs(0).parent, owned->bfs(0).parent);
+
+  // A released system keeps its build but has nothing to rebuild from.
+  borrowed->release_edges();
+  EXPECT_TRUE(borrowed->is_built());
+  EXPECT_EQ(borrowed->num_vertices(), 6u);
+  EXPECT_EQ(borrowed->bfs(0).parent, owned->bfs(0).parent);
+  EXPECT_THROW(borrowed->build(), EpgsError);
+}
+
 TEST(SystemLifecycle, NativeFormatsAreDistinctPerSystem) {
   std::vector<GraphFormat> formats;
   for (const auto n : all_system_names()) {
