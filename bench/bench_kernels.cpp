@@ -54,9 +54,10 @@ void BM_KroneckerGenerate(benchmark::State& state) {
 BENCHMARK(BM_KroneckerGenerate)->Arg(10)->Arg(12)->Arg(14);
 
 // Kernel 1. GAP and Ligra read in-edges from the out-CSR when
-// CSRGraph::is_symmetric() says it is its own transpose, and take the
+// is_own_transpose() says it is its own transpose (the list's claim, or
+// CSRGraph::is_symmetric() for a list without one), and take the
 // counting transpose only otherwise; GraphMat copies A for A^T when A is
-// symmetric. BM_CsrBuild is the one-pass build of a deduplicated
+// symmetric. BM_CsrIsSymmetric is the proof a list without a claim pays. BM_CsrBuild is the one-pass build of a deduplicated
 // (sorted) list, BM_CsrBuildUnsorted the counting build of the same
 // edges shuffled. bench/results_kernels.json archives the deleted
 // atomic-scatter build against the serial one.
@@ -239,14 +240,14 @@ BENCHMARK(BM_BitmapCompactParallel)
     ->Args({1 << 22, 8});
 
 // GraphMat's A^T as its build makes it: the out-CSR, then a copy of it
-// when it is symmetric (as this graph is) or else its counting
+// when it is symmetric (as this graph claims) or else its counting
 // transpose, with the arrays moved into the DCSR.
 void BM_DcsrBuild(benchmark::State& state) {
   const auto el = bench_graph(static_cast<int>(state.range(0)));
   for (auto _ : state) {
     const CSRGraph out = CSRGraph::from_edges(el);
     benchmark::DoNotOptimize(systems::graphmat_detail::DCSR::from_csr(
-        out.is_symmetric() ? CSRGraph(out) : out.transposed()));
+        is_own_transpose(el, out) ? CSRGraph(out) : out.transposed()));
   }
   state.SetItemsProcessed(state.iterations() *
                           static_cast<std::int64_t>(el.num_edges()));

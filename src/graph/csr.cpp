@@ -248,6 +248,10 @@ bool CSRGraph::is_symmetric() const {
   return true;
 }
 
+bool is_own_transpose(const EdgeList& el, const CSRGraph& out) {
+  return el.symmetric || out.is_symmetric();
+}
+
 CSRGraph::Arrays CSRGraph::release() && {
   Arrays a{std::move(offsets_), std::move(targets_), std::move(weights_)};
   *this = CSRGraph{};

@@ -100,4 +100,11 @@ class CSRGraph {
   WeightVector weights_;   // size m when weighted, else empty
 };
 
+/// Kernel 1's one symmetry decision: true when `out`, built from `el`,
+/// equals its own transpose, so it serves as its own in-CSR. A list made
+/// symmetric (`el.symmetric`) is taken at its word, as the GAP builder
+/// takes its input's directedness and Ligra its `-s` flag; a list of
+/// unknown origin is proved with `out.is_symmetric()`.
+[[nodiscard]] bool is_own_transpose(const EdgeList& el, const CSRGraph& out);
+
 }  // namespace epgs

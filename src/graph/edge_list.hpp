@@ -16,6 +16,15 @@ struct EdgeList {
   vid_t num_vertices = 0;
   bool directed = true;
   bool weighted = false;
+  /// True only when `edges` equals its own transpose as a multiset of
+  /// (src, dst, w): every edge has its reverse, weight included. It says
+  /// how the list was made, so Kernel 1 can share one CSR for both
+  /// directions without proving it: symmetrize() sets it, dedupe() and
+  /// unweighted_view() keep it, with_random_weights() clears it (weights
+  /// are drawn per direction). Lists read from disk and raw generator
+  /// output leave it false, and are proved instead. It is never stored.
+  /// Whoever edits `edges` of a list that has it set must clear it.
+  bool symmetric = false;
   std::vector<Edge> edges;
 
   [[nodiscard]] eid_t num_edges() const { return edges.size(); }

@@ -14,6 +14,7 @@ EdgeList symmetrize(const EdgeList& el) {
   out.num_vertices = el.num_vertices;
   out.directed = false;
   out.weighted = el.weighted;
+  out.symmetric = true;
   out.edges.reserve(el.edges.size() * 2);
   for (const auto& e : el.edges) {
     out.edges.push_back(e);
@@ -87,6 +88,7 @@ EdgeList with_random_weights(const EdgeList& el, std::uint64_t seed,
                              std::uint32_t max_weight) {
   EdgeList out = el;
   out.weighted = true;
+  out.symmetric = false;
   Xoshiro256 rng(seed);
   for (auto& e : out.edges) {
     e.w = static_cast<weight_t>(rng.uniform_in(1, max_weight));

@@ -38,16 +38,19 @@ ValidationError validate_bfs(const CSRGraph& g, const BfsResult& result,
     return "rule 1: parent[root] != root";
   }
 
-  std::vector<vid_t> level;
-  try {
-    level = result.levels();
-  } catch (const EpgsError& e) {
-    return std::string("rule 3: malformed tree: ") + e.what();
-  }
-
+  // Rules 3 and 5 together: every reached vertex other than the root
+  // sits one hop further from the root than its parent, by the true hop
+  // distances. Distances then fall by one along every parent chain, so
+  // each chain reaches the root (the one vertex at distance 0) without a
+  // cycle, and the tree's levels are the true ones.
   for (vid_t v = 0; v < n; ++v) {
     const vid_t p = result.parent[v];
-    if (p == kNoVertex || v == result.root) continue;
+    const bool reached = p != kNoVertex;
+    const bool reachable = true_level[v] != kNoVertex;
+    if (reached != reachable) {
+      return describe(v, "rule 4: reachability mismatch");
+    }
+    if (!reached || v == result.root) continue;
     if (p >= n) return describe(v, "rule 2: parent id out of range");
     // Tree edge must exist in either direction: the Graph500 treats the
     // graph as undirected, and our harness symmetrizes, so p->v must be
@@ -56,19 +59,9 @@ ValidationError validate_bfs(const CSRGraph& g, const BfsResult& result,
     if (!g.has_edge(v, p) && !g.has_edge(p, v)) {
       return describe(v, "rule 2: tree edge not in graph");
     }
-    if (level[v] != level[p] + 1) {
-      return describe(v, "rule 3: level(child) != level(parent) + 1");
-    }
-  }
-
-  for (vid_t v = 0; v < n; ++v) {
-    const bool reached = result.parent[v] != kNoVertex;
-    const bool reachable = true_level[v] != kNoVertex;
-    if (reached != reachable) {
-      return describe(v, "rule 4: reachability mismatch");
-    }
-    if (reached && level[v] != true_level[v]) {
-      return describe(v, "rule 5: tree level != true hop distance");
+    if (true_level[p] == kNoVertex || true_level[v] != true_level[p] + 1) {
+      return describe(v, "rule 3/5: level(child) != level(parent) + 1 "
+                         "by true hop distance");
     }
   }
   return std::nullopt;

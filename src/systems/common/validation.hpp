@@ -32,6 +32,10 @@ using ValidationError = std::optional<std::string>;
 ///  3. tree levels of parent and child differ by exactly one;
 ///  4. exactly the vertices reachable from root have parents;
 ///  5. tree levels equal true hop distances (BFS trees are shortest).
+/// Rules 3 and 5 are checked together, edge by edge: the true hop
+/// distance of every reached non-root vertex is its parent's plus one.
+/// That holds exactly when the parent chains are acyclic, end at the
+/// root, and give every vertex its true level.
 ValidationError validate_bfs(const CSRGraph& g, const BfsResult& result);
 
 /// The same checks against `true_level`, the hop distances from

@@ -17,7 +17,8 @@ namespace epgs::systems {
 void GapSystem::do_build(const EdgeList& edges) {
   if (opts_.integer_weights && edges.weighted) {
     // The int-weight build: every weight truncates toward zero, so 0.2
-    // becomes 0 — the semantic hazard the paper warns about.
+    // becomes 0 — the semantic hazard the paper warns about. An edge and
+    // its reverse truncate alike, so `edges.symmetric` still holds.
     EdgeList truncated = edges;
     for (auto& e : truncated.edges) {
       e.w = static_cast<weight_t>(static_cast<std::int32_t>(e.w));
@@ -27,7 +28,7 @@ void GapSystem::do_build(const EdgeList& edges) {
     out_ = CSRGraph::from_edges(edges);
   }
   in_.reset();
-  if (!out_.is_symmetric()) in_ = out_.transposed();
+  if (!is_own_transpose(edges, out_)) in_ = out_.transposed();
   work_.bytes_touched = out_.bytes() + (in_ ? in_->bytes() : 0);
 }
 

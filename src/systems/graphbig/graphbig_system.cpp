@@ -48,7 +48,10 @@ namespace {
 class BfsVisitor final : public EdgeVisitor {
  public:
   bool examine(VertexObj& src, EdgeObj&, VertexObj& dst) override {
+    // GraphBIG's BFS reads a neighbour's status and marks it only when it
+    // reads unvisited; the compare-and-swap settles only that race.
     std::atomic_ref<std::uint32_t> status(dst.status);
+    if (status.load(std::memory_order_relaxed) != 0) return false;
     std::uint32_t expected = 0;
     if (status.compare_exchange_strong(expected, 1,
                                        std::memory_order_relaxed)) {

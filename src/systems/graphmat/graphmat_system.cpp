@@ -21,7 +21,7 @@ void GraphMatSystem::do_build(const EdgeList& edges) {
   CSRGraph out = CSRGraph::from_edges(edges);
   // GraphMat keeps A and A^T whatever the symmetry; when A is its own
   // transpose, A^T is a copy rather than a scatter.
-  CSRGraph in = out.is_symmetric() ? out : out.transposed();
+  CSRGraph in = is_own_transpose(edges, out) ? out : out.transposed();
   out_degree_.resize(out.num_vertices());
   for (vid_t u = 0; u < out.num_vertices(); ++u) {
     out_degree_[u] = out.degree(u);

@@ -32,7 +32,7 @@ void subset_field(StateFields& f, VertexSubset& subset, vid_t n) {
 void LigraSystem::do_build(const EdgeList& edges) {
   out_ = CSRGraph::from_edges(edges);
   in_.reset();
-  if (!out_.is_symmetric()) in_ = out_.transposed();
+  if (!is_own_transpose(edges, out_)) in_ = out_.transposed();
   work_.bytes_touched = out_.bytes() + (in_ ? in_->bytes() : 0);
 }
 

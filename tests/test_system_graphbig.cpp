@@ -6,6 +6,9 @@
 
 #include <algorithm>
 
+#include "core/parallel.hpp"
+#include "gen/kronecker.hpp"
+#include "graph/transforms.hpp"
 #include "test_util.hpp"
 
 namespace epgs::systems {
@@ -93,6 +96,47 @@ TEST(GraphBigSystem, FullCapabilitySurface) {
   EXPECT_TRUE(caps.bfs && caps.sssp && caps.pagerank && caps.cdlp &&
               caps.lcc && caps.wcc);
   EXPECT_FALSE(caps.separate_construction);
+}
+
+// The modelled per-edge costs of GraphBIG's BFS: every out-edge of a
+// frontier vertex is examined, each a 32-byte edge object. At one thread
+// the first examiner of an unvisited vertex claims it, frontier order
+// first, as a serial read-then-mark BFS over the same store does.
+TEST(GraphBigSystem, BfsPaysTheModelledCostPerEdge) {
+  static_assert(sizeof(EdgeObj) == 32);
+  gen::KroneckerParams p;
+  p.scale = 9;
+  p.edgefactor = 8;
+  const EdgeList el = dedupe(symmetrize(gen::kronecker(p)));
+  PropertyGraph g;
+  g.load(el);
+  const vid_t root = 5;
+
+  std::vector<vid_t> parent(g.num_vertices(), kNoVertex);
+  parent[root] = root;
+  std::uint64_t examined = 0;
+  for (std::vector<vid_t> frontier{root}; !frontier.empty();) {
+    std::vector<vid_t> next;
+    for (const vid_t u : frontier) {
+      for (const EdgeObj& e : g.vertex(u).out_edges) {
+        ++examined;
+        if (parent[e.target] != kNoVertex) continue;
+        parent[e.target] = u;
+        next.push_back(e.target);
+      }
+    }
+    frontier.swap(next);
+  }
+
+  ThreadScope one(1);
+  GraphBigSystem sys;
+  sys.borrow_edges(el);
+  sys.build();
+  EXPECT_EQ(sys.bfs(root).parent, parent);
+  const auto alg = sys.log().find(phase::kAlgorithm);
+  ASSERT_TRUE(alg.has_value());
+  EXPECT_EQ(alg->work.edges_processed, examined);
+  EXPECT_EQ(alg->work.bytes_touched, examined * sizeof(EdgeObj));
 }
 
 TEST(GraphBigSystem, SsspRevisitsImprovedVertices) {
