@@ -37,8 +37,11 @@ int maybe_inject(Op op, const std::filesystem::path& p,
   }
   const int call = g_calls.fetch_add(1) + 1;  // 1-based
   if (call < g_plan.at_call) return 0;
-  if (g_fires.load() >= g_plan.max_fires) return 0;
-  g_fires.fetch_add(1);
+  // Writers on several threads may race for the last allowed fire.
+  int fired = g_fires.load();
+  do {
+    if (fired >= g_plan.max_fires) return 0;
+  } while (!g_fires.compare_exchange_weak(fired, fired + 1));
   if (short_write != nullptr && g_plan.short_write) {
     *short_write = true;
     return 0;
@@ -265,18 +268,6 @@ void fsync_dir(const std::filesystem::path& dir) {
   if (fd < 0) throw_errno(Op::kOpen, dir, errno);
   try {
     fsync_fd(fd, dir);
-  } catch (...) {
-    ::close(fd);
-    throw;
-  }
-  ::close(fd);
-}
-
-void fsync_path(const std::filesystem::path& p) {
-  const int fd = ::open(p.c_str(), O_RDONLY | O_CLOEXEC);
-  if (fd < 0) throw_errno(Op::kOpen, p, errno);
-  try {
-    fsync_fd(fd, p);
   } catch (...) {
     ::close(fd);
     throw;

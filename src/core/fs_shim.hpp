@@ -120,10 +120,6 @@ void fsync_fd(int fd, const std::filesystem::path& p);
 /// directory O_RDONLY and fsyncs that fd.
 void fsync_dir(const std::filesystem::path& dir);
 
-/// fsync a closed file by path (used to harden staged cache files whose
-/// writers have already closed them).
-void fsync_path(const std::filesystem::path& p);
-
 /// statvfs(3): bytes available to unprivileged writers on the filesystem
 /// holding `p`. Throws IoError when the path cannot be statted.
 [[nodiscard]] std::uint64_t free_disk_bytes(const std::filesystem::path& p);

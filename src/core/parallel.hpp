@@ -152,7 +152,36 @@ EPGS_TSAN_NOINLINE inline R sum_block(F& f, std::size_t lo,
   return s;
 }
 
+/// Per-thread body of parallel_tasks, kept out of the region wrapper so
+/// it stays TSan-instrumented.
+template <typename Body>
+EPGS_TSAN_NOINLINE void task_loop(int count, std::atomic<int>& next,
+                                  Body& body, OmpHbEdge& fork,
+                                  OmpHbEdge& join) {
+  fork.acquire();
+  for (int i = next.fetch_add(1, std::memory_order_relaxed); i < count;
+       i = next.fetch_add(1, std::memory_order_relaxed)) {
+    body(i);
+  }
+  join.release();
+}
+
 }  // namespace parallel_detail
+
+/// Run body(0) ... body(count - 1) on the current OpenMP team, each index
+/// once. Indices go out in ascending order to whichever thread comes free
+/// (dynamic scheduling, one at a time), so list the slowest tasks first.
+/// The region itself allocates nothing and `body` must not throw: an
+/// exception cannot leave an OpenMP region.
+template <typename Body>
+EPGS_NO_SANITIZE_THREAD void parallel_tasks(int count, Body body) {
+  std::atomic<int> next{0};
+  OmpHbEdge fork, join;
+  fork.release();
+#pragma omp parallel
+  parallel_detail::task_loop(count, next, body, fork, join);
+  join.acquire();
+}
 
 /// Deterministic parallel sum of f(0) + ... + f(n-1).
 ///

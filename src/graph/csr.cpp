@@ -13,18 +13,34 @@ namespace epgs {
 
 namespace {
 
+/// Per-thread body of first_touch_zero, kept out of the region wrapper
+/// so it stays TSan-instrumented.
+template <typename T>
+EPGS_TSAN_NOINLINE void zero_slice(FirstTouchVector<T>& v, OmpHbEdge& fork,
+                                   OmpHbEdge& join) {
+  fork.acquire();
+#pragma omp for schedule(static) nowait
+  for (std::int64_t i = 0; i < static_cast<std::int64_t>(v.size()); ++i) {
+    v[static_cast<std::size_t>(i)] = T{};
+  }
+  join.release();
+}
+
 /// Size `v` to `n` zeros in static index order. resize() touches no
 /// pages, and the scatters that fill these arrays do not write in index
 /// order, so this pass is the first touch: each page lands on the thread
 /// that owns its index range in later schedule(static) scans (see
-/// core/numa_alloc.hpp for the rule).
+/// core/numa_alloc.hpp for the rule). (The region follows the TSan
+/// discipline of core/parallel.hpp.)
 template <typename T>
-void first_touch_zero(FirstTouchVector<T>& v, std::size_t n) {
+EPGS_NO_SANITIZE_THREAD void first_touch_zero(FirstTouchVector<T>& v,
+                                              std::size_t n) {
   v.resize(n);
-#pragma omp parallel for schedule(static)
-  for (std::int64_t i = 0; i < static_cast<std::int64_t>(n); ++i) {
-    v[static_cast<std::size_t>(i)] = T{};
-  }
+  OmpHbEdge fork, join;
+  fork.release();
+#pragma omp parallel
+  zero_slice(v, fork, join);
+  join.acquire();
 }
 
 /// Turn row degrees counted into offsets[0, n) (offsets[n] left 0) into
@@ -107,7 +123,13 @@ EPGS_TSAN_NOINLINE bool fill_block(const EdgeList& el, std::size_t lo,
         out_of_range = true;
         return true;
       }
-      for (vid_t u = prev.src + 1; u <= e.src; ++u) offsets[u] = i;
+      // Relaxed atomic: in an out-of-order list, two blocks can write
+      // the same row start before either sees the other's flag. Those
+      // values are thrown away (the counting build zeroes the offsets
+      // again), but the stores must not be a data race.
+      for (vid_t u = prev.src + 1; u <= e.src; ++u) {
+        std::atomic_ref(offsets[u]).store(i, std::memory_order_relaxed);
+      }
     }
     prev = e;
   }

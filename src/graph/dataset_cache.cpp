@@ -153,6 +153,19 @@ bool snapshot_valid(const std::filesystem::path& p, const Meta& m) {
   return in.good() && trailer == kSnapshotTrailer;
 }
 
+/// The snapshot's bytes; allocates nothing, so it can run as one of
+/// homogenize()'s writer tasks.
+void put_packed_snapshot(std::ostream& out, const EdgeList& el) {
+  SnapshotHeader h{kSnapshotMagic, el.num_vertices, el.num_edges(),
+                   (el.weighted ? kFlagWeighted : 0) |
+                       (el.directed ? kFlagDirected : 0)};
+  out.write(reinterpret_cast<const char*>(&h), sizeof h);
+  out.write(reinterpret_cast<const char*>(el.edges.data()),
+            static_cast<std::streamsize>(el.edges.size() * sizeof(Edge)));
+  out.write(reinterpret_cast<const char*>(&kSnapshotTrailer),
+            sizeof kSnapshotTrailer);
+}
+
 }  // namespace
 
 std::string content_hash_hex(std::string_view s) {
@@ -170,14 +183,7 @@ std::string content_hash_hex(std::string_view s) {
 void write_packed_snapshot(const std::filesystem::path& p,
                            const EdgeList& el) {
   fsx::OutStream out(p);
-  SnapshotHeader h{kSnapshotMagic, el.num_vertices, el.num_edges(),
-                   (el.weighted ? kFlagWeighted : 0) |
-                       (el.directed ? kFlagDirected : 0)};
-  out.write(reinterpret_cast<const char*>(&h), sizeof h);
-  out.write(reinterpret_cast<const char*>(el.edges.data()),
-            static_cast<std::streamsize>(el.edges.size() * sizeof(Edge)));
-  out.write(reinterpret_cast<const char*>(&kSnapshotTrailer),
-            sizeof kSnapshotTrailer);
+  put_packed_snapshot(out, el);
   out.sync_now();
   out.close();
 }
@@ -329,17 +335,12 @@ CacheEntry DatasetCache::materialize(std::string_view fingerprint,
   } tmp_guard{tmp_dir};
 
   const EdgeList& el = edges();
-  write_packed_snapshot(tmp_dir / "edges.bin", el);
-  const HomogenizedDataset staged = homogenize(el, name, tmp_dir);
+  // homogenize() writes the snapshot beside the formats and fsyncs every
+  // file it stages; the meta syncs on close. Then the rename is persisted
+  // by fsyncing the parent directory.
+  const StagedFile snapshot{tmp_dir / "edges.bin", put_packed_snapshot};
+  const HomogenizedDataset staged = homogenize(el, name, tmp_dir, &snapshot);
   write_meta(tmp_dir / "meta", fingerprint, name, el, staged);
-  // The snapshot and meta sync on close; harden every staged file
-  // (including GraphBIG's vertex.csv/edge.csv inside their subdirectory)
-  // so the renamed entry is durable in full, then persist the rename
-  // itself by fsyncing the parent directory.
-  for (const auto& f :
-       std::filesystem::recursive_directory_iterator(tmp_dir)) {
-    if (f.is_regular_file()) fsx::fsync_path(f.path());
-  }
   ++stats_.materializations;
 
   std::filesystem::remove_all(final_dir, ec);  // stale entry being replaced

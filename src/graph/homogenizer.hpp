@@ -14,6 +14,7 @@
 
 #include <filesystem>
 #include <map>
+#include <ostream>
 #include <string>
 
 #include "graph/edge_list.hpp"
@@ -42,31 +43,39 @@ struct HomogenizedDataset {
   [[nodiscard]] const std::filesystem::path& path(GraphFormat f) const;
 };
 
+/// The extra file of a staged cache entry: homogenize() opens `path` and
+/// `write` fills it on one of the writer threads, so it must not
+/// allocate (see homogenize).
+struct StagedFile {
+  std::filesystem::path path;
+  void (*write)(std::ostream& out, const EdgeList& el);
+};
+
 /// Write `el` under `dir/name.*` in every format. Creates `dir` if needed.
+/// The files are written concurrently on the default OpenMP team, one
+/// task per format, and their bytes do not depend on the team size.
+/// Every byte goes through fsx::OutStream, so a full disk surfaces as
+/// ResourceExhaustedError, never as a silently truncated file: every
+/// task still finishes, then the first error in format order is
+/// rethrown. With `staged`, the call stages a cache entry: `*staged` is
+/// one more task, and every file is fsynced before it is closed.
 HomogenizedDataset homogenize(const EdgeList& el, const std::string& name,
-                              const std::filesystem::path& dir);
+                              const std::filesystem::path& dir,
+                              const StagedFile* staged = nullptr);
 
-/// Format-specific writers/readers (exposed for tests and for the systems'
-/// own load paths).
-void write_graph500_bin(const std::filesystem::path& p, const EdgeList& el);
+/// Format-specific readers (for tests and for the systems' own load
+/// paths). Each reads the file homogenize() writes for its format.
 EdgeList read_graph500_bin(const std::filesystem::path& p);
-
-void write_gap_sg(const std::filesystem::path& p, const EdgeList& el);
 EdgeList read_gap_sg(const std::filesystem::path& p);
-
-void write_graphmat_mtx(const std::filesystem::path& p, const EdgeList& el);
 EdgeList read_graphmat_mtx(const std::filesystem::path& p);
 
 /// GraphBIG uses a directory holding vertex.csv and edge.csv.
-void write_graphbig_csv(const std::filesystem::path& dir, const EdgeList& el);
 EdgeList read_graphbig_csv(const std::filesystem::path& dir);
 
-void write_powergraph_tsv(const std::filesystem::path& p, const EdgeList& el);
 EdgeList read_powergraph_tsv(const std::filesystem::path& p);
 
 /// Ligra consumes the PBBS "(Weighted)AdjacencyGraph" text format:
 /// header line, n, m, n offsets, m targets[, m weights].
-void write_ligra_adj(const std::filesystem::path& p, const EdgeList& el);
 EdgeList read_ligra_adj(const std::filesystem::path& p);
 
 }  // namespace epgs

@@ -5,6 +5,7 @@
 #include <utility>
 #include <vector>
 
+#include "core/parallel.hpp"
 #include "core/rng.hpp"
 
 namespace epgs {
@@ -42,8 +43,19 @@ EdgeList dedupe(EdgeList el, bool drop_self_loops) {
   // most 16 bits covering the bit_width of its largest id actually
   // present, split evenly: two 16-bit passes at s16 (one per key), two
   // 11-bit passes for a 22-bit key.
+  //
+  // Each pass cuts the edges into one contiguous block per thread of the
+  // default team. Every block counts its digits into its own histogram
+  // row; the rows become start offsets digit-major, then block-minor
+  // (digit d of block b goes after every smaller digit and after digit d
+  // of every earlier block); every block scatters its own edges in order.
+  // That is the serial stable sort's permutation at any thread count.
+  // Scratch and histograms are allocated here, outside the regions.
+  const auto blocks = static_cast<std::size_t>(max_threads());
+  const std::size_t n = edges.size();
+  const auto block_lo = [&](std::size_t b) { return n * b / blocks; };
   std::vector<Edge> scratch;
-  std::vector<eid_t> start;
+  std::vector<eid_t> hist;
   const auto sort_by = [&](vid_t Edge::*key, vid_t max_id) {
     const int bits = std::bit_width(max_id);
     const int digits = (bits + 15) / 16;
@@ -51,14 +63,29 @@ EdgeList dedupe(EdgeList el, bool drop_self_loops) {
       const int width = (bits + digits - 1) / digits;
       const int shift = d * width;
       const vid_t mask = (vid_t{1} << width) - 1;
-      scratch.resize(edges.size());
-      start.assign(std::size_t{mask} + 1, 0);
-      for (const auto& e : edges) ++start[(e.*key >> shift) & mask];
+      const std::size_t buckets = std::size_t{mask} + 1;
+      scratch.resize(n);
+      hist.assign(blocks * buckets, 0);
+      const Edge* in = edges.data();
+      Edge* out = scratch.data();
+      parallel_tasks(static_cast<int>(blocks), [&](int b) {
+        eid_t* row = hist.data() + static_cast<std::size_t>(b) * buckets;
+        for (std::size_t i = block_lo(b); i < block_lo(b + 1); ++i) {
+          ++row[(in[i].*key >> shift) & mask];
+        }
+      });
       eid_t sum = 0;
-      for (auto& s : start) sum += std::exchange(s, sum);
-      for (const auto& e : edges) {
-        scratch[start[(e.*key >> shift) & mask]++] = e;
+      for (std::size_t v = 0; v < buckets; ++v) {
+        for (std::size_t b = 0; b < blocks; ++b) {
+          sum += std::exchange(hist[b * buckets + v], sum);
+        }
       }
+      parallel_tasks(static_cast<int>(blocks), [&](int b) {
+        eid_t* start = hist.data() + static_cast<std::size_t>(b) * buckets;
+        for (std::size_t i = block_lo(b); i < block_lo(b + 1); ++i) {
+          out[start[(in[i].*key >> shift) & mask]++] = in[i];
+        }
+      });
       edges.swap(scratch);
     }
   };

@@ -8,7 +8,6 @@
 #include <cstdio>
 #include <filesystem>
 #include <fstream>
-#include <functional>
 #include <limits>
 #include <map>
 #include <sstream>
@@ -18,9 +17,11 @@
 
 #include "core/error.hpp"
 #include "core/fs_shim.hpp"
+#include "core/parallel.hpp"
 #include "core/rng.hpp"
 #include "graph/csr.hpp"
 #include "graph/snap_io.hpp"
+#include "graph/transforms.hpp"
 #include "test_util.hpp"
 
 namespace epgs {
@@ -149,9 +150,8 @@ TEST(Homogenizer, GapSgNormalisesToSortedCsrOrder) {
   el.num_vertices = 3;
   el.edges = {Edge{2, 0, 1.0f}, Edge{0, 2, 1.0f}, Edge{0, 1, 1.0f}};
   const auto dir = temp_path("epgs_homog_sg");
-  fs::create_directories(dir);
-  write_gap_sg(dir / "g.sg", el);
-  const auto back = read_gap_sg(dir / "g.sg");
+  const auto back =
+      read_gap_sg(homogenize(el, "g", dir).path(GraphFormat::kGapSg));
   ASSERT_EQ(back.edges.size(), 3u);
   EXPECT_TRUE(std::is_sorted(back.edges.begin(), back.edges.end(),
                              [](const Edge& a, const Edge& b) {
@@ -166,10 +166,7 @@ TEST(Homogenizer, GraphMatMtxIsOneIndexed) {
   el.num_vertices = 2;
   el.edges = {Edge{0, 1, 1.0f}};
   const auto dir = temp_path("epgs_homog_mtx");
-  fs::create_directories(dir);
-  write_graphmat_mtx(dir / "g.mtx", el);
-
-  std::ifstream in(dir / "g.mtx");
+  std::ifstream in(homogenize(el, "g", dir).path(GraphFormat::kGraphMatMtx));
   std::string header, sizes, edge;
   std::getline(in, header);
   std::getline(in, sizes);
@@ -334,38 +331,61 @@ TEST_P(HomogenizerBytes, MatchTheReferenceWriter) {
 INSTANTIATE_TEST_SUITE_P(AllFormats, HomogenizerBytes, kAllFormatCases,
                          format_case_name);
 
+TEST(Homogenizer, ConcurrentWritersGiveTheSameFilesAtEveryThreadCount) {
+  // The formats are written as concurrent tasks on the default OpenMP
+  // team; the bytes must not depend on how many threads share them.
+  struct Case {
+    std::string name;
+    EdgeList el;
+  };
+  std::vector<Case> cases;
+  for (const bool weighted : {false, true}) {
+    const std::string w = weighted ? " weighted" : " unweighted";
+    cases.push_back({"directed" + w, stress_graph(weighted)});
+    cases.push_back({"symmetric" + w, symmetrize(stress_graph(weighted))});
+  }
+  for (const auto& c : cases) {
+    std::map<std::string, std::string> want;
+    for (const int threads : {1, 2, 4}) {
+      const auto dir = temp_path("epgs_homog_threads");
+      {
+        ThreadScope scope(threads);
+        homogenize(c.el, "t", dir);
+      }
+      const auto got = test::tree_bytes(dir);
+      fs::remove_all(dir);
+      EXPECT_EQ(got.size(), 8u) << c.name;  // GraphBIG writes two files
+      if (threads == 1) {
+        want = got;
+        continue;
+      }
+      EXPECT_TRUE(got == want) << c.name << " at " << threads << " threads";
+    }
+  }
+}
+
 TEST(Homogenizer, EnospcInsideEveryTextWriterThrowsTyped) {
   // The chunked writers still reach the disk through fsx::OutStream: a
   // full disk at the second or a later write call, mid-file, must raise
-  // the typed error rather than leave a silently truncated file.
+  // the typed error out of homogenize() rather than leave a silently
+  // truncated file, while the other files' writers run on.
   const auto dir = temp_path("epgs_homog_enospc");
-  fs::create_directories(dir);
   const auto el = stress_graph(/*weighted=*/true);
-  struct Writer {
-    std::string file;  ///< the path substring the fault is armed on
-    std::function<void()> write;
-  };
-  const std::vector<Writer> writers = {
-      {"w.snap", [&] { write_snap_file(dir / "w.snap", el); }},
-      {"w.mtx", [&] { write_graphmat_mtx(dir / "w.mtx", el); }},
-      {"edge.csv", [&] { write_graphbig_csv(dir / "w.graphbig", el); }},
-      {"w.tsv", [&] { write_powergraph_tsv(dir / "w.tsv", el); }},
-      {"w.adj", [&] { write_ligra_adj(dir / "w.adj", el); }},
-  };
-  for (const auto& w : writers) {
+  for (const std::string file : {"w.snap", "w.mtx", "edge.csv", "w.tsv",
+                                 "w.adj"}) {
     for (const int at : {2, 3}) {
       fsx::Plan plan;
       plan.op = fsx::Op::kWrite;
       plan.error_code = ENOSPC;
       plan.at_call = at;
-      plan.path_substr = w.file;
+      plan.path_substr = file;
       fsx::Scoped armed(plan);
-      EXPECT_THROW(w.write(), ResourceExhaustedError)
-          << w.file << " at write call " << at;
-      EXPECT_GE(fsx::fire_count(), 1) << w.file << " at write call " << at;
+      EXPECT_THROW(homogenize(el, "w", dir), ResourceExhaustedError)
+          << file << " at write call " << at;
+      EXPECT_GE(fsx::fire_count(), 1) << file << " at write call " << at;
     }
-    // Disarmed, the same writer succeeds.
-    EXPECT_NO_THROW(w.write()) << w.file;
+    // Disarmed, the same files are written.
+    EXPECT_NO_THROW(homogenize(el, "w", dir)) << file;
   }
   fs::remove_all(dir);
 }
@@ -439,13 +459,12 @@ TEST_F(ReaderRejection, BinaryTruncationDetected) {
   EdgeList el;
   el.num_vertices = 3;
   el.edges = {Edge{0, 1, 1.0f}, Edge{1, 2, 1.0f}};
-  const auto g500 = dir_ / "g.g500";
-  write_graph500_bin(g500, el);
+  const auto ds = homogenize(el, "g", dir_);
+  const auto& g500 = ds.path(GraphFormat::kGraph500Bin);
   fs::resize_file(g500, fs::file_size(g500) - 3);
   EXPECT_THROW(read_graph500_bin(g500), EpgsError);
 
-  const auto sg = dir_ / "g.sg";
-  write_gap_sg(sg, el);
+  const auto& sg = ds.path(GraphFormat::kGapSg);
   fs::resize_file(sg, fs::file_size(sg) - 3);
   EXPECT_THROW(read_gap_sg(sg), EpgsError);
 }

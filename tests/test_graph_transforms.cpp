@@ -7,6 +7,7 @@
 #include <limits>
 #include <string>
 
+#include "core/parallel.hpp"
 #include "core/rng.hpp"
 #include "test_util.hpp"
 
@@ -113,12 +114,14 @@ void expect_same_bytes(const EdgeList& got, const EdgeList& want,
       << what;
 }
 
-TEST(Transforms, DedupeMatchesComparisonSortReference) {
-  struct Case {
-    std::string name;
-    EdgeList el;
-  };
-  std::vector<Case> cases;
+struct DedupeCase {
+  std::string name;
+  EdgeList el;
+};
+
+/// Lists that cover every shape of the radix passes.
+std::vector<DedupeCase> dedupe_cases() {
+  std::vector<DedupeCase> cases;
   // One 16-bit digit per key, then two.
   cases.push_back({"ids<2^16", random_multigraph(1, 1u << 16, 4000, 1u << 16)});
   cases.push_back({"ids<2^22", random_multigraph(2, 1u << 22, 4000, 1u << 22)});
@@ -152,13 +155,42 @@ TEST(Transforms, DedupeMatchesComparisonSortReference) {
     el.edges = {Edge{0, 0, 3.0f}, Edge{0, 0, 1.0f}};
     cases.push_back({"only id 0", el});
   }
+  {
+    // Fewer edges than threads: some radix blocks are empty.
+    EdgeList el;
+    el.num_vertices = 1u << 17;
+    el.weighted = true;
+    el.edges = {Edge{70000, 5, 2.0f}, Edge{3, 70000, 1.0f},
+                Edge{70000, 5, 1.0f}};
+    cases.push_back({"shorter than the team", el});
+  }
+  return cases;
+}
 
-  for (const auto& c : cases) {
+TEST(Transforms, DedupeMatchesComparisonSortReference) {
+  for (const auto& c : dedupe_cases()) {
     for (const bool drop : {true, false}) {
       const std::string what =
           c.name + (drop ? " dropping loops" : " keeping loops");
       expect_same_bytes(dedupe(c.el, drop), reference_dedupe(c.el, drop),
                         what);
+    }
+  }
+}
+
+TEST(Transforms, ParallelDedupeMatchesReferenceAtEveryThreadCount) {
+  // Each radix pass splits the edges into one block per thread; the
+  // result must be the serial stable sort's at any team size.
+  for (const int threads : {1, 2, 3, 4}) {
+    ThreadScope scope(threads);
+    for (const auto& c : dedupe_cases()) {
+      for (const bool drop : {true, false}) {
+        const std::string what = c.name + " at " + std::to_string(threads) +
+                                 (drop ? " threads dropping loops"
+                                       : " threads keeping loops");
+        expect_same_bytes(dedupe(c.el, drop), reference_dedupe(c.el, drop),
+                          what);
+      }
     }
   }
 }

@@ -14,10 +14,12 @@
 
 #include "core/error.hpp"
 #include "core/fs_shim.hpp"
+#include "core/parallel.hpp"
 #include "harness/analysis.hpp"
 #include "harness/dataset_pipeline.hpp"
 #include "harness/runner.hpp"
 #include "harness/supervisor.hpp"
+#include "test_util.hpp"
 
 namespace epgs::harness {
 namespace {
@@ -219,6 +221,100 @@ TEST_F(GovernorDir, DiskPreflightRefusesImpossibleFloor) {
   EXPECT_TRUE(prep.degraded);
   EXPECT_NE(prep.degradation.find("--min-free-disk"), std::string::npos);
   EXPECT_GT(prep.edges.num_edges(), 0u);  // the RAM fallback still ran
+}
+
+void expect_no_staging_dir(const fs::path& cache_dir,
+                           const std::string& what) {
+  for (const auto& e : fs::directory_iterator(cache_dir)) {
+    EXPECT_NE(e.path().filename().string().rfind(".tmp-", 0), 0u)
+        << "leaked staging dir " << e.path() << " (" << what << ")";
+  }
+}
+
+GraphSpec kron_s10() {
+  GraphSpec spec;
+  spec.kind = GraphSpec::Kind::kKronecker;
+  spec.scale = 10;
+  return spec;
+}
+
+TEST_F(GovernorDir, EnospcOnAnyStagedFileDegradesAndARetryPublishesClean) {
+  // The staged files are written by concurrent tasks. A full disk under
+  // any one of them must surface as the typed error, degrade the run to
+  // RAM, leave no staging dir, and leave the cache able to publish the
+  // same entry once the disk has room again.
+  const GraphSpec spec = kron_s10();
+  DatasetOptions clean;
+  clean.cache_dir = (dir_ / "clean").string();
+  const auto reference = prepare_dataset(spec, clean);
+  ASSERT_FALSE(reference.degraded);
+  const auto want = test::tree_bytes(reference.entry.dir);
+  ASSERT_EQ(want.size(), 10u);  // snapshot, meta and eight format files
+
+  ThreadScope scope(4);  // concurrent writers even on a one-core host
+  for (const std::string file :
+       {"edges.bin", ".snap", ".g500", ".sg", ".mtx", "vertex.csv",
+        "edge.csv", ".tsv", ".adj", "/meta"}) {
+    DatasetOptions opts;
+    opts.cache_dir = (dir_ / "faulted").string();
+    {
+      fsx::Plan plan;
+      plan.op = fsx::Op::kWrite;
+      plan.error_code = ENOSPC;
+      plan.path_substr = file;
+      fsx::Scoped armed(plan);
+      DatasetCache cache(opts.cache_dir);
+      EXPECT_THROW(
+          cache.materialize(spec_fingerprint(spec), spec.name(),
+                            reference.edges),
+          ResourceExhaustedError)
+          << file;
+      const auto prep = prepare_dataset(spec, opts);
+      EXPECT_TRUE(prep.degraded) << file;
+      EXPECT_NE(prep.degradation.find(file), std::string::npos)
+          << prep.degradation;
+      EXPECT_NE(prep.degradation.find("No space left on device"),
+                std::string::npos)
+          << prep.degradation;
+      EXPECT_EQ(prep.edges.edges, reference.edges.edges) << file;
+    }
+    expect_no_staging_dir(opts.cache_dir, file);
+    const auto retry = prepare_dataset(spec, opts);
+    ASSERT_FALSE(retry.degraded) << file << ": " << retry.degradation;
+    EXPECT_FALSE(retry.cache_hit) << file;
+    EXPECT_TRUE(test::tree_bytes(retry.entry.dir) == want)
+        << "entry published after a fault on " << file
+        << " differs from a fault-free one";
+    fs::remove_all(opts.cache_dir);
+  }
+}
+
+TEST_F(GovernorDir, EnospcAtAnyWriteStaysInsideTheWriterTasks) {
+  // Unfiltered: the Nth shim write anywhere fails, on whichever writer
+  // thread makes it (and, with count=1, only that one). No exception may
+  // leave the writers' parallel region, which would end the process in
+  // std::terminate; the run degrades exactly when a fault fired.
+  const GraphSpec spec = kron_s10();
+  ThreadScope scope(4);
+  for (const int at : {1, 3, 8, 20, 40}) {
+    for (const int count : {1, 1 << 30}) {
+      const std::string what =
+          "at=" + std::to_string(at) + " count=" + std::to_string(count);
+      DatasetOptions opts;
+      opts.cache_dir = (dir_ / "unfiltered").string();
+      fsx::Plan plan;
+      plan.op = fsx::Op::kWrite;
+      plan.error_code = ENOSPC;
+      plan.at_call = at;
+      plan.max_fires = count;
+      fsx::Scoped armed(plan);
+      const auto prep = prepare_dataset(spec, opts);
+      EXPECT_EQ(prep.degraded, fsx::fire_count() > 0) << what;
+      EXPECT_LE(fsx::fire_count(), count) << what;
+      expect_no_staging_dir(opts.cache_dir, what);
+      fs::remove_all(opts.cache_dir);
+    }
+  }
 }
 
 TEST_F(GovernorDir, OutcomeTableRendersGovernorColumns) {

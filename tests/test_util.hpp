@@ -2,6 +2,11 @@
 // per-system and cross-system suites.
 #pragma once
 
+#include <filesystem>
+#include <fstream>
+#include <iterator>
+#include <map>
+#include <string>
 #include <vector>
 
 #include "graph/edge_list.hpp"
@@ -88,6 +93,19 @@ inline EdgeList pagerank_graph() {
   el.edges = {Edge{0, 1, 1.0f}, Edge{0, 2, 1.0f}, Edge{1, 2, 1.0f},
               Edge{2, 0, 1.0f}, Edge{3, 2, 1.0f}};
   return el;
+}
+
+/// Every file under `dir`, keyed by its path relative to `dir`.
+inline std::map<std::string, std::string> tree_bytes(
+    const std::filesystem::path& dir) {
+  std::map<std::string, std::string> files;
+  for (const auto& f : std::filesystem::recursive_directory_iterator(dir)) {
+    if (!f.is_regular_file()) continue;
+    std::ifstream in(f.path(), std::ios::binary);
+    files[std::filesystem::relative(f.path(), dir).string()].assign(
+        std::istreambuf_iterator<char>(in), std::istreambuf_iterator<char>());
+  }
+  return files;
 }
 
 }  // namespace epgs::test
